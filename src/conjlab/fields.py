@@ -9,6 +9,7 @@ equality structural everywhere.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,17 @@ class FieldError(ValueError):
 
 class UnsupportedFieldOperation(FieldError):
     """Raised when an operation is undefined for the field (e.g. eigenvalues over QQ(t))."""
+
+
+def _parser(parse):
+    """A scalar string with a zero denominator is malformed input, not arithmetic."""
+    @functools.wraps(parse)
+    def wrapper(self, s):
+        try:
+            return parse(self, s)
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in {s!r}") from None
+    return wrapper
 
 
 def is_prime(n: int) -> bool:
@@ -297,6 +309,7 @@ class GF:
     def random_nonzero(self, rng):
         return rng.randrange(1, self.p)
 
+    @_parser
     def parse(self, s: str):
         s = s.strip()
         if "/" in s:
@@ -372,6 +385,7 @@ class QQ:
             if v != 0:
                 return v
 
+    @_parser
     def parse(self, s: str):
         return Fraction(s.strip())
 
@@ -467,6 +481,7 @@ class QQT:
     def has_pole_at_zero(self, a) -> bool:
         return a.den[0] == 0
 
+    @_parser
     def parse(self, s: str):
         s = s.strip().replace(" ", "")
         m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", s)
@@ -486,6 +501,8 @@ _QQT = QQT()
 
 
 def field_from_name(name: str):
+    if not isinstance(name, str):
+        raise FieldError(f"field name must be a string, not {name!r}")
     name = name.strip().lower()
     if name == "qq":
         return _QQ

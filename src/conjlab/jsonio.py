@@ -23,11 +23,15 @@ def matrix_to_json(M: Matrix) -> dict:
 
 
 def matrix_from_json(obj, field=None) -> Matrix:
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object")
     f = field_from_name(obj["field"]) if "field" in obj else field
     if f is None:
         raise ValueError("matrix JSON needs a field")
-    rows = [[f.parse(str(v)) for v in row] for row in obj["rows"]]
-    return Matrix.from_rows(f, rows)
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix JSON rows must be a list of lists")
+    return Matrix.from_rows(f, [[f.parse(str(v)) for v in row] for row in rows])
 
 
 def graph_to_json(g: Multigraph) -> dict:

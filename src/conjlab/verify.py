@@ -29,7 +29,8 @@ from .chains import (
 from .coordpoly import CoordPoly, PolyContext, poly_format, symbolic_matrix
 from .fields import GF, QQ, field_from_name
 from .graphs import ReductionCertificate, char2_gamma, incidence_rank_check, reduce_graph, replay
-from .matrix import Matrix, inverse, random_matrix, rank
+from .matrix import Matrix, inverse, random_matrix, rank, rank_and_rref
+from .pencil import BudgetExceeded
 
 
 @dataclass
@@ -67,30 +68,56 @@ def _rng_for(seed, lemma_id) -> random.Random:
 # Characteristic-2 density and commutator coverage
 # ---------------------------------------------------------------------------
 
-def _all_mats(p, n):
-    total = p ** (n * n)
-    for code in range(total):
-        ent = []
-        c = code
-        for _ in range(n * n):
-            ent.append(c % p)
-            c //= p
-        yield tuple(ent)
+def _digits(code, p, k):
+    """The matrix of a code in the coverage scans: entry k is base-p digit k."""
+    return tuple(code // p ** i % p for i in range(k))
 
 
-def _mat_mul_mod(a, b, n, p):
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            s = 0
-            for t in range(n):
-                s += a[i * n + t] * b[t * n + j]
-            out[i * n + j] = s % p
-    return tuple(out)
+def _first_uncovered(p, dim, bases):
+    """The least code (see :func:`_digits`) of a vector of F_p^dim in none of
+    the spans of ``bases`` (lists of vectors); -1 if they cover F_p^dim."""
+    covered = bytearray(p ** dim)
+    for basis in bases:
+        vecs = [(0,) * dim]
+        for row in basis:
+            vecs = [tuple((a + c * b) % p for a, b in zip(v, row)) for v in vecs for c in range(p)]
+        for v in vecs:
+            covered[sum(x * p ** k for k, x in enumerate(v))] = 1
+    return covered.find(0)
 
 
-def _mat_t(a, n):
-    return tuple(a[j * n + i] for i in range(n) for j in range(n))
+def _coverage_report(lemma, params, field, n, units, t0) -> VerificationReport:
+    """Exact coverage of gl_n(F_p) by the image of a map linear in its second
+    argument: the union over outer matrices A of the span of ``units(A, n, p)``,
+    the images of the matrix units.  A span of dimension n^2 passes at once;
+    otherwise the witness is the least uncovered code, which is the first
+    missing target of the former enumeration of every pair."""
+    p, dim = field.p, n * n
+    if p ** (2 * dim) > 10**7:  # the pair budget of that enumeration, kept
+        raise BudgetExceeded(f"GF({p}) with n = {n} exceeds the enumeration budget")
+    spans = set()
+    for code in range(p ** dim):
+        gens = units(_digits(code, p, dim), n, p)
+        res = rank_and_rref(Matrix(field, len(gens), dim, sum(gens, ())))
+        if res.rank == dim:
+            return _report(lemma, params, "pass", [], t0)
+        spans.add(tuple(res.rref.entries[r * dim:(r + 1) * dim] for r in range(res.rank)))
+    code = _first_uncovered(p, dim, spans)
+    wit = [] if code < 0 else [{"missing_target": list(_digits(code, p, dim))}]
+    return _report(lemma, params, "fail" if wit else "pass", wit, t0)
+
+
+def _char2a_units(A, n, p):
+    """A E_ij + A^T E_ji: column i of A in column j, plus row j of A in column i."""
+    return [tuple((A[r * n + i] * (c == j) + A[j * n + r] * (c == i)) % p
+                  for r in range(n) for c in range(n)) for i in range(n) for j in range(n)]
+
+
+def _commutator_units(X, n, p):
+    """[X, E_ij]: column i of X in column j, minus row j of X in row i; then I."""
+    return [tuple((X[r * n + i] * (c == j) - X[j * n + c] * (r == i)) % p
+                  for r in range(n) for c in range(n)) for i in range(n) for j in range(n)] + \
+        [tuple(int(r == c) for r in range(n) for c in range(n))]
 
 
 def verify_char2(part: str, field, n: int, mode: str = "enumerate",
@@ -98,42 +125,28 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
     """part 'a': {PQ + P^T Q^T} covers gl_n over odd characteristic.
     part 'b': over GF(2) the derivative of (P, Q) -> PQ + P^T Q^T at the
     superdiagonal / antidiagonal point has full rank n^2 - 1, cross-certified
-    by the multigraph reduction."""
+    by the multigraph reduction.
+
+    Part (a) in ``enumerate`` mode is exact: the map is linear in Q, so see
+    :func:`_coverage_report`; the witness is the one the enumeration of all
+    pairs gave.  Other modes sample ``trials`` >= 1 pairs and report coverage.
+    """
     t0 = time.monotonic()
     params = {"part": part, "field": field.name, "n": n, "mode": mode, "trials": trials,
               "seed": seed}
     if part == "a":
         if not isinstance(field, GF) or field.p == 2:
             raise ValueError("part (a) needs an odd finite field")
-        p = field.p
         lemma = "char2a"
-        seen = set()
         if mode == "enumerate":
-            mats = list(_all_mats(p, n))
-            for A in mats:
-                At = _mat_t(A, n)
-                for B in mats:
-                    img = tuple(
-                        (x + y) % p
-                        for x, y in zip(_mat_mul_mod(A, B, n, p),
-                                        _mat_mul_mod(At, _mat_t(B, n), n, p))
-                    )
-                    seen.add(img)
-            total = p ** (n * n)
-            if len(seen) == total:
-                return _report(lemma, params, "pass", [], t0)
-            missing = next(m for m in _all_mats(p, n) if m not in seen)
-            return _report(lemma, params, "fail",
-                           [{"missing_target": list(missing)}], t0)
+            return _coverage_report(lemma, params, field, n, _char2a_units, t0)
+        if trials < 1:
+            raise ValueError(f"mode {mode!r} samples and needs trials >= 1")
         rng = _rng_for(seed, lemma)
-        for _ in range(trials):
-            A = tuple(rng.randrange(p) for _ in range(n * n))
-            B = tuple(rng.randrange(p) for _ in range(n * n))
-            img = tuple((x + y) % p for x, y in zip(
-                _mat_mul_mod(A, B, n, p),
-                _mat_mul_mod(_mat_t(A, n), _mat_t(B, n), n, p)))
-            seen.add(img)
-        cov = len(seen) / p ** (n * n)
+        pairs = ((random_matrix(n, n, field, rng), random_matrix(n, n, field, rng))
+                 for _ in range(trials))
+        seen = {(A @ B + A.transpose() @ B.transpose()).entries for A, B in pairs}
+        cov = len(seen) / field.p ** (n * n)
         return _report(lemma, params, "statistical-pass", [{"coverage": cov}], t0)
     if part != "b":
         raise ValueError("part must be 'a' or 'b'")
@@ -172,39 +185,25 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
 
 
 def verify_commutator_scalar(field, m: int) -> VerificationReport:
-    """Every matrix is a commutator plus a scalar: enumerated coverage.
+    """Every matrix is a commutator plus a scalar: exact coverage.
 
     The identity gl_m = {[X,Y] + lambda*I} needs char(K) not dividing m.
     Commutators are exactly sl_m over any field (Albert-Muckenhoupt), so the
     image is sl_m + K*I, which is all of gl_m only when tr(I_m) = m is
     nonzero in K.  When p divides m every image has trace m*lambda = 0 and
-    the report is ``fail``; its witness is the first missing target in
-    :func:`_all_mats` order (entry k is base-p digit k of the code), a
-    matrix of nonzero trace -- E_11, i.e. ``[1, 0, 0, 0]``, for GF(2), m = 2.
+    the report is ``fail``; its witness is the first missing target in code
+    order (entry k is base-p digit k of the code), a matrix of nonzero
+    trace -- E_11, i.e. ``[1, 0, 0, 0]``, for GF(2), m = 2.
+
+    (Y, lambda) -> [X,Y] + lambda*I is linear, so :func:`_coverage_report`
+    checks the union over X of span([X, E_ij], I) and scans for the witness
+    in the order of the former enumeration of all pairs, which keeps it.
     """
     t0 = time.monotonic()
     params = {"field": field.name, "m": m}
     if not isinstance(field, GF):
         raise ValueError("enumeration needs a finite field")
-    p = field.p
-    if p ** (2 * m * m) > 10**7:
-        raise ValueError("enumeration budget exceeded")
-    seen = set()
-    mats = list(_all_mats(p, m))
-    for X in mats:
-        for Y in mats:
-            XY = _mat_mul_mod(X, Y, m, p)
-            YX = _mat_mul_mod(Y, X, m, p)
-            comm = tuple((a - b) % p for a, b in zip(XY, YX))
-            for lam in range(p):
-                img = list(comm)
-                for d in range(m):
-                    img[d * m + d] = (img[d * m + d] + lam) % p
-                seen.add(tuple(img))
-    if len(seen) == p ** (m * m):
-        return _report("commutator", params, "pass", [], t0)
-    missing = next(t for t in _all_mats(p, m) if t not in seen)
-    return _report("commutator", params, "fail", [{"missing_target": list(missing)}], t0)
+    return _coverage_report("commutator", params, field, m, _commutator_units, t0)
 
 
 # ---------------------------------------------------------------------------

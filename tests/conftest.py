@@ -102,3 +102,29 @@ def skew_of_rank(field, n, rk, rng) -> Matrix:
 @pytest.fixture
 def rng():
     return random.Random(20240801)
+
+
+def square_matrices(field, n):
+    """All of gl_n(F_p) in code order: entry k is base-p digit k of the code."""
+    return [Matrix(field, n, n, t[::-1])
+            for t in itertools.product(range(field.p), repeat=n * n)]
+
+
+def first_missing(mats, image):
+    """The first matrix of mats whose entries are not in image, as a list; None if all are."""
+    return next((list(M.entries) for M in mats if M.entries not in image), None)
+
+
+def char2a_oracle(field, n):
+    """First target of gl_n(F_p) missed by A B + A^T B^T over every pair (A, B)."""
+    mats = square_matrices(field, n)
+    image = {(A @ B + A.transpose() @ B.transpose()).entries for A in mats for B in mats}
+    return first_missing(mats, image)
+
+
+def commutator_oracle(field, m):
+    """First target of gl_m(F_p) missed by [X, Y] + lambda*I over every (X, Y, lambda)."""
+    mats = square_matrices(field, m)
+    comms = {X @ Y - Y @ X for X in mats for Y in mats}
+    image = {(C + Matrix.scalar(field, m, lam)).entries for C in comms for lam in range(field.p)}
+    return first_missing(mats, image)

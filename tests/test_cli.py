@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from conjlab.cli import main
 
@@ -55,6 +58,27 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     p2.write_text(json.dumps({"field": "zz", "rows": [["1"]]}))
     code, _ = run_cli(capsys, ["rank", "--in", str(p2)])
     assert code == 2
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("gf:5", '{"rows":[["1/0"]]}'),
+    ("qq", '{"rows":[["1/0"]]}'),
+    ("qq_t", '{"rows":[["(1)/(0)"]]}'),
+    ("qq", "[1]"),
+    ("qq", '{"rows":5}'),
+    ("qq", '{"field":5,"rows":[["1"]]}'),
+])
+def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code = main(["rank", "--field", field])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_over_budget_exits_2(capsys):
+    code, out = run_cli(capsys, ["verify", "char2a", "--field", "gf:3", "--n", "3"])
+    assert code == 2 and out == ""
 
 
 def test_stdin_and_determinism(capsys, monkeypatch):

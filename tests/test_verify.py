@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
+from conftest import char2a_oracle, commutator_oracle
 from conjlab.chains import ChainSpec
 from conjlab.fields import GF
-from conjlab.matrix import Matrix, inverse, rank
+from conjlab.matrix import Matrix, inverse, random_matrix, rank
+from conjlab.pencil import BudgetExceeded
 from conjlab.verify import (
+    _char2a_units,
+    _commutator_units,
+    _first_uncovered,
     default_suite_config,
     h_symbolic,
     run_one,
@@ -18,8 +25,13 @@ from conjlab.verify import (
 G2, G3, G7 = GF(2), GF(3), GF(7)
 
 
+def _missing(report):
+    return report.witnesses[0]["missing_target"] if report.witnesses else None
+
+
 def test_char2a_small():
-    assert verify_char2("a", G3, 2).verdict == "pass"
+    r = verify_char2("a", G3, 2)
+    assert (r.verdict, _missing(r)) == ("pass", char2a_oracle(G3, 2))
     with pytest.raises(ValueError):
         verify_char2("a", G2, 2)
 
@@ -27,7 +39,54 @@ def test_char2a_small():
 def test_char2a_sampled():
     r = verify_char2("a", G3, 2, mode="sample", trials=500, seed=1)
     assert r.verdict == "statistical-pass"
-    assert 0 < r.witnesses[0]["coverage"] <= 1
+    # recorded from the former tuple-arithmetic sampler: the same draws and images
+    assert r.witnesses[0]["coverage"] == 1.0
+    r = verify_char2("a", GF(5), 2, mode="sample", trials=300, seed=0)
+    assert r.witnesses[0]["coverage"] == 0.3632
+
+
+def test_char2a_sampling_needs_trials():
+    with pytest.raises(ValueError):
+        verify_char2("a", G3, 2, mode="sample", trials=0)
+    # a mistyped mode samples too, and must not pass with zero trials
+    for mode in ("sampled", "enumerat"):
+        with pytest.raises(ValueError):
+            run_one({"lemma": "char2a", "field": "gf:3", "n": 2, "mode": mode})
+
+
+def test_coverage_budget():
+    with pytest.raises(BudgetExceeded):
+        verify_char2("a", G3, 3)
+    with pytest.raises(BudgetExceeded):
+        verify_commutator_scalar(G3, 3)
+
+
+def test_unit_images_match_matrix_products():
+    rng = random.Random(5)
+    for p, n in ((3, 2), (5, 3), (2, 3)):
+        f = GF(p)
+        for _ in range(4):
+            A = random_matrix(n, n, f, rng)
+            sym, comm = _char2a_units(A.entries, n, p), _commutator_units(A.entries, n, p)
+            for i in range(n):
+                for j in range(n):
+                    E = Matrix.basis(f, n, i, j)
+                    assert sym[i * n + j] == (A @ E + A.transpose() @ E.transpose()).entries
+                    assert comm[i * n + j] == (A @ E - E @ A).entries
+            assert comm[-1] == Matrix.identity(f, n).entries
+
+
+def test_first_uncovered_scan():
+    # codes are sum of v[k] * p^k; F_3^2 is the union of its four lines
+    lines = [[(1, 0)], [(0, 1)], [(1, 1)], [(1, 2)]]
+    assert _first_uncovered(3, 2, []) == 0
+    assert _first_uncovered(3, 2, lines[:2]) == 4      # (1, 1)
+    assert _first_uncovered(3, 2, lines[:3]) == 5      # (2, 1)
+    assert _first_uncovered(3, 2, lines) == -1
+    # a plane of F_2^3 given by a basis that is not reduced: {0, 3, 5, 6}
+    plane = [(1, 1, 0), (0, 1, 1)]
+    assert _first_uncovered(2, 3, [plane]) == 1        # (1, 0, 0)
+    assert _first_uncovered(2, 3, [plane, [(1, 0, 0)]]) == 2
 
 
 def test_char2b_rank_values():
@@ -38,13 +97,12 @@ def test_char2b_rank_values():
 
 
 def test_commutator():
-    assert verify_commutator_scalar(G3, 2).verdict == "pass"
-    r = verify_commutator_scalar(G2, 2)
+    for f, m, verdict in ((G3, 2, "pass"), (G2, 2, "fail"), (G2, 3, "pass")):
+        r = verify_commutator_scalar(f, m)
+        assert (r.verdict, _missing(r)) == (verdict, commutator_oracle(f, m))
     # over GF(2) at m = 2 every image has trace 2*lambda = 0, so trace-1
     # targets are unreachable; the verifier reports the witness honestly
-    assert r.verdict == "fail"
-    assert r.witnesses[0]["missing_target"] == [1, 0, 0, 0]
-    assert verify_commutator_scalar(G2, 3).verdict == "pass"
+    assert _missing(verify_commutator_scalar(G2, 2)) == [1, 0, 0, 0]
 
 
 def test_conjugation_cases_pass():
