@@ -34,6 +34,7 @@ from .jsonio import (
     certificate_from_json,
     certificate_to_json,
     graph_from_json,
+    json_document,
     matrix_from_json,
     matrix_to_json,
     point_from_json,
@@ -158,7 +159,7 @@ def _dispatch(args) -> int:
         _emit(args, {"rank": tuple_rank_identity(M),
                      "lambda": None if sr.lam is None else M.field.format(sr.lam)})
     elif verb == "pencil":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "pencil", matrices=list)
         mats = [matrix_from_json(m, field) for m in obj["matrices"]]
         r, wit = pencil_rank_enumerate(PencilTuple.make(mats))
         _emit(args, {"rank": r, "witness": [mats[0].field.format(c) for c in wit]})
@@ -186,7 +187,7 @@ def _dispatch(args) -> int:
                                                       trials=args.trials, rng=rng)})
     elif verb == "descriptor":
         objs = _paths_json(args.paths)
-        ds = [descriptor_from_json(field, o) for o in objs]
+        ds = [descriptor_from_json(field, json_document(o, "descriptor")) for o in objs]
         if args.op == "union":
             _emit(args, descriptor_to_json(descriptor_union(ds[0], ds[1])))
         elif args.op == "intersect":
@@ -196,7 +197,7 @@ def _dispatch(args) -> int:
         else:
             _emit(args, descriptor_to_json(descriptor_canonicalize(ds[0])))
     elif verb == "chain":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "chain")
         if args.op == "classify":
             ch = chain_from_json(obj)
             tag = classify_case(ch, args.char)
@@ -206,11 +207,11 @@ def _dispatch(args) -> int:
         elif args.op == "normalize":
             _emit(args, chain_to_json(normalize_signatures(chain_from_json(obj))))
         elif args.op == "project":
-            ch = chain_from_json(obj["chain"])
+            ch = chain_from_json(json_document(obj, "chain project", chain=dict)["chain"])
             M = matrix_from_json(obj["matrix"], field)
             _emit(args, matrix_to_json(project_dual(ch, args.level, M)))
         elif args.op == "embed":
-            ch = chain_from_json(obj["chain"])
+            ch = chain_from_json(json_document(obj, "chain embed", chain=dict)["chain"])
             g = matrix_from_json(obj["matrix"], field)
             _emit(args, matrix_to_json(embed_group(ch, args.level, g)))
         elif args.op == "check-point":
@@ -219,23 +220,23 @@ def _dispatch(args) -> int:
             pt = point_from_json(obj)
             _emit(args, {"trace": pt.reps[0].field.format(trace_invariant(pt))})
     elif verb == "topleft":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "topleft")
         P = matrix_from_json(obj["p"], field)
         Q = matrix_from_json(obj["q"], field)
         _emit(args, {"g": matrix_to_json(topleft_realization(P, Q))})
     elif verb == "raise-rank":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "raise-rank", matrices=list)
         mats = [matrix_from_json(m, field) for m in obj["matrices"]]
         gs = raise_sum_rank(mats)
         _emit(args, {"conjugators": [matrix_to_json(g) for g in gs]})
     elif verb == "lift-tuple-rank":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "lift-tuple-rank", chain=dict)
         ch = chain_from_json(obj["chain"])
         P = matrix_from_json(obj["matrix"], field)
         g = tuple_rank_lift(ch, obj.get("level", 1), P)
         _emit(args, {"g": matrix_to_json(g)})
     elif verb == "degenerate":
-        obj = _read_json(args)
+        obj = json_document(_read_json(args), "degenerate")
         R = matrix_from_json(obj["r"], field)
         W = matrix_from_json(obj["w"], field)
         Q = matrix_from_json(obj["q"], field)
@@ -252,7 +253,7 @@ def _dispatch(args) -> int:
                 _emit(args, {"reducible": False,
                              "obstruction": sorted(res.component)})
         elif args.op == "replay":
-            g = graph_from_json(obj["graph"])
+            g = graph_from_json(json_document(obj, "replay")["graph"])
             cert = certificate_from_json(obj["certificate"])
             _emit(args, {"ok": replay(g, cert)})
         else:

@@ -14,6 +14,18 @@ from .graphs import (
 from .matrix import Matrix
 
 
+def json_document(obj, what: str, **members) -> dict:
+    """obj, once it is a JSON object whose named members are present and are
+    instances of the given types (list for an array, dict for an object)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key, kind in members.items():
+        if not isinstance(obj.get(key), kind):
+            raise ValueError(f"{what} JSON needs {key!r} as a JSON "
+                             f"{'array' if kind is list else 'object'}")
+    return obj
+
+
 def matrix_to_json(M: Matrix) -> dict:
     f = M.field
     return {
@@ -23,13 +35,11 @@ def matrix_to_json(M: Matrix) -> dict:
 
 
 def matrix_from_json(obj, field=None) -> Matrix:
-    if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
+    rows = json_document(obj, "matrix", rows=list)["rows"]
     f = field_from_name(obj["field"]) if "field" in obj else field
     if f is None:
         raise ValueError("matrix JSON needs a field")
-    rows = obj["rows"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+    if not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix JSON rows must be a list of lists")
     return Matrix.from_rows(f, [[f.parse(str(v)) for v in row] for row in rows])
 
@@ -39,6 +49,9 @@ def graph_to_json(g: Multigraph) -> dict:
 
 
 def graph_from_json(obj) -> Multigraph:
+    json_document(obj, "graph", vertices=list, edges=list)
+    if not all(isinstance(e, list) for e in obj["edges"]):
+        raise ValueError("graph JSON edges must be a list of lists")
     return Multigraph.make(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 
@@ -55,9 +68,11 @@ def certificate_to_json(cert: ReductionCertificate) -> list:
 
 
 def certificate_from_json(obj) -> ReductionCertificate:
+    if not isinstance(obj, list):
+        raise ValueError("certificate JSON must be an array")
     steps = []
     for item in obj:
-        rule = item["rule"]
+        rule = json_document(item, "certificate step")["rule"]
         if rule == "remove_edge":
             steps.append(RemoveEdge(tuple(item["edge"])))
         elif rule == "remove_looped_vertex":
@@ -77,6 +92,7 @@ def point_to_json(pt: TruncatedPoint) -> dict:
 
 
 def point_from_json(obj) -> TruncatedPoint:
+    json_document(obj, "point", chain=dict, levels=list)
     chain = chain_from_json(obj["chain"])
     reps = [matrix_from_json(m) for m in obj["levels"]]
     return TruncatedPoint.make(chain, reps)

@@ -297,6 +297,38 @@ def kernel_basis(M: Matrix) -> list[Matrix]:
     return basis
 
 
+class Span:
+    """Incremental span of vectors in K^dim, for membership tests while a
+    basis is built one vector at a time."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.rows = {}  # pivot index -> reduced row (list)
+
+    def _reduce(self, vec):
+        f = self.field
+        v = list(vec)
+        for piv in sorted(self.rows):
+            if not f.is_zero(v[piv]):
+                c = v[piv]
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, self.rows[piv])]
+        return v
+
+    def contains(self, vec) -> bool:
+        return all(self.field.is_zero(x) for x in self._reduce(vec))
+
+    def add(self, vec) -> bool:
+        f = self.field
+        v = self._reduce(vec)
+        piv = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        self.rows[piv] = [f.mul(inv, x) for x in v]
+        return True
+
+
 def solve_right(A: Matrix, B: Matrix) -> Matrix | None:
     """A particular X with A @ X = B, or None; free variables are set to 0."""
     if A.rows != B.rows:

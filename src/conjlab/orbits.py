@@ -18,6 +18,7 @@ from .fields import GF, QQ, QQT
 from .matrix import (
     Matrix,
     MatrixError,
+    Span,
     column_space_basis,
     det,
     inverse,
@@ -32,8 +33,8 @@ from .matrix import (
 from .pencil import (
     BudgetExceeded,
     ENUMERATION_BUDGET,
-    enumerate_gl_rows,
-    gl_order,
+    enumerate_subspaces,
+    gaussian_binomial,
     shift_rank,
     tuple_rank_identity,
 )
@@ -41,39 +42,6 @@ from .pencil import (
 
 class ConstructionError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Incremental span (membership tests for greedy basis building)
-# ---------------------------------------------------------------------------
-
-class _Span:
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-        self.rows = {}  # pivot index -> reduced row (list)
-
-    def _reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for piv in sorted(self.rows):
-            if not f.is_zero(v[piv]):
-                c = v[piv]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, self.rows[piv])]
-        return v
-
-    def contains(self, vec) -> bool:
-        return all(self.field.is_zero(x) for x in self._reduce(vec))
-
-    def add(self, vec) -> bool:
-        f = self.field
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        self.rows[piv] = [f.mul(inv, x) for x in v]
-        return True
 
 
 def _col(M: Matrix, j: int) -> list:
@@ -90,7 +58,7 @@ def _complete_basis(field, cols, n, rng=None) -> list:
     Standard basis vectors are tried in index order (the lexicographically
     least column selection); a seeded random fallback covers degenerate cases.
     """
-    span = _Span(field, n)
+    span = Span(field, n)
     out = [list(c) for c in cols]
     for c in out:
         if not span.add(c):
@@ -135,7 +103,7 @@ def shape_left(P: Matrix, m: int):
     ker = [_col(K, 0) for K in kernel_basis(P)]
     rng = random.Random(0)
     for _attempt in range(50):
-        span = _Span(f, n)
+        span = Span(f, n)
         for c in im_cols:
             span.add(_col(c, 0))
         W: list = []
@@ -177,7 +145,7 @@ def shape_left(P: Matrix, m: int):
         if len(W) < m:
             continue
         # complete with kernel vectors independent of W (and of each other)
-        wspan = _Span(f, n)
+        wspan = Span(f, n)
         for wv in W:
             wspan.add(wv)
         Z: list = []
@@ -313,8 +281,16 @@ def raise_sum_rank(mats) -> list[Matrix]:
 
 def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
                          trials: int = 300, rng=None) -> bool:
-    """Whether det((g P g^{-1})_[k],[k]) = 0 for all conjugates; exhaustive mode
-    decides it over the full finite group and cross-checks rank(P) < k."""
+    """Whether det((g P g^{-1})_[k],[k]) = 0 for all conjugates.
+
+    Exhaustive mode scans pairs of subspaces, not the finite group: with
+    U = g[:k,:] and V = g^{-1}[:,:k], the minor is det(U P V) and U V = I_k.
+    Its vanishing depends only on R = row space of U and C = column space of
+    V, and a pair (R, C) of Gr(k, n) comes from some g exactly when
+    det(R C^T) != 0.  So the minor vanishes for every g unless some pair has
+    det(R C^T) != 0 and det(R P C^T) != 0.  The verdict is cross-checked
+    against rank(P) < k; the enumeration budget bounds |Gr(k, n)|^2.
+    """
     f = P.field
     n = P.rows
     if not (1 <= k <= n):
@@ -322,13 +298,16 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if not isinstance(f, GF):
             raise BudgetExceeded("exhaustive mode needs a finite field")
-        if gl_order(n, f.p) > ENUMERATION_BUDGET:
-            raise BudgetExceeded("GL_n(F_q) exceeds the enumeration budget")
+        if gaussian_binomial(n, k, f.p) ** 2 > ENUMERATION_BUDGET:
+            raise BudgetExceeded("Gr(k, n)^2 exceeds the enumeration budget")
+        subs = [Matrix.from_rows(f, rows) for rows in enumerate_subspaces(k, n, f.p)]
+        cols = [S.transpose() for S in subs]
         verdict = True
-        for rows in enumerate_gl_rows(n, f.p):
-            g = Matrix.from_rows(f, rows)
-            Qc = g @ P @ inverse(g)
-            if not f.is_zero(det(Qc.block(0, k, 0, k))):
+        for R in subs:
+            RP = R @ P
+            if rank(RP) < k:
+                continue
+            if any(not f.is_zero(det(RP @ C)) and not f.is_zero(det(R @ C)) for C in cols):
                 verdict = False
                 break
         if verdict != (rank(P) < k):

@@ -5,15 +5,32 @@ combination, indexed by projective space.  Over finite fields the minimum is
 found by full projective enumeration; for tuples (P, I) it reduces to the
 shift rank min over lambda of rank(P - lambda I), which eigenvalue data gives
 over any field with decidable eigenvalues.
+
+The off-diagonal criterion asks whether every conjugate g P g^{-1} has a
+small block in rows K and columns L.  That block's rank depends only on a
+pair of subspaces (the row space of g[K,:] and the column space of
+g^{-1}[:,L]), so the exhaustive check scans Grassmannian pairs in RREF order,
+35 for n = 4, m = 2 over GF(2) instead of the 20160 elements of GL_4(F_2).
+The order of GL_n(F_q) in :func:`enumerate_gl_rows` still fixes which
+conjugator a failed check reports.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .fields import GF, UnsupportedFieldOperation
-from .matrix import Matrix, MatrixError, eigen_data, inverse, rank, random_invertible
+from .matrix import (
+    Matrix,
+    MatrixError,
+    Span,
+    eigen_data,
+    inverse,
+    kernel_basis,
+    random_invertible,
+    rank,
+)
 
 ENUMERATION_BUDGET = 10**6
 
@@ -134,18 +151,9 @@ def gl_order(n: int, q: int) -> int:
     return total
 
 
-def _all_vectors(n, p):
-    if n == 0:
-        yield ()
-        return
-    for v in _all_vectors(n - 1, p):
-        for c in range(p):
-            yield v + (c,)
-
-
 def enumerate_gl_rows(n: int, p: int):
     """Yield the row tuples of every element of GL_n(F_p), lexicographically."""
-    vectors = [v for v in _all_vectors(n, p)][1:]  # skip zero; lex order
+    vectors = list(itertools.product(range(p), repeat=n))[1:]  # skip zero; lex order
 
     def extend(rows, span):
         if len(rows) == n:
@@ -166,42 +174,109 @@ def enumerate_gl_rows(n: int, p: int):
     yield from extend([], set())
 
 
-@lru_cache(maxsize=4)
-def _gl_with_inverses(n: int, p: int):
-    """All (g, g^{-1}) pairs of GL_n(F_p) as row tuples; cached."""
-    field = GF(p)
-    out = []
-    for rows in enumerate_gl_rows(n, p):
-        g = Matrix.from_rows(field, rows)
-        gi = inverse(g)
-        out.append((rows, tuple(tuple(gi.row_list(i)) for i in range(n))))
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# Subspaces of F_q^n (Grassmannians in reduced row echelon form)
+# ---------------------------------------------------------------------------
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """The number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
-def _rank_rows_mod(rows, p) -> int:
-    """Rank of small integer row lists mod p."""
-    a = [list(r) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if a[i][c] % p:
-                pr = i
+def enumerate_subspaces(k: int, n: int, p: int):
+    """Yield every k-dimensional subspace of F_p^n once, as its RREF rows.
+
+    Canonical order: by pivot columns in itertools.combinations order, then
+    the free entries lexicographically, row by row.
+    """
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i, pc in enumerate(pivots) for c in range(pc + 1, n)
+                if c not in pivots]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+            for (i, c), v in zip(free, vals):
+                rows[i][c] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def _kernel_rows(S: Matrix) -> Matrix:
+    """The canonical basis of {v : S v = 0}, one vector per row."""
+    ker = kernel_basis(S)
+    return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
+
+
+def _span_of(field, rows) -> Span:
+    span = Span(field, len(rows[0]))
+    for r in rows:
+        span.add(r)
+    return span
+
+
+def _offdiag_bad_pairs(P: Matrix, k: int, m: int) -> list:
+    """Every pair (R, C) with rank(R P C) > k: R runs over Gr(m, n) and C over
+    the m-dimensional subspaces of ker R, both in the order of
+    :func:`enumerate_subspaces`.  R is a Matrix of basis rows, C one of basis
+    columns."""
+    f, n = P.field, P.rows
+    bad = []
+    for r_rows in enumerate_subspaces(m, n, f.p):
+        R = Matrix.from_rows(f, r_rows)
+        RP = R @ P
+        if rank(RP) <= k:
+            continue  # rank(R P C) <= rank(R P)
+        B = _kernel_rows(R)
+        for x_rows in enumerate_subspaces(m, n - m, f.p):
+            C = (Matrix.from_rows(f, x_rows) @ B).transpose()
+            if rank(RP @ C) > k:
+                bad.append((R, C))
+    return bad
+
+
+def _first_bad_conjugator(P: Matrix, m: int, bad: list) -> list:
+    """Rows of the first g in :func:`enumerate_gl_rows` order whose key
+    (row space of g[K], kernel of the rows of g outside L) is a pair in bad.
+
+    The rows are chosen one at a time, each the least vector outside the span
+    of the rows before it that keeps some pair (R, C) of bad reachable: a row
+    in K must lie in R, a row after L in A = ann(C), and the rows in L must be
+    independent modulo A.  Exactly the prefixes that meet these conditions
+    extend to an invertible g with key (R, C), so the walk never backtracks.
+    Each candidate row tested counts against the enumeration budget; a tested
+    row that fails stands for at least one g the full enumeration visits
+    before the witness, so wherever |GL_n| fits the budget, the walk does.
+    """
+    f, n = P.field, P.rows
+    live = [(_span_of(f, R.to_rows()), C) for R, C in bad]
+    prefix, rows, tested = Span(f, n), [], 0
+    for d in range(n):
+        if d == m:  # the K rows span R; now each pair is (A, A + span of the L rows)
+            live = [(_span_of(f, A), _span_of(f, A))
+                    for A in (_kernel_rows(C.transpose()).to_rows() for _, C in live)]
+        for v in itertools.product(range(f.p), repeat=n):
+            if prefix.contains(v):
+                continue
+            tested += 1
+            if tested > ENUMERATION_BUDGET:
+                raise BudgetExceeded("the witness walk exceeds the enumeration budget")
+            if d < m:
+                keep = [(R, C) for R, C in live if R.contains(v)]
+            elif d < 2 * m:
+                keep = [(A, AL) for A, AL in live if not AL.contains(v)]
+            else:
+                keep = [(A, AL) for A, AL in live if A.contains(v)]
+            if keep:
                 break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p)
-        for i in range(r + 1, nr):
-            if a[i][c] % p:
-                coef = (a[i][c] * inv) % p
-                a[i] = [(x - coef * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+        live = keep
+        if m <= d < 2 * m:
+            for _, AL in live:
+                AL.add(v)
+        prefix.add(v)
+        rows.append(v)
+    return rows
 
 
 def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
@@ -209,9 +284,19 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     """Decide whether every conjugate Q of P has rank(Q_[K,L]) <= k.
 
     K = the first m indices and L = the next m indices.  In exhaustive mode the
-    verdict equals tuple_rank_identity(P) <= k whenever n >= 2m >= 2(k+1); a
-    False verdict carries a certified witness (g, K, L).  Sampled mode draws
-    random conjugators and random disjoint index pairs; a pass is statistical.
+    verdict equals tuple_rank_identity(P) <= k whenever n >= 2m >= 2(k+1).
+
+    Exhaustive mode scans subspace pairs, not GL_n(F_q): with U = g[K,:] and
+    V = g^{-1}[:,L], Q_[K,L] = U P V and U V = 0, so the rank depends only on
+    R = row space of U and C = column space of V, with C inside ker R; since
+    n >= 2m every such pair comes from some g.  A False verdict carries a
+    certified witness (g, K, L): g is the first element of GL_n(F_q) in
+    :func:`enumerate_gl_rows` order whose block has rank > k, found by a walk
+    that skips every row prefix that cannot reach such a pair.  The
+    enumeration budget bounds the number of pairs and the rows the walk tests.
+
+    Sampled mode draws random conjugators and random disjoint index pairs; a
+    pass is statistical.
     """
     f = P.field
     n = P.rows
@@ -224,23 +309,15 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if not isinstance(f, GF):
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
-        if gl_order(n, f.p) > ENUMERATION_BUDGET:
-            raise BudgetExceeded("GL_n(F_q) exceeds the enumeration budget")
-        p = f.p
-        prow = [tuple(P.row_list(i)) for i in range(n)]
-        for g_rows, gi_rows in _gl_with_inverses(n, p):
-            # rows K of g.P, then columns L of the inverse
-            gp = []
-            for i in K:
-                grow = g_rows[i]
-                gp.append([sum(grow[t] * prow[t][j] for t in range(n)) % p for j in range(n)])
-            blk = []
-            for row in gp:
-                blk.append([sum(row[t] * gi_rows[t][j] for t in range(n)) % p for j in L])
-            if _rank_rows_mod(blk, p) > k:
-                g = Matrix.from_rows(f, g_rows)
-                return False, (g, K, L)
-        return True, None
+        if gaussian_binomial(n, m, f.p) * gaussian_binomial(n - m, m, f.p) > ENUMERATION_BUDGET:
+            raise BudgetExceeded("the subspace pairs exceed the enumeration budget")
+        bad = _offdiag_bad_pairs(P, k, m)
+        if not bad:
+            return True, None
+        g = Matrix.from_rows(f, _first_bad_conjugator(P, m, bad))
+        if rank((g @ P @ inverse(g)).submatrix(K, L)) <= k:
+            raise AssertionError("the witness walk returned a conjugator that does not certify")
+        return False, (g, K, L)
     if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")

@@ -129,7 +129,8 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
 
     Part (a) in ``enumerate`` mode is exact: the map is linear in Q, so see
     :func:`_coverage_report`; the witness is the one the enumeration of all
-    pairs gave.  Other modes sample ``trials`` >= 1 pairs and report coverage.
+    pairs gave.  ``sample`` mode draws ``trials`` >= 1 pairs and reports
+    coverage; any other mode is a ValueError.
     """
     t0 = time.monotonic()
     params = {"part": part, "field": field.name, "n": n, "mode": mode, "trials": trials,
@@ -140,8 +141,10 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
         lemma = "char2a"
         if mode == "enumerate":
             return _coverage_report(lemma, params, field, n, _char2a_units, t0)
+        if mode != "sample":
+            raise ValueError(f"part (a) mode must be 'enumerate' or 'sample', got {mode!r}")
         if trials < 1:
-            raise ValueError(f"mode {mode!r} samples and needs trials >= 1")
+            raise ValueError("sample mode needs trials >= 1")
         rng = _rng_for(seed, lemma)
         pairs = ((random_matrix(n, n, field, rng), random_matrix(n, n, field, rng))
                  for _ in range(trials))

@@ -1,12 +1,14 @@
 """Shared test oracles, independent of the code paths they check."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from conjlab.fields import UniPoly
-from conjlab.matrix import Matrix, random_matrix
+from conjlab.matrix import Matrix, det, inverse, random_matrix, rank
+from conjlab.pencil import enumerate_gl_rows
 
 
 def cofactor_det(field, grid):
@@ -73,8 +75,6 @@ def minor_rank_oracle(M: Matrix) -> int:
 
 def matrix_of_rank(field, n, k, rng) -> Matrix:
     """Random n x n matrix of rank exactly k, as a product of full-rank factors."""
-    from conjlab.matrix import rank
-
     if k == 0:
         return Matrix.zeros(field, n)
     while True:
@@ -86,8 +86,6 @@ def matrix_of_rank(field, n, k, rng) -> Matrix:
 
 
 def skew_of_rank(field, n, rk, rng) -> Matrix:
-    from conjlab.matrix import rank
-
     assert rk % 2 == 0
     while True:
         S = Matrix.zeros(field, n)
@@ -128,3 +126,31 @@ def commutator_oracle(field, m):
     comms = {X @ Y - Y @ X for X in mats for Y in mats}
     image = {(C + Matrix.scalar(field, m, lam)).entries for C in comms for lam in range(field.p)}
     return first_missing(mats, image)
+
+
+@functools.lru_cache(maxsize=None)
+def _with_inverse(field, rows):
+    g = Matrix.from_rows(field, rows)
+    return g, inverse(g)
+
+
+def _conjugates(P: Matrix):
+    """(g, g P g^-1) for every g of GL_n(F_p), in enumerate_gl_rows order."""
+    for rows in enumerate_gl_rows(P.rows, P.field.p):
+        g, gi = _with_inverse(P.field, rows)
+        yield g, g @ P @ gi
+
+
+def offdiag_gl_oracle(P: Matrix, k: int, m: int):
+    """The off-diagonal criterion by a scan of all of GL_n(F_p): (True, None),
+    or (False, (g, K, L)) for the first g whose block Q_[K,L] has rank > k."""
+    K, L = tuple(range(m)), tuple(range(m, 2 * m))
+    for g, Q in _conjugates(P):
+        if rank(Q.submatrix(K, L)) > k:
+            return False, (g, K, L)
+    return True, None
+
+
+def minor_gl_oracle(P: Matrix, k: int) -> bool:
+    """Whether the leading k x k minor of g P g^-1 vanishes for every g of GL_n(F_p)."""
+    return all(P.field.is_zero(det(Q.block(0, k, 0, k))) for _, Q in _conjugates(P))

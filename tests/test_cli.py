@@ -76,6 +76,33 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb,doc", [
+    (["pencil"], '{"matrices":5}'),
+    (["graph", "reduce"], "[1]"),
+    (["graph", "reduce"], '{"vertices":["a"],"edges":[5]}'),
+    (["graph", "replay"], '{"graph":{"vertices":[],"edges":[]},"certificate":5}'),
+    (["chain", "classify"], "[1]"),
+    (["chain", "project"], '{"chain":1}'),
+    (["topleft"], "[1]"),
+    (["raise-rank"], '{"matrices":{}}'),
+    (["lift-tuple-rank"], "[1]"),
+    (["degenerate"], "5"),
+    (["descriptor", "canon"], "[1]"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
+    if verb[0] == "descriptor":
+        path = tmp_path / "d.json"
+        path.write_text(doc)
+        argv = verb + [str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        argv = verb
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_over_budget_exits_2(capsys):
     code, out = run_cli(capsys, ["verify", "char2a", "--field", "gf:3", "--n", "3"])
     assert code == 2 and out == ""

@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from conftest import matrix_of_rank, skew_of_rank
+from conftest import matrix_of_rank, minor_gl_oracle, skew_of_rank
 
 from conjlab.chains import ChainError, ChainSpec, project_dual
 from conjlab.fields import GF, QQ
@@ -29,7 +29,8 @@ from conjlab.orbits import (
     topleft_realization,
     tuple_rank_lift,
 )
-from conjlab.pencil import shift_rank, tuple_rank_identity
+from conjlab import orbits
+from conjlab.pencil import BudgetExceeded, shift_rank, tuple_rank_identity
 
 G2, G5, G7, QQ_ = GF(2), GF(5), GF(7), QQ()
 
@@ -109,6 +110,31 @@ def test_minor_vanishing_exhaustive_gf2_n2():
         P = Matrix(G2, 2, 2, ent)
         for k in (1, 2):
             assert minor_vanishing_test(P, k) == (rank(P) < k)
+
+
+def test_minor_vanishing_matches_gl_oracle():
+    # every 2x2 over GF(2) and GF(3) and every 3x3 over GF(2), each k
+    for fld, n in ((G2, 2), (GF(3), 2), (G2, 3)):
+        for ent in itertools.product(range(fld.p), repeat=n * n):
+            P = Matrix(fld, n, n, ent)
+            for k in range(1, n + 1):
+                assert minor_vanishing_test(P, k) == minor_gl_oracle(P, k), (P.to_rows(), k)
+
+
+def test_minor_vanishing_gf3_n4(rng):
+    # |GL_4(F_3)| ~ 2.4e7 is over the budget; |Gr(k, 4)|^2 <= 130^2 is not
+    for r in range(5):
+        P = matrix_of_rank(GF(3), 4, r, rng)
+        for k in range(1, 5):
+            assert minor_vanishing_test(P, k) == (r < k)
+
+
+def test_minor_vanishing_budget(monkeypatch):
+    monkeypatch.setattr(orbits, "ENUMERATION_BUDGET", 35**2)
+    assert minor_vanishing_test(Matrix.zeros(G2, 4), 2)
+    monkeypatch.setattr(orbits, "ENUMERATION_BUDGET", 35**2 - 1)
+    with pytest.raises(BudgetExceeded):
+        minor_vanishing_test(Matrix.zeros(G2, 4), 2)
 
 
 def test_minor_vanishing_gf2_n3_sample(rng):

@@ -4,13 +4,18 @@ import random
 import pytest
 from fractions import Fraction
 
+from conftest import matrix_of_rank, offdiag_gl_oracle
+from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
 from conjlab.matrix import Matrix, inverse, rank, random_invertible, random_matrix
 from conjlab.pencil import (
+    ENUMERATION_BUDGET,
     BudgetExceeded,
     PencilTuple,
+    gaussian_binomial,
     gl_order,
     enumerate_gl_rows,
+    enumerate_subspaces,
     offdiag_criterion_check,
     pencil_rank_enumerate,
     projection_stabilization,
@@ -141,9 +146,123 @@ def test_offdiag_sampled_witness_certifies(rng):
     assert rank(Q.submatrix(K, L)) > 0
 
 
+def test_offdiag_matches_gl_oracle_small():
+    # every 2x2 over GF(2) and GF(3) and every 3x3 over GF(2): verdict and witness
+    cases = [(fld, n) for fld, n in ((G2, 2), (G3, 2), (G2, 3))]
+    for fld, n in cases:
+        for M in _all_sq(fld, n):
+            assert offdiag_criterion_check(M, 0, 1) == offdiag_gl_oracle(M, 0, 1), M.to_rows()
+
+
+def _transvection(fld, n, rng):
+    """I + u v^T with v.u = 0 and u, v nonzero: invertible of identity-tuple rank 1."""
+    while True:
+        u, v = random_matrix(n, 1, fld, rng), random_matrix(n, 1, fld, rng)
+        if not u.is_zero() and not v.is_zero() and (v.transpose() @ u).is_zero():
+            return Matrix.identity(fld, n) + u @ v.transpose()
+
+
+def test_offdiag_matches_gl_oracle_gf2_n4():
+    rng = random.Random(11)
+    ins = [random_matrix(4, 4, G2, rng) for _ in range(4)]
+    ins += [random_invertible(4, G2, rng) for _ in range(2)]
+    ins += [matrix_of_rank(G2, 4, 1, rng), _transvection(G2, 4, rng)]
+    for P in ins:
+        for k, m in ((0, 1), (0, 2), (1, 2)):
+            if k == 1 and tuple_rank_identity(P) <= 1:
+                continue  # holds: the oracle would scan all of GL_4(F_2)
+            assert offdiag_criterion_check(P, k, m) == offdiag_gl_oracle(P, k, m), (P.to_rows(), k, m)
+
+
+def test_offdiag_gf3_n4():
+    # |GL_4(F_3)| ~ 2.4e7 is over the budget; the 130 subspace pairs are not
+    rng = random.Random(4)
+    ins = [random_matrix(4, 4, G3, rng) for _ in range(3)]
+    ins += [Matrix.scalar(G3, 4, 2) + matrix_of_rank(G3, 4, 1, rng), _transvection(G3, 4, rng)]
+    for P in ins:
+        for k, m in ((0, 1), (1, 2)):
+            holds, wit = offdiag_criterion_check(P, k, m)
+            assert holds == (tuple_rank_identity(P) <= k), (P.to_rows(), k, m)
+            if not holds:
+                g, K, L = wit
+                assert rank((g @ P @ inverse(g)).submatrix(K, L)) > k
+
+
 def test_offdiag_budget():
     with pytest.raises(BudgetExceeded):
         offdiag_criterion_check(Matrix.identity(GF(101), 4), 1, 2)
+
+
+def test_offdiag_budget_counts_subspace_pairs(monkeypatch):
+    P = Matrix.identity(G2, 4)  # holds: the scan runs over every pair, the walk never
+    assert gaussian_binomial(4, 2, 2) * gaussian_binomial(2, 2, 2) == 35
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 35)
+    assert offdiag_criterion_check(P, 1, 2) == (True, None)
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 34)
+    with pytest.raises(BudgetExceeded):
+        offdiag_criterion_check(P, 1, 2)
+
+
+def test_offdiag_witness_walk_budget(monkeypatch):
+    # 4 subspace pairs; the walk tests rows (0,1), (0,2), (1,0), (1,1), then (0,1)
+    P = Matrix.from_rows(G3, [[1, 0], [0, 2]])
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 5)
+    holds, (g, _, _) = offdiag_criterion_check(P, 0, 1)
+    assert not holds and g == Matrix.from_rows(G3, [[1, 1], [0, 1]])
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 4)
+    with pytest.raises(BudgetExceeded):
+        offdiag_criterion_check(P, 0, 1)
+
+
+def test_budget_refuses_no_input_that_fit_the_gl_scan():
+    # wherever the former scan of GL_n(F_p) fit the budget, the subspace pairs do
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for n in range(2, 6):
+            if gl_order(n, p) > ENUMERATION_BUDGET:
+                continue
+            for m in range(1, n // 2 + 1):
+                assert gaussian_binomial(n, m, p) * gaussian_binomial(n - m, m, p) <= gl_order(n, p)
+            for k in range(1, n + 1):
+                assert gaussian_binomial(n, k, p) ** 2 <= ENUMERATION_BUDGET
+
+
+def _is_rref(rows, p):
+    pivots = []
+    for r in rows:
+        lead = next(c for c, x in enumerate(r) if x)
+        if r[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return False
+        pivots.append(lead)
+    return all(all(x in range(p) for x in r) for r in rows) and all(
+        rows[j][c] == 0 for i, c in enumerate(pivots) for j in range(len(rows)) if j != i)
+
+
+def _span(rows, p, n):
+    out = {(0,) * n}
+    for r in rows:
+        out = {tuple((a + c * b) % p for a, b in zip(v, r)) for v in out for c in range(p)}
+    return frozenset(out)
+
+
+def test_enumerate_subspaces():
+    for p, n in ((2, 1), (2, 3), (2, 4), (3, 3), (5, 2)):
+        vectors = list(itertools.product(range(p), repeat=n))
+        for k in range(0, n + 1):
+            subs = list(enumerate_subspaces(k, n, p))
+            assert len(subs) == gaussian_binomial(n, k, p)
+            assert all(len(S) == k and _is_rref(S, p) for S in subs)
+            spans = [_span(S, p, n) for S in subs]
+            assert len(set(spans)) == len(subs)  # each subspace once
+            assert all(len(sp) == p**k for sp in spans)
+            if k <= 2:  # every k-subspace, by the spans of all k-tuples of vectors
+                brute = {sp for vs in itertools.product(vectors, repeat=k)
+                         if len(sp := _span(vs, p, n)) == p**k}
+                assert set(spans) == brute
+            # canonical order: pivot columns, then the entries row by row
+            key = lambda S: (tuple(next(c for c, x in enumerate(r) if x) for r in S), S)
+            assert subs == sorted(subs, key=key)
+    assert list(enumerate_subspaces(1, 2, 3)) == [((1, 0),), ((1, 1),), ((1, 2),), ((0, 1),)]
+    assert gaussian_binomial(4, 2, 2) == 35 and gaussian_binomial(4, 2, 3) == 130
 
 
 def test_gl_enumeration_counts():

@@ -48,10 +48,14 @@ def test_char2a_sampled():
 def test_char2a_sampling_needs_trials():
     with pytest.raises(ValueError):
         verify_char2("a", G3, 2, mode="sample", trials=0)
-    # a mistyped mode samples too, and must not pass with zero trials
+
+
+def test_char2a_rejects_unknown_mode():
+    # a mistyped mode is an error, not a sampled run, with or without trials
     for mode in ("sampled", "enumerat"):
-        with pytest.raises(ValueError):
-            run_one({"lemma": "char2a", "field": "gf:3", "n": 2, "mode": mode})
+        for extra in ({}, {"trials": 5}):
+            with pytest.raises(ValueError, match="mode"):
+                run_one({"lemma": "char2a", "field": "gf:3", "n": 2, "mode": mode, **extra})
 
 
 def test_coverage_budget():
