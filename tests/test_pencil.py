@@ -148,8 +148,7 @@ def test_offdiag_sampled_witness_certifies(rng):
 
 def test_offdiag_matches_gl_oracle_small():
     # every 2x2 over GF(2) and GF(3) and every 3x3 over GF(2): verdict and witness
-    cases = [(fld, n) for fld, n in ((G2, 2), (G3, 2), (G2, 3))]
-    for fld, n in cases:
+    for fld, n in ((G2, 2), (G3, 2), (G2, 3)):
         for M in _all_sq(fld, n):
             assert offdiag_criterion_check(M, 0, 1) == offdiag_gl_oracle(M, 0, 1), M.to_rows()
 
