@@ -114,7 +114,7 @@ def random_group_element(gtype: GroupType, field, rng, word_length: int = 6) -> 
     return g
 
 
-def _sym_or_skew(field, n, rng, skew: bool) -> Matrix:
+def random_sym_or_skew(field, n, rng, skew: bool) -> Matrix:
     ent = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -142,9 +142,9 @@ def _random_generator(gtype: GroupType, field, rng) -> Matrix:
         I = Matrix.identity(field, n)
         Z = Matrix.zeros(field, n)
         if kind == 0:
-            return Matrix.from_blocks([[I, _sym_or_skew(field, n, rng, skew)], [Z, I]])
+            return Matrix.from_blocks([[I, random_sym_or_skew(field, n, rng, skew)], [Z, I]])
         if kind == 1:
-            return Matrix.from_blocks([[I, Z], [_sym_or_skew(field, n, rng, skew), I]])
+            return Matrix.from_blocks([[I, Z], [random_sym_or_skew(field, n, rng, skew), I]])
         if kind == 2:
             h = random_invertible(n, field, rng)
             return Matrix.diag_blocks([h, inverse(h).transpose()])
@@ -157,7 +157,7 @@ def _random_generator(gtype: GroupType, field, rng) -> Matrix:
     I = Matrix.identity(field, n)
     if kind == 0 or kind == 1:
         v = random_matrix(n, 1, field, rng)
-        B0 = _sym_or_skew(field, n, rng, skew=True)
+        B0 = random_sym_or_skew(field, n, rng, skew=True)
         half = field.inv(field.coerce(2))
         B = B0 - (v @ v.transpose()).scale(half)
         one = Matrix.identity(field, 1)
@@ -690,6 +690,19 @@ def chain_to_json(chain: ChainSpec) -> dict:
 
 
 def chain_from_json(obj) -> ChainSpec:
-    return ChainSpec.make(obj["type"], int(obj["n1"]),
-                          [tuple(s) for s in obj.get("prefix", [])],
-                          [tuple(s) for s in obj["repeat"]])
+    """The chain of a JSON object with a string "type", a number "n1" and
+    arrays "prefix" (optional) and "repeat" of [l, r, z] number triples."""
+    if not isinstance(obj, dict):
+        raise ChainError("chain JSON must be an object")
+    letter, n1 = obj.get("type"), obj.get("n1")
+    blocks = obj.get("prefix", []), obj.get("repeat")
+    if not isinstance(letter, str) or not isinstance(n1, (int, float, str)):
+        raise ChainError("chain JSON needs 'type' as a string and 'n1' as a number")
+    if not all(isinstance(b, list) and all(_is_triple(s) for s in b) for b in blocks):
+        raise ChainError("chain JSON needs 'prefix' and 'repeat' as arrays of [l, r, z]")
+    return ChainSpec.make(letter, int(n1), [tuple(s) for s in blocks[0]],
+                          [tuple(s) for s in blocks[1]])
+
+
+def _is_triple(s) -> bool:
+    return isinstance(s, list) and len(s) == 3 and all(isinstance(x, (int, float)) for x in s)

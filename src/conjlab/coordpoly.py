@@ -11,6 +11,7 @@ are kept in a fixed graded order so printing is canonical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .chains import ChainSpec, GroupType, dual_projection_instructions, group_membership
@@ -195,12 +196,6 @@ class CoordPoly:
             out = out + term
         return out
 
-    def rebase(self, ctx: PolyContext) -> "CoordPoly":
-        """Reinterpret in another context (variables must be valid there)."""
-        for var in self.variables():
-            canonical_var(ctx, *var)
-        return CoordPoly(ctx, self.field, self.terms)
-
 
 # ---------------------------------------------------------------------------
 # Structured symbolic matrices and evaluation
@@ -322,41 +317,23 @@ def evaluate(f: CoordPoly, point: dict):
 # Group action on polynomials
 # ---------------------------------------------------------------------------
 
-def _grid_mul_scalar_left(g: Matrix, grid):
-    """(g . grid) for a scalar matrix g and a polynomial grid."""
+def conjugate_grid(g: Matrix, grid, g_inv: Matrix):
+    """g . grid . g_inv for scalar matrices g, g_inv and a square polynomial grid."""
     f = grid[0][0].field
-    ctx = grid[0][0].context
+    zero = CoordPoly.zero(grid[0][0].context, f)
     N = len(grid)
-    out = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            acc = CoordPoly.zero(ctx, f)
-            for t in range(N):
-                c = g.entry(i, t)
-                if not f.is_zero(c):
-                    acc = acc + grid[t][j].scale(c)
-            row.append(acc)
-        out.append(row)
-    return out
 
+    def combine(pairs):
+        acc = zero
+        for c, p in pairs:
+            if not f.is_zero(c):
+                acc = acc + p.scale(c)
+        return acc
 
-def _grid_mul_scalar_right(grid, g: Matrix):
-    f = grid[0][0].field
-    ctx = grid[0][0].context
-    N = len(grid)
-    out = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            acc = CoordPoly.zero(ctx, f)
-            for t in range(N):
-                c = g.entry(t, j)
-                if not f.is_zero(c):
-                    acc = acc + grid[i][t].scale(c)
-            row.append(acc)
-        out.append(row)
-    return out
+    left = [[combine((g.entry(i, t), grid[t][j]) for t in range(N)) for j in range(N)]
+            for i in range(N)]
+    return [[combine((g_inv.entry(t, j), left[i][t]) for t in range(N)) for j in range(N)]
+            for i in range(N)]
 
 
 def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
@@ -378,7 +355,7 @@ def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
             raise PolyError(f"conjugator is not in the type {ctx.kind} group")
         gi = inverse(g)
     X = symbolic_matrix(ctx, f.field)
-    Y = _grid_mul_scalar_right(_grid_mul_scalar_left(gi, X), g)
+    Y = conjugate_grid(gi, X, g)
     mapping = {var: Y[pos_of_var(ctx, var)[0]][pos_of_var(ctx, var)[1]]
                for var in f.variables()}
     return f.substitute(mapping)
@@ -553,8 +530,6 @@ def poly_parse(text: str, ctx: PolyContext, field) -> CoordPoly:
     if s in ("0", ""):
         return CoordPoly.zero(ctx, field)
     s = s.replace(" ", "")
-    import re
-
     chunks = re.findall(r"[+-]?[^+-]+(?:\^\d+)?", s)
     # re-join: exponents never contain signs, so the simple split is safe
     if "".join(chunks) != s:

@@ -121,5 +121,14 @@ def descriptor_to_json(d: ClosedSetDescriptor) -> dict:
 
 
 def descriptor_from_json(field, obj) -> ClosedSetDescriptor:
-    entries = [(field.parse(e["lambda"]), int(e["bound"])) for e in obj.get("exceptional", [])]
+    """The descriptor of a JSON object with a number "k" and an optional array
+    "exceptional" of {"lambda": string, "bound": number} objects."""
+    ex = obj.get("exceptional", [])
+    well_formed = isinstance(obj.get("k"), (int, float, str)) and isinstance(ex, list) and all(
+        isinstance(e, dict) and isinstance(e.get("lambda"), str)
+        and isinstance(e.get("bound"), (int, float, str)) for e in ex)
+    if not well_formed:
+        raise ValueError("descriptor JSON needs 'k' as a number and 'exceptional' "
+                         "as an array of {lambda: string, bound: number}")
+    entries = [(field.parse(e["lambda"]), int(e["bound"])) for e in ex]
     return ClosedSetDescriptor.make(field, int(obj["k"]), entries)

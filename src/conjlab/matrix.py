@@ -210,60 +210,68 @@ class RrefResult:
     pivots: tuple
 
 
+def _eliminate(rows, field, ncols, *, reduced):
+    """Gaussian elimination, in place, on the first ncols columns of rows.
+
+    The pivot of each column is the first nonzero entry at or below the
+    current row; its row is swapped up, scaled to 1 and subtracted from the
+    rows below it, and from the rows above it too when reduced.  The pivot
+    row is zero left of the pivot, so row operations start at the pivot
+    column.  Returns the pivot columns, the pivot entries before scaling,
+    and the sign of the row permutation.
+    """
+    f = field
+    n = len(rows)
+    pivots, entries, sign = [], [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if not f.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        inv = f.inv(piv)
+        tail = rows[r][c:] = [f.mul(inv, v) for v in rows[r][c:]]
+        for i in range(0 if reduced else r + 1, n):
+            coef = rows[i][c]
+            if i != r and not f.is_zero(coef):
+                rows[i][c:] = [f.sub(v, f.mul(coef, w)) for v, w in zip(rows[i][c:], tail)]
+        pivots.append(c)
+        entries.append(piv)
+    return pivots, entries, sign
+
+
 def rank_and_rref(M: Matrix) -> RrefResult:
-    """Gauss-Jordan elimination; returns invertible T with T @ M = rref."""
+    """Gauss-Jordan elimination of [M | I]; returns invertible T with T @ M = rref."""
     f = M.field
     n, m = M.rows, M.cols
     a = [M.row_list(i) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if not f.is_zero(a[i][c])), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, v) for v in a[r]]
-        for i in range(n):
-            if i != r and not f.is_zero(a[i][c]):
-                coef = a[i][c]
-                a[i] = [f.sub(v, f.mul(coef, w)) for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+    pivots, _, _ = _eliminate(a, f, m, reduced=True)
     rref = Matrix(f, n, m, tuple(v for row in a for v in row[:m]))
     transform = Matrix(f, n, n, tuple(v for row in a for v in row[m:]))
-    return RrefResult(r, rref, transform, tuple(pivots))
+    return RrefResult(len(pivots), rref, transform, tuple(pivots))
 
 
 def rank(M: Matrix) -> int:
-    return rank_and_rref(M).rank
+    """Rank by forward elimination, without building a transform."""
+    return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
 
 
 def det(M: Matrix):
-    """Determinant by fraction-producing elimination (exact over any field)."""
+    """Signed product of the elimination pivots (exact over any field)."""
     if not M.is_square:
         raise MatrixError("determinant of non-square matrix")
     f = M.field
-    n = M.rows
-    a = [M.row_list(i) for i in range(n)]
-    sign = 1
+    pivots, entries, sign = _eliminate(M.to_rows(), f, M.cols, reduced=False)
+    if len(pivots) < M.rows:
+        return f.zero
     acc = f.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not f.is_zero(a[i][c])), None)
-        if pr is None:
-            return f.zero
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        piv = a[c][c]
+    for piv in entries:
         acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            if not f.is_zero(a[i][c]):
-                coef = f.mul(a[i][c], inv)
-                a[i] = [f.sub(v, f.mul(coef, w)) for v, w in zip(a[i], a[c])]
     return acc if sign == 1 else f.neg(acc)
 
 
@@ -274,10 +282,6 @@ def inverse(M: Matrix) -> Matrix:
     if res.rank != M.rows:
         raise MatrixError("matrix is singular")
     return res.transform
-
-
-def is_invertible(M: Matrix) -> bool:
-    return M.is_square and rank(M) == M.rows
 
 
 def kernel_basis(M: Matrix) -> list[Matrix]:
@@ -299,12 +303,14 @@ def kernel_basis(M: Matrix) -> list[Matrix]:
 
 class Span:
     """Incremental span of vectors in K^dim, for membership tests while a
-    basis is built one vector at a time."""
+    basis is built one vector at a time; starts as the span of vecs."""
 
-    def __init__(self, field, dim):
+    def __init__(self, field, dim, vecs=()):
         self.field = field
         self.dim = dim
         self.rows = {}  # pivot index -> reduced row (list)
+        for v in vecs:
+            self.add(v)
 
     def _reduce(self, vec):
         f = self.field
@@ -351,11 +357,6 @@ def solve_left(A: Matrix, B: Matrix) -> Matrix | None:
     """A particular X with X @ A = B, or None."""
     xt = solve_right(A.transpose(), B.transpose())
     return None if xt is None else xt.transpose()
-
-
-def column_space_basis(M: Matrix) -> list[Matrix]:
-    res = rank_and_rref(M)
-    return [M.submatrix(range(M.rows), [c]) for c in res.pivots]
 
 
 def char_poly(M: Matrix) -> UniPoly:

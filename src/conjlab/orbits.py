@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .chains import ChainSpec, ChainError
-from .fields import GF, QQ, QQT
+from .chains import ChainSpec, ChainError, project_dual
+from .fields import GF, QQ, QQT, ipoly_eval
 from .matrix import (
     Matrix,
     MatrixError,
     Span,
-    column_space_basis,
     det,
     inverse,
     kernel_basis,
     lift_to_qqt,
     limit_at_zero,
     rank,
+    rank_and_rref,
     random_invertible,
     solve_left,
     solve_right,
@@ -52,33 +53,22 @@ def _vec_add(f, a, b):
     return [f.add(x, y) for x, y in zip(a, b)]
 
 
-def _complete_basis(field, cols, n, rng=None) -> list:
+def _complete_basis(field, cols, n) -> list:
     """Extend the given independent columns to a basis of K^n.
 
     Standard basis vectors are tried in index order (the lexicographically
-    least column selection); a seeded random fallback covers degenerate cases.
+    least column selection); they span K^n, so they always complete it.
     """
-    span = Span(field, n)
+    span = Span(field, n, cols)
     out = [list(c) for c in cols]
-    for c in out:
-        if not span.add(c):
-            raise ConstructionError("given columns are dependent")
+    if len(span.rows) < len(out):
+        raise ConstructionError("given columns are dependent")
     for i in range(n):
         if len(out) == n:
             break
         e = [field.one if t == i else field.zero for t in range(n)]
         if span.add(e):
             out.append(e)
-    attempts = 0
-    while len(out) < n:
-        if rng is None:
-            rng = random.Random(0)
-        v = [field.random(rng) for _ in range(n)]
-        if span.add(v):
-            out.append(v)
-        attempts += 1
-        if attempts > 500:
-            raise ConstructionError("could not complete to a basis")
     return out
 
 
@@ -94,18 +84,15 @@ def shape_left(P: Matrix, m: int):
     """
     f = P.field
     n = P.rows
-    k = rank(P)
+    res = rank_and_rref(P)
+    k, pivots = res.rank, res.pivots
     if not (k <= m and m + k <= n):
         raise ConstructionError(f"shape_left needs rank <= m and m + rank <= n (rank {k}, m {m}, n {n})")
-    from .matrix import rank_and_rref
-    im_cols = column_space_basis(P)
-    pivots = rank_and_rref(P).pivots
+    im_cols = [_col(P, c) for c in pivots]
     ker = [_col(K, 0) for K in kernel_basis(P)]
     rng = random.Random(0)
     for _attempt in range(50):
-        span = Span(f, n)
-        for c in im_cols:
-            span.add(_col(c, 0))
+        span = Span(f, n, im_cols)
         W: list = []
         ok = True
         # particular solutions P e_j = (pivot column j), adjusted by kernel vectors
@@ -145,9 +132,7 @@ def shape_left(P: Matrix, m: int):
         if len(W) < m:
             continue
         # complete with kernel vectors independent of W (and of each other)
-        wspan = Span(f, n)
-        for wv in W:
-            wspan.add(wv)
+        wspan = Span(f, n, W)
         Z: list = []
         for kv in ker:
             if len(Z) == n - m:
@@ -359,8 +344,6 @@ def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix, k: int | None = None) -
     representative of minimal rank.  Scalar classes (k = 0) admit no witness:
     conjugation fixes them and they project to scalar classes.
     """
-    from .chains import project_dual  # local import to avoid cycles at module load
-
     s = chain.signature_at(i)
     if chain.letter != "A" or s.l + s.r < 2:
         raise ChainError("needs a type A chain with l + r >= 2 at this level")
@@ -525,8 +508,6 @@ def degeneration_witness(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
 def _invertible_over_qqt(G: Matrix) -> bool:
     """Nonzero determinant in QQ(t), decided by evaluation at sample points
     (sound: a nonzero specialization proves det != 0) with a symbolic fallback."""
-    from fractions import Fraction
-    from .fields import ipoly_eval
     qq = QQ()
     for t0 in (1, 2, 3, 5, 7):
         try:
@@ -562,9 +543,7 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
         u[n - 1] = f.one
         if idx < n - 1:
             u[idx] = f.one
-        cvec = Matrix(f, n, 1, tuple(
-            _dotrow(f, R1, a, u) for a in range(n)))
-        if solve_right(W1, cvec) is None:
+        if solve_right(W1, R1 @ Matrix(f, n, 1, tuple(u))) is None:
             choice = u
             break
     if choice is None:
@@ -655,10 +634,3 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
     gf = lift_to_qqt(inverse(gQ))
     return gf @ A @ perm.map_field(qqt, qqt.coerce) @ Gstep @ qD @ \
         lift_to_qqt(g3 @ L @ g1)
-
-
-def _dotrow(f, M: Matrix, row: int, vec) -> object:
-    acc = f.zero
-    for b in range(M.cols):
-        acc = f.add(acc, f.mul(M.entry(row, b), vec[b]))
-    return acc

@@ -96,17 +96,8 @@ def projective_points(field, k: int):
     if not isinstance(field, GF):
         raise UnsupportedFieldOperation("projective enumeration needs a finite field")
     elems = list(field.elements())
-
-    def rest(depth):
-        if depth == 0:
-            yield ()
-            return
-        for e in elems:
-            for tail in rest(depth - 1):
-                yield (e,) + tail
-
     for lead in range(k):
-        for tail in rest(k - lead - 1):
+        for tail in itertools.product(elems, repeat=k - lead - 1):
             yield (field.zero,) * lead + (field.one,) + tail
 
 
@@ -209,13 +200,6 @@ def _kernel_rows(S: Matrix) -> Matrix:
     return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
 
 
-def _span_of(field, rows) -> Span:
-    span = Span(field, len(rows[0]))
-    for r in rows:
-        span.add(r)
-    return span
-
-
 def _offdiag_bad_pairs(P: Matrix, k: int, m: int) -> list:
     """Every pair (R, C) with rank(R P C) > k: R runs over Gr(m, n) and C over
     the m-dimensional subspaces of ker R, both in the order of
@@ -250,11 +234,11 @@ def _first_bad_conjugator(P: Matrix, m: int, bad: list) -> list:
     before the witness, so wherever |GL_n| fits the budget, the walk does.
     """
     f, n = P.field, P.rows
-    live = [(_span_of(f, R.to_rows()), C) for R, C in bad]
+    live = [(Span(f, n, R.to_rows()), C) for R, C in bad]
     prefix, rows, tested = Span(f, n), [], 0
     for d in range(n):
         if d == m:  # the K rows span R; now each pair is (A, A + span of the L rows)
-            live = [(_span_of(f, A), _span_of(f, A))
+            live = [(Span(f, n, A), Span(f, n, A))
                     for A in (_kernel_rows(C.transpose()).to_rows() for _, C in live)]
         for v in itertools.product(range(f.p), repeat=n):
             if prefix.contains(v):

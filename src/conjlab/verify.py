@@ -18,6 +18,8 @@ from fractions import Fraction
 from .chains import (
     ChainSpec,
     GroupType,
+    algebra_project,
+    chain_from_json,
     group_membership,
     h_form_gram,
     h_group_membership,
@@ -25,8 +27,9 @@ from .chains import (
     embed_group,
     random_algebra_element,
     random_group_element,
+    random_sym_or_skew,
 )
-from .coordpoly import CoordPoly, PolyContext, poly_format, symbolic_matrix
+from .coordpoly import CoordPoly, PolyContext, conjugate_grid, poly_format, symbolic_matrix
 from .fields import GF, QQ, field_from_name
 from .graphs import ReductionCertificate, char2_gamma, incidence_rank_check, reduce_graph, replay
 from .matrix import Matrix, inverse, random_matrix, rank, rank_and_rref
@@ -238,9 +241,8 @@ def _grid_scale(a, c):
 
 
 def _conjugate_symbolic(ctx: PolyContext, A: Matrix):
-    from .coordpoly import _grid_mul_scalar_left, _grid_mul_scalar_right
     X = symbolic_matrix(ctx, _QQ)
-    return X, _grid_mul_scalar_right(_grid_mul_scalar_left(A, X), inverse(A))
+    return X, conjugate_grid(A, X, inverse(A))
 
 
 def _lam_samples(deg):
@@ -477,13 +479,12 @@ def _check_case_b1(n, l, tamper: bool):
             acc = _grid_add(acc, b)
         return acc
 
-    from .coordpoly import _grid_mul_scalar_left, _grid_mul_scalar_right
     for lam in _lam_samples(2):
         pairs = [(a, ln + l + (l - 1) * n + a, -1) for a in range(n)] + \
                 [((l - 1) * n + a, ln + l + a, 1) for a in range(n)]
         A = _shift_matrix(L, pairs, lam)
         assert h_group_membership(_QQ, n, l, A)
-        Y = _grid_mul_scalar_right(_grid_mul_scalar_left(A, X), inverse(A))
+        Y = conjugate_grid(A, X, inverse(A))
         # P-sum gains lam (R_{1l} - R_{l1})
         deltaP = _grid_add(blkR(X, 0, l - 1), _grid_scale(blkR(X, l - 1, 0), -1))
         wantP = _grid_add(gsum([blkP(X, a, a) for a in range(l)]), _grid_scale(deltaP, lam))
@@ -537,17 +538,12 @@ def _check_case_b2(n, l, tamper: bool):
     L = l * (2 * n + 1)
     mismatches = []
     ctx0, X = h_symbolic(n, l)
-    from .coordpoly import _grid_mul_scalar_left, _grid_mul_scalar_right
-
-    def wcol_entry(grid, i, c, a):
-        return grid[ln + l + i * n + a][ln + c]
-
     span_cols = set()
     for mu in _lam_samples(2):
         Bmid = _b2_mid(l, mu)
         B = Matrix.diag_blocks([Matrix.identity(_QQ, ln), Bmid, Matrix.identity(_QQ, ln)])
         assert h_group_membership(_QQ, n, l, B)
-        Y = _grid_mul_scalar_right(_grid_mul_scalar_left(B, X), inverse(B))
+        Y = conjugate_grid(B, X, inverse(B))
         Bi = inverse(Bmid)
         # P, Q, R, S blocks untouched
         for (r0, r1, c0, c1, tag) in [
@@ -648,7 +644,6 @@ def _generic_integer_check(case: str):
         l, m = (3, 1) if kind == "C" else (3, 2)
         n = l * m
         skew = kind == "D"
-        from .chains import algebra_project
         raw = Matrix.from_rows(_QQ, [[rng.randint(-20, 20) for _ in range(2 * n)]
                                      for _ in range(2 * n)])
         M = algebra_project(GroupType(kind, n), raw)
@@ -710,14 +705,14 @@ def _generic_integer_check(case: str):
 # ---------------------------------------------------------------------------
 
 def verify_equivariance(chain: ChainSpec, trials: int = 100, seed: int = 0,
-                        field=None, levels: int | None = None) -> VerificationReport:
+                        field=None) -> VerificationReport:
     t0 = time.monotonic()
     field = field or GF(7)
     params = {"chain": chain.letter, "n1": chain.n1,
               "sig": [chain.signature_at(1).l, chain.signature_at(1).r, chain.signature_at(1).z],
               "trials": trials, "seed": seed, "field": field.name}
     rng = _rng_for(seed, f"equivariance-{chain.letter}")
-    levels = levels or max(1, len(chain.prefix))
+    levels = max(1, len(chain.prefix))
     wit = []
     for lvl in range(1, levels + 1):
         gt = chain.group_at(lvl)
@@ -743,19 +738,6 @@ def verify_equivariance(chain: ChainSpec, trials: int = 100, seed: int = 0,
 # Rank-bound witness searches (statistical)
 # ---------------------------------------------------------------------------
 
-def _sym_skew_rand(field, n, rng, skew):
-    ent = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = field.random(rng)
-            if i == j:
-                ent[i][j] = field.zero if skew else v
-            else:
-                ent[i][j] = v
-                ent[j][i] = field.neg(v) if skew else v
-    return Matrix.from_rows(field, ent)
-
-
 def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
                               seed: int = 0, field=None) -> VerificationReport:
     """Contrapositive searches: a sample whose off-diagonal block already
@@ -775,8 +757,8 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
             bound = m if lemma == "sp" else 2 * m
             while True:
                 P = random_matrix(n, n, field, rng)
-                Q = _sym_skew_rand(field, n, rng, skew)
-                R = _sym_skew_rand(field, n, rng, skew)
+                Q = random_sym_or_skew(field, n, rng, skew)
+                R = random_sym_or_skew(field, n, rng, skew)
                 M = Matrix.from_blocks([[P, Q], [R, -P.transpose()]])
                 if rank(Q) > bound:
                     break
@@ -785,7 +767,7 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
             sgn = -1 if lemma == "sp" else 1
             cands = [Matrix.from_blocks([[Z, I], [I.scale(sgn), Z]])]
             for _ in range(4):
-                A = _sym_skew_rand(field, n, rng, skew)
+                A = random_sym_or_skew(field, n, rng, skew)
                 cands.append(Matrix.from_blocks([[Z, I], [I.scale(sgn), A]]))
                 cands.append(Matrix.from_blocks([[I, A], [Z, I]]))
             found = None
@@ -873,7 +855,6 @@ def default_suite_config() -> list[dict]:
 
 
 def run_one(entry: dict, seed: int = 0) -> VerificationReport:
-    from .chains import chain_from_json
     lemma = entry["lemma"]
     if lemma == "char2a":
         return verify_char2("a", field_from_name(entry["field"]), entry["n"],

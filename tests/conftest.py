@@ -40,28 +40,32 @@ def charpoly_oracle(M: Matrix) -> UniPoly:
     return cofactor_det(f, grid)
 
 
+def laplace_det(M: Matrix, rows=None, cols=None):
+    """The minor on rows x cols (default: all of M) by Laplace expansion along its first row."""
+    f = M.field
+    rows = list(range(M.rows)) if rows is None else rows
+    cols = list(range(M.cols)) if cols is None else cols
+    if not rows:
+        return f.one
+    if len(rows) == 1:
+        return M.entry(rows[0], cols[0])
+    acc = f.zero
+    for idx, c in enumerate(cols):
+        sub = laplace_det(M, rows[1:], cols[:idx] + cols[idx + 1 :])
+        term = f.mul(M.entry(rows[0], c), sub)
+        acc = f.add(acc, term) if idx % 2 == 0 else f.sub(acc, term)
+    return acc
+
+
 def minor_rank_oracle(M: Matrix) -> int:
     """Largest k with a nonzero k x k minor (scalar cofactor determinants)."""
     f = M.field
-
-    def det_scalar(rows, cols):
-        if not rows:
-            return f.one
-        if len(rows) == 1:
-            return M.entry(rows[0], cols[0])
-        acc = f.zero
-        for idx, c in enumerate(cols):
-            sub = det_scalar(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = f.mul(M.entry(rows[0], c), sub)
-            acc = f.add(acc, term) if idx % 2 == 0 else f.sub(acc, term)
-        return acc
-
     best = 0
     for k in range(1, min(M.rows, M.cols) + 1):
         found = False
         for rows in itertools.combinations(range(M.rows), k):
             for cols in itertools.combinations(range(M.cols), k):
-                if not f.is_zero(det_scalar(list(rows), list(cols))):
+                if not f.is_zero(laplace_det(M, list(rows), list(cols))):
                     found = True
                     break
             if found:
@@ -71,6 +75,35 @@ def minor_rank_oracle(M: Matrix) -> int:
         else:
             break
     return best
+
+
+def gauss_jordan_oracle(M: Matrix):
+    """(rank, rref, transform, pivots) by the textbook Gauss-Jordan loop on
+    [M | I]: first nonzero pivot at or below the current row, swap, scale,
+    clear every other row across the full width."""
+    f = M.field
+    n, m = M.rows, M.cols
+    a = [M.row_list(i) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if not f.is_zero(a[i][c])), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, v) for v in a[r]]
+        for i in range(n):
+            if i != r and not f.is_zero(a[i][c]):
+                coef = a[i][c]
+                a[i] = [f.sub(v, f.mul(coef, w)) for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    rref = Matrix(f, n, m, tuple(v for row in a for v in row[:m]))
+    transform = Matrix(f, n, n, tuple(v for row in a for v in row[m:]))
+    return r, rref, transform, tuple(pivots)
 
 
 def matrix_of_rank(field, n, k, rng) -> Matrix:

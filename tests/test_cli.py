@@ -88,6 +88,13 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["lift-tuple-rank"], "[1]"),
     (["degenerate"], "5"),
     (["descriptor", "canon"], "[1]"),
+    (["chain", "classify"], '{"type":"A","n1":1,"repeat":5}'),
+    (["chain", "classify"], '{"type":"A","n1":1,"repeat":[5]}'),
+    (["chain", "classify"], '{"type":"A","n1":1,"repeat":[[1,1]]}'),
+    (["chain", "classify"], '{"type":"A","n1":[],"repeat":[[1,1,1]]}'),
+    (["chain", "classify"], '{"type":5,"n1":1,"repeat":[[1,1,1]]}'),
+    (["descriptor", "canon"], '{"k":[],"exceptional":5}'),
+    (["descriptor", "canon"], '{"k":1,"exceptional":[5]}'),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     if verb[0] == "descriptor":

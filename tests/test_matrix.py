@@ -5,7 +5,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from conftest import charpoly_oracle, matrix_of_rank, minor_rank_oracle
+from conftest import (
+    charpoly_oracle,
+    gauss_jordan_oracle,
+    laplace_det,
+    matrix_of_rank,
+    minor_rank_oracle,
+)
 
 from conjlab.fields import GF, QQ, QQT, UnsupportedFieldOperation
 from conjlab.matrix import (
@@ -280,3 +286,86 @@ def test_det_matches_charpoly(rng):
         cp = char_poly(M)
         sign = Fraction(1) if n % 2 == 0 else Fraction(-1)
         assert det(M) == sign * cp.coeffs[0]
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel against the frozen Gauss-Jordan loop, the minor
+# rank and Laplace expansion
+# ---------------------------------------------------------------------------
+
+_T = QQT_.t
+KERNEL_FIELDS = [G2, G7, QQ_, QQT_]
+NONZERO = {
+    G2: [1],
+    G7: [1, 2, 3, 6],
+    QQ_: [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)],
+    QQT_: [QQT_.one, _T, QQT_.inv(QQT_.add(QQT_.one, _T)),
+           QQT_.sub(QQT_.mul(_T, _T), QQT_.one), QQT_.coerce(2)],
+}
+
+
+@st.composite
+def kernel_matrices(draw, square=False):
+    """Small matrices over GF(2), GF(7), QQ and QQ(t), half their entries
+    zero on average, sometimes with a repeated row."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    hi = 3 if f is QQT_ else 4
+    n = draw(st.integers(0, hi))
+    m = n if square else draw(st.integers(0, hi))
+    entry = st.one_of(st.just(f.zero), st.sampled_from(NONZERO[f]))
+    rows = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[-1] = rows[0]
+    return Matrix(f, n, m, tuple(v for r in rows for v in r))
+
+
+def _assert_matches_gauss_jordan(M):
+    rk, rref, T, pivots = gauss_jordan_oracle(M)
+    res = rank_and_rref(M)
+    assert (res.rank, res.pivots) == (rk, pivots)
+    assert res.rref == rref and res.transform == T
+    assert rank(M) == rk == minor_rank_oracle(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+def test_rank_and_rref_match_gauss_jordan_oracle(M):
+    _assert_matches_gauss_jordan(M)
+
+
+SWAP_SHAPES = [
+    [[0], [0], [1]],
+    [[0, 0], [0, 0], [0, 1], [1, 1]],
+    [[0, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 0]],
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    [[1, 1], [1, 1], [0, 1]],
+    [[0, 0, 0], [0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("rows", SWAP_SHAPES, ids=str)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_rank_and_rref_oracle_after_swaps(field, rows):
+    _assert_matches_gauss_jordan(Matrix.from_rows(field, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices(square=True))
+def test_det_matches_laplace_expansion(M):
+    assert det(M) == laplace_det(M)
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[0, 1], [1, 0]], -1),                      # one swap
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),     # one swap of three rows
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),      # two swaps
+    ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], -30),
+    ([[0, 2, 1], [0, 0, 3], [4, 1, 1]], 24),
+    ([[1, 2], [2, 4]], 0),
+    ([[0, 1, 1], [0, 0, 1], [0, 0, 0]], 0),
+    ([[0, 0], [0, 1]], 0),
+], ids=str)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name)
+def test_det_swap_sign_and_singular(field, rows, want):
+    M = Matrix.from_rows(field, rows)
+    assert det(M) == field.coerce(want) == laplace_det(M)

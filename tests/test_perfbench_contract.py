@@ -1,0 +1,41 @@
+"""The benchmark's tracer finds conjlab's kernels and verifiers by name, so a
+rename in src/ must turn this test red rather than silently empty a traced
+run.  The test reads perfbench/ and changes nothing there."""
+
+import importlib.util
+from pathlib import Path
+
+import conjlab.matrix as matrix
+import conjlab.verify as verify
+from conjlab.chains import ChainSpec
+from conjlab.fields import QQ
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_records_matrix_and_verify_spans():
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        M = matrix.Matrix.from_rows(QQ(), [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+        assert matrix.rank(M) == 3
+        assert matrix.det(M) == 12
+        assert matrix.inverse(M) @ M == matrix.Matrix.identity(QQ(), 3)
+        assert matrix.char_poly(M).coeffs[0] == -12
+        assert [m for _, m in matrix.eigen_data(M)] == [1, 1]
+        chain = ChainSpec.make("A", 1, [], [(1, 1, 1)])
+        assert verify.verify_equivariance(chain, trials=2).verdict == "pass"
+    finally:
+        restored = tracer.restore()
+    recorded = {tracer.names[i] for i in tracer.span_name}
+    for op in ("rank_and_rref", "det", "inverse", "char_poly", "eigen_data", "matmul"):
+        assert f"matrix.{op}.qq" in recorded
+    assert "verify.equivariance" in recorded
+    assert restored
