@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError
+from .fields import FieldError, integral
 from .matrix import Matrix, MatrixError, det, inverse, random_invertible, random_matrix
 
 
@@ -690,19 +690,22 @@ def chain_to_json(chain: ChainSpec) -> dict:
 
 
 def chain_from_json(obj) -> ChainSpec:
-    """The chain of a JSON object with a string "type", a number "n1" and
-    arrays "prefix" (optional) and "repeat" of [l, r, z] number triples."""
+    """The chain of a JSON object with a string "type", an integer "n1" and
+    arrays "prefix" (optional) and "repeat" of [l, r, z] integer triples."""
     if not isinstance(obj, dict):
         raise ChainError("chain JSON must be an object")
     letter, n1 = obj.get("type"), obj.get("n1")
     blocks = obj.get("prefix", []), obj.get("repeat")
-    if not isinstance(letter, str) or not isinstance(n1, (int, float, str)):
-        raise ChainError("chain JSON needs 'type' as a string and 'n1' as a number")
+    n1 = integral(n1)
+    if not isinstance(letter, str) or n1 is None:
+        raise ChainError("chain JSON needs 'type' as a string and 'n1' as an integer")
     if not all(isinstance(b, list) and all(_is_triple(s) for s in b) for b in blocks):
-        raise ChainError("chain JSON needs 'prefix' and 'repeat' as arrays of [l, r, z]")
-    return ChainSpec.make(letter, int(n1), [tuple(s) for s in blocks[0]],
+        raise ChainError("chain JSON needs 'prefix' and 'repeat' as arrays of integer "
+                         "triples [l, r, z]")
+    return ChainSpec.make(letter, n1, [tuple(s) for s in blocks[0]],
                           [tuple(s) for s in blocks[1]])
 
 
 def _is_triple(s) -> bool:
-    return isinstance(s, list) and len(s) == 3 and all(isinstance(x, (int, float)) for x in s)
+    return isinstance(s, list) and len(s) == 3 and all(
+        isinstance(x, (int, float)) and integral(x) is not None for x in s)

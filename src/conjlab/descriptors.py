@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import integral
+
 
 @dataclass(frozen=True)
 class ClosedSetDescriptor:
@@ -121,14 +123,14 @@ def descriptor_to_json(d: ClosedSetDescriptor) -> dict:
 
 
 def descriptor_from_json(field, obj) -> ClosedSetDescriptor:
-    """The descriptor of a JSON object with a number "k" and an optional array
-    "exceptional" of {"lambda": string, "bound": number} objects."""
+    """The descriptor of a JSON object with an integer "k" and an optional array
+    "exceptional" of {"lambda": string, "bound": integer} objects."""
     ex = obj.get("exceptional", [])
-    well_formed = isinstance(obj.get("k"), (int, float, str)) and isinstance(ex, list) and all(
+    well_formed = integral(obj.get("k")) is not None and isinstance(ex, list) and all(
         isinstance(e, dict) and isinstance(e.get("lambda"), str)
-        and isinstance(e.get("bound"), (int, float, str)) for e in ex)
+        and integral(e.get("bound")) is not None for e in ex)
     if not well_formed:
-        raise ValueError("descriptor JSON needs 'k' as a number and 'exceptional' "
-                         "as an array of {lambda: string, bound: number}")
-    entries = [(field.parse(e["lambda"]), int(e["bound"])) for e in ex]
-    return ClosedSetDescriptor.make(field, int(obj["k"]), entries)
+        raise ValueError("descriptor JSON needs 'k' as an integer and 'exceptional' "
+                         "as an array of {lambda: string, bound: integer}")
+    entries = [(field.parse(e["lambda"]), integral(e["bound"])) for e in ex]
+    return ClosedSetDescriptor.make(field, integral(obj["k"]), entries)

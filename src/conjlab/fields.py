@@ -35,6 +35,19 @@ def _parser(parse):
     return wrapper
 
 
+def integral(x):
+    """x as an int when it is an integral finite number or an integer string
+    (as JSON documents give them); None otherwise."""
+    if isinstance(x, float):
+        return int(x) if x.is_integer() else None
+    if isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            return None
+    return None
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -115,6 +128,15 @@ def _qpoly_divmod(a, b):
     return q, a
 
 
+def _qpoly_primitive(r):
+    """The primitive integer polynomial that is a positive multiple of the
+    Fraction polynomial r."""
+    lcm_den = 1
+    for c in r:
+        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
+    return ipoly_primitive(ipoly_trim([int(c * lcm_den) for c in r]))
+
+
 def ipoly_gcd(a, b):
     """Primitive gcd in ZZ[t] with positive leading coefficient."""
     a = ipoly_primitive(ipoly_trim(a))
@@ -124,22 +146,104 @@ def ipoly_gcd(a, b):
         if not r:
             a = b
             break
-        lcm_den = 1
-        for c in r:
-            lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-        rint = ipoly_primitive(ipoly_trim([int(c * lcm_den) for c in r]))
-        a, b = b, rint
+        a, b = b, _qpoly_primitive(r)
     a = ipoly_primitive(a)
     if a and a[-1] < 0:
         a = ipoly_neg(a)
     return a if a else ()
 
 
-def ipoly_eval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def ipoly_exquo(a, b):
+    """a / b in ZZ[t], for b dividing a there."""
+    return ipoly_trim([int(c) for c in _qpoly_divmod(a, b)[0]])
+
+
+def ipoly_lcm(a, b):
+    """Least common multiple in ZZ[t] of nonzero a and b, with positive
+    leading coefficient."""
+    ca, cb = ipoly_content(a), ipoly_content(b)
+    pa, pb = ipoly_primitive(a), ipoly_primitive(b)
+    c = ca * cb // gcd(ca, cb)
+    m = tuple(c * x for x in ipoly_exquo(ipoly_mul(pa, pb), ipoly_gcd(pa, pb)))
+    return ipoly_neg(m) if m[-1] < 0 else m
+
+
+def ipoly_eval(a, x):
+    """a(x); an int for an int x, a Fraction for a Fraction x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def ipoly_interpolate(xs, ys) -> tuple[int, ...]:
+    """The polynomial in ZZ[t] of degree < len(xs) that takes the integer value
+    ys[i] at the integer xs[i] (all distinct), by Newton's divided differences.
+
+    For an integer polynomial every divided difference at integer points is
+    an integer (true of each power of t), so the divisions are exact.
+    """
+    c = list(ys)
+    m = len(c)
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (xs[i] - xs[i - k])
+    p = c[-1:]
+    for k in range(m - 2, -1, -1):  # p <- p * (t - xs[k]) + c[k]
+        x = xs[k]
+        p = [c[k] - x * p[0]] + [p[i - 1] - x * p[i] for i in range(1, len(p))] + p[-1:]
+    return ipoly_trim(p)
+
+
+def _ipoly_derivative(a):
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _sign_changes(chain, x) -> int:
+    signs = [v > 0 for v in (ipoly_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def qpoly_rational_roots(coeffs) -> list[Fraction]:
+    """The distinct rational roots, in increasing order, of a polynomial with
+    ascending rational coefficients.
+
+    Clearing denominators gives a primitive P = a_n x^n + ... + a_0 in ZZ[x],
+    and y = a_n x turns it into the monic Q(y) = a_n^(n-1) P(y / a_n), whose
+    rational roots are integers.  The squarefree part S of Q has the same
+    roots, all in (-B, B) for the Cauchy bound B = 1 + max |s_i|.  For
+    squarefree S the Sturm chain S, S', -rem(S, S'), ... has V(a) - V(b) roots
+    in (a, b], V counting sign changes; bisecting (-B, B] by that count down
+    to unit intervals (h - 1, h] leaves h as the only candidate in each, a
+    root exactly when S(h) = 0 (Collins & Akritas, SYMSAC 1976).
+    """
+    p = _qpoly_primitive([Fraction(c) for c in coeffs])
+    n = len(p) - 1
+    if n < 1:
+        return []
+    if p[-1] < 0:
+        p = ipoly_neg(p)
+    an = p[-1]
+    q = tuple(c * an ** (n - 1 - i) for i, c in enumerate(p[:-1])) + (1,)
+    s = ipoly_exquo(q, ipoly_gcd(q, _ipoly_derivative(q)))
+    chain = [s, _ipoly_derivative(s)]
+    while len(chain[-1]) > 1:
+        chain.append(ipoly_neg(_qpoly_primitive(_qpoly_divmod(chain[-2], chain[-1])[1])))
+    bound = 1 + max(map(abs, s[:-1]), default=0)
+    roots = []
+    todo = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
+    while todo:
+        lo, vlo, hi, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if ipoly_eval(s, hi) == 0:
+                roots.append(Fraction(hi, an))
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_changes(chain, mid)
+        todo += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+    return roots
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:(\*?)(t)(?:\^(\d+))?)?$")
@@ -214,10 +318,8 @@ class RatFunc:
             return RatFunc(num, (d,))
         g = ipoly_gcd(num, den)
         if len(g) > 1 or (g and g[0] != 1):
-            num = tuple(int(c) for c in _qpoly_divmod(num, g)[0])
-            den = tuple(int(c) for c in _qpoly_divmod(den, g)[0])
-            num = ipoly_trim(num)
-            den = ipoly_trim(den)
+            num = ipoly_exquo(num, g)
+            den = ipoly_exquo(den, g)
         c = gcd(ipoly_content(num), ipoly_content(den))
         if c > 1:
             num = tuple(x // c for x in num)

@@ -8,15 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .fields import (
     GF,
     QQ,
     QQT,
     FieldError,
+    RatFunc,
     UniPoly,
     UnsupportedFieldOperation,
+    ipoly_eval,
+    ipoly_exquo,
+    ipoly_interpolate,
+    ipoly_lcm,
+    ipoly_mul,
+    qpoly_rational_roots,
 )
 
 
@@ -257,17 +263,17 @@ def rank_and_rref(M: Matrix) -> RrefResult:
 
 
 def rank(M: Matrix) -> int:
-    """Rank by forward elimination, without building a transform."""
+    """Rank by forward elimination, without building a transform; over QQ(t),
+    the largest rank of the cleared matrix at D + 1 integer points."""
+    if isinstance(M.field, QQT):
+        return _qqt_rank(M)
     return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
 
 
-def det(M: Matrix):
-    """Signed product of the elimination pivots (exact over any field)."""
-    if not M.is_square:
-        raise MatrixError("determinant of non-square matrix")
-    f = M.field
-    pivots, entries, sign = _eliminate(M.to_rows(), f, M.cols, reduced=False)
-    if len(pivots) < M.rows:
+def _signed_product(f, n, elimination):
+    """The determinant of an n x n matrix from its elimination's pivots."""
+    pivots, entries, sign = elimination
+    if len(pivots) < n:
         return f.zero
     acc = f.one
     for piv in entries:
@@ -275,13 +281,106 @@ def det(M: Matrix):
     return acc if sign == 1 else f.neg(acc)
 
 
+def det(M: Matrix):
+    """Signed product of the elimination pivots (exact over any field); over
+    QQ(t), interpolated from the cleared matrix's determinants at D + 1 points."""
+    if not M.is_square:
+        raise MatrixError("determinant of non-square matrix")
+    if isinstance(M.field, QQT):
+        return _qqt_det(M)
+    f = M.field
+    return _signed_product(f, M.rows, _eliminate(M.to_rows(), f, M.cols, reduced=False))
+
+
 def inverse(M: Matrix) -> Matrix:
     if not M.is_square:
         raise MatrixError("inverse of non-square matrix")
+    if isinstance(M.field, QQT):
+        return _qqt_inverse(M)
     res = rank_and_rref(M)
     if res.rank != M.rows:
         raise MatrixError("matrix is singular")
     return res.transform
+
+
+# -- QQ(t) rank, det and inverse by evaluation at integer points ---------------
+#
+# Scaling row i of M by the lcm q_i of its denominators gives N = diag(q) M
+# over ZZ[t].  Every minor of N has degree at most D, the sum of N's row
+# degrees, so a nonzero one is nonzero at one of any D + 1 points, and a
+# minor is the interpolant of its values there.  Each point is eliminated
+# over QQ by _eliminate; RatFunc.make keeps every entry in canonical form.
+
+_QQ = QQ()
+
+
+def _qqt_cleared(M):
+    """(N, q, D): the rows of N as lists of ZZ[t] entries, the q_i, and D."""
+    N, q, D = [], [], 0
+    for i in range(M.rows):
+        row = M.row_list(i)
+        qi = (1,)
+        for a in row:
+            if a.den != (1,):
+                qi = ipoly_lcm(qi, a.den)
+        N.append([ipoly_mul(a.num, ipoly_exquo(qi, a.den)) for a in row])
+        q.append(qi)
+        D += max([0] + [len(v) - 1 for v in N[-1]])
+    return N, q, D
+
+
+def _at(N, t0):
+    """N(t0) as rows over QQ."""
+    return [[Fraction(ipoly_eval(v, t0)) for v in row] for row in N]
+
+
+def _qqt_rank(M):
+    N, _, D = _qqt_cleared(M)
+    full = min(M.rows, M.cols)
+    best = 0
+    for t0 in range(D + 1):
+        best = max(best, len(_eliminate(_at(N, t0), _QQ, M.cols, reduced=False)[0]))
+        if best == full:
+            break
+    return best
+
+
+def _qqt_det(M):
+    n = M.rows
+    N, q, D = _qqt_cleared(M)
+    xs = range(D + 1)
+    dets = [int(_signed_product(_QQ, n, _eliminate(_at(N, t0), _QQ, n, reduced=False)))
+            for t0 in xs]
+    den = (1,)
+    for qi in q:
+        den = ipoly_mul(den, qi)
+    return RatFunc.make(ipoly_interpolate(xs, dets), den)
+
+
+def _qqt_inverse(M):
+    """adj(N) and det N interpolated from D + 1 points where det N(t0) != 0;
+    a nonzero det N has at most D roots, so 0, ..., 2D hold enough of them.
+    M^-1 = N^-1 diag(q) = adj(N) diag(q) / det N."""
+    n = M.rows
+    N, q, D = _qqt_cleared(M)
+    xs, dets, adjs = [], [], []
+    for t0 in range(2 * D + 1):
+        a = [row + [_QQ.one if j == i else _QQ.zero for j in range(n)]
+             for i, row in enumerate(_at(N, t0))]
+        d = _signed_product(_QQ, n, _eliminate(a, _QQ, n, reduced=True))
+        if d:
+            xs.append(t0)
+            dets.append(int(d))
+            adjs.append([int(d * v) for row in a for v in row[n:]])
+            if len(xs) == D + 1:
+                break
+    else:
+        raise MatrixError("matrix is singular")
+    det_n = ipoly_interpolate(xs, dets)
+    ent = tuple(RatFunc.make(ipoly_mul(ipoly_interpolate(xs, [adj[j] for adj in adjs]), q[j % n]),
+                             det_n)
+                for j in range(n * n))
+    return Matrix(M.field, n, n, ent)
 
 
 def kernel_basis(M: Matrix) -> list[Matrix]:
@@ -405,18 +504,6 @@ def _dot(f, xs, ys):
     return acc
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def eigen_data(M: Matrix) -> list[tuple]:
     """All K-rational eigenvalues with geometric multiplicities, in canonical order."""
     if not M.is_square:
@@ -425,32 +512,11 @@ def eigen_data(M: Matrix) -> list[tuple]:
     n = M.rows
     if isinstance(f, QQT):
         raise UnsupportedFieldOperation("eigenvalues over QQ(t) are not supported")
-    out = []
     if isinstance(f, GF):
-        candidates = list(f.elements())
+        candidates = f.elements()
     else:
-        cp = char_poly(M)
-        coeffs = list(cp.coeffs)  # Fractions, monic
-        lcm_den = 1
-        for c in coeffs:
-            lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-        ints = [int(c * lcm_den) for c in coeffs]
-        candidates = set()
-        v = 0
-        while v < len(ints) and ints[v] == 0:
-            v += 1
-        if v > 0:
-            candidates.add(Fraction(0))
-            ints = ints[v:]
-        if ints:
-            a0, an = ints[0], ints[-1]
-            for pnum in _int_divisors(a0):
-                for qden in _int_divisors(an):
-                    for s in (1, -1):
-                        cand = Fraction(s * pnum, qden)
-                        if cp.eval(cand) == 0:
-                            candidates.add(cand)
-        candidates = sorted(candidates)
+        candidates = qpoly_rational_roots(char_poly(M).coeffs)
+    out = []
     ident = Matrix.identity(f, n)
     for lam in candidates:
         r = rank(M - ident.scale(lam))

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +57,49 @@ def laplace_det(M: Matrix, rows=None, cols=None):
         term = f.mul(M.entry(rows[0], c), sub)
         acc = f.add(acc, term) if idx % 2 == 0 else f.sub(acc, term)
     return acc
+
+
+def _int_divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def rational_roots_oracle(coeffs) -> list[Fraction]:
+    """Distinct rational roots, in increasing order, of a nonzero polynomial
+    with ascending rational coefficients, by the rational root theorem: after
+    clearing denominators and dividing out x^v, every root is +-p/q with p
+    dividing the constant and q the leading coefficient; each candidate is
+    tested exactly.  Time grows with the size of those two coefficients."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    lcm_den = 1
+    for c in coeffs:
+        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
+    ints = [int(c * lcm_den) for c in coeffs]
+    roots = set()
+    v = 0
+    while v < len(ints) and ints[v] == 0:
+        v += 1
+    if v > 0:
+        roots.add(Fraction(0))
+        ints = ints[v:]
+    if len(ints) > 1:
+        a0, an = ints[0], ints[-1]
+        for pnum in _int_divisors(a0):
+            for qden in _int_divisors(an):
+                for s in (1, -1):
+                    cand = Fraction(s * pnum, qden)
+                    if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
+                        roots.add(cand)
+    return sorted(roots)
 
 
 def minor_rank_oracle(M: Matrix) -> int:

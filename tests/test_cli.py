@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -95,6 +96,11 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["chain", "classify"], '{"type":5,"n1":1,"repeat":[[1,1,1]]}'),
     (["descriptor", "canon"], '{"k":[],"exceptional":5}'),
     (["descriptor", "canon"], '{"k":1,"exceptional":[5]}'),
+    (["chain", "classify"], '{"type":"A","n1":1e400,"repeat":[[1,1,1]]}'),
+    (["descriptor", "canon"], '{"k":1e400}'),
+    (["descriptor", "canon"], '{"k":1,"exceptional":[{"lambda":"2","bound":1e400}]}'),
+    (["chain", "normalize"], '{"type":"A","n1":1,"repeat":[[1,1,1e400]]}'),
+    (["chain", "normalize"], '{"type":"A","n1":1,"repeat":[[1.5,0,1]]}'),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     if verb[0] == "descriptor":
@@ -108,6 +114,19 @@ def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eig_large_entry(tmp_path, capsys):
+    big = 10**18 + 3
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"field": "qq", "rows": [[str(big), "1", "0"], ["0", str(big), "0"],
+                                                     ["2", "3", "-7"]]}))
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, ["eig", "--in", str(m)])
+    assert time.perf_counter() - t0 < 3
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == [
+        {"lambda": "-7", "multiplicity": 1}, {"lambda": str(big), "multiplicity": 1}]
 
 
 def test_verify_over_budget_exits_2(capsys):

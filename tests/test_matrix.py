@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 from fractions import Fraction
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -11,9 +13,10 @@ from conftest import (
     laplace_det,
     matrix_of_rank,
     minor_rank_oracle,
+    rational_roots_oracle,
 )
 
-from conjlab.fields import GF, QQ, QQT, UnsupportedFieldOperation
+from conjlab.fields import GF, QQ, QQT, RatFunc, UnsupportedFieldOperation, qpoly_rational_roots
 from conjlab.matrix import (
     Matrix,
     MatrixError,
@@ -369,3 +372,202 @@ def test_det_matches_laplace_expansion(M):
 def test_det_swap_sign_and_singular(field, rows, want):
     M = Matrix.from_rows(field, rows)
     assert det(M) == field.coerce(want) == laplace_det(M)
+
+
+# ---------------------------------------------------------------------------
+# QQ(t) rank, det and inverse by evaluation at integer points, against the
+# frozen Gauss-Jordan loop, the minor rank and Laplace expansion
+# ---------------------------------------------------------------------------
+
+QQT_DENS = [(1,), (2,), (3,), (1, 1), (-1, 0, 1), (2, 0, 1), (1, -2), (0, 1), (0, 0, 3)]
+
+
+@st.composite
+def qqt_entries(draw):
+    """Zero, polynomials and fractions with constant and non-constant denominators."""
+    num = draw(st.lists(st.integers(-3, 3), max_size=3))
+    return RatFunc.make(num, draw(st.sampled_from(QQT_DENS)))
+
+
+@st.composite
+def qqt_matrices(draw, square=False):
+    """Matrices over QQ(t) up to 3 x 3, sometimes with a last row that is a
+    multiple (perhaps zero) of the first."""
+    n = draw(st.integers(0, 3))
+    m = n if square else draw(st.integers(0, 3))
+    rows = [[draw(qqt_entries()) for _ in range(m)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(qqt_entries())
+        rows[-1] = [QQT_.mul(c, v) for v in rows[0]]
+    return Matrix(QQT_, n, m, tuple(v for r in rows for v in r))
+
+
+def _assert_same_ratfuncs(got, want):
+    """Equal, printed alike, and canonical: int coefficients in reduced form."""
+    assert [str(x) for x in got] == [str(x) for x in want]
+    assert list(got) == list(want)
+    for x in got:
+        assert all(type(c) is int for c in x.num + x.den)
+        assert RatFunc.make(x.num, x.den) == x
+
+
+def _check_qqt_kernels(M):
+    rk, _, T, _ = gauss_jordan_oracle(M)
+    assert rank(M) == rk == minor_rank_oracle(M)
+    if not M.is_square:
+        return
+    _assert_same_ratfuncs([det(M)], [laplace_det(M)])
+    if rk < M.rows:
+        with pytest.raises(MatrixError, match="^matrix is singular$"):
+            inverse(M)
+    else:
+        _assert_same_ratfuncs(inverse(M).entries, T.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qqt_matrices())
+def test_qqt_rank_det_inverse_match_oracles(M):
+    _check_qqt_kernels(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qqt_matrices(square=True))
+def test_qqt_square_kernels_match_oracles(M):
+    _check_qqt_kernels(M)
+
+
+_S = QQT_.parse
+QQT_FIXED = [
+    [],                                                           # 0 x 0
+    [[0, 0], [0, 0]],                                             # zero matrix
+    [[0, 0, 0]],
+    [["t"], ["t^2"], ["1"]],
+    [["(1)/(t+1)", "(1)/(t+2)"], ["(1)/(t+2)", "(1)/(t+3)"]],     # Hilbert-like
+    [["(1)/(t^2+1)", "t"], ["(t)/(t^2+1)", "t^2"]],               # singular
+    [["(t^3)/(t+1)", "1", "0"], ["0", "(t^3)/(t-1)", "1"], ["1", "0", "(t^3)/(2*t+1)"]],
+    [["1/2", "(t)/(3)", "0"], ["(2)/(3*t-1)", "1", "t^2"], ["0", "1/5", "(t)/(t^2-2)"]],
+]
+
+
+@pytest.mark.parametrize("rows", QQT_FIXED, ids=str)
+def test_qqt_kernels_fixed_cases(rows):
+    M = Matrix.from_rows(QQT_, [[_S(str(v)) for v in r] for r in rows])
+    _check_qqt_kernels(M)
+
+
+def test_qqt_kernels_5x5_seeded():
+    rng = random.Random(9)
+    for singular in (False, True):
+        rows = [[RatFunc.make([rng.randint(-3, 3) for _ in range(2)], rng.choice(QQT_DENS))
+                 for _ in range(5)] for _ in range(5)]
+        if singular:
+            rows[4] = [QQT_.add(a, QQT_.mul(QQT_.t, b)) for a, b in zip(rows[0], rows[1])]
+        _check_qqt_kernels(Matrix(QQT_, 5, 5, tuple(v for r in rows for v in r)))
+
+
+def test_qqt_empty_and_identity():
+    E = Matrix(QQT_, 0, 0, ())
+    assert (rank(E), det(E), inverse(E)) == (0, QQT_.one, E)
+    assert inverse(Matrix.identity(QQT_, 3)) == Matrix.identity(QQT_, 3)
+
+
+# ---------------------------------------------------------------------------
+# Rational eigenvalues by Sturm bisection, against the divisor scan
+# ---------------------------------------------------------------------------
+
+def _polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def qq_polys(draw):
+    """c * prod (x - r_i)^(m_i) * R(x): zero, repeated and non-integer rational
+    roots, and a factor R with small integer coefficients (irrational or no
+    real roots, or more rational ones)."""
+    p = [draw(small_fractions.filter(bool))]
+    for r in draw(st.lists(small_fractions, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            p = _polymul(p, [-r, Fraction(1)])
+    rest = draw(st.lists(st.integers(-5, 5), max_size=3))
+    if rest and rest[-1]:
+        p = _polymul(p, [Fraction(c) for c in rest])
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(qq_polys())
+def test_rational_roots_match_divisor_scan(coeffs):
+    assert qpoly_rational_roots(coeffs) == rational_roots_oracle(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1], [0, 1], [0, 0, 5], [-2, 0, 1], [1, 0, 1], [Fraction(-1, 4), 0, 1],
+    [0, 0, 0, -1, 1], [6, -5, 1], [-6, 5, -1], [Fraction(1, 2), Fraction(-3, 2), 1],
+    [2, -9, 12, -4], [Fraction(1, 3), 1, Fraction(-7, 3)],
+], ids=str)
+def test_rational_roots_fixed(coeffs):
+    assert qpoly_rational_roots(coeffs) == rational_roots_oracle(coeffs)
+
+
+def _eigen_oracle(M):
+    ident = Matrix.identity(QQ_, M.rows)
+    return [(lam, M.rows - rank(M - ident.scale(lam)))
+            for lam in rational_roots_oracle(charpoly_oracle(M).coeffs)]
+
+
+@st.composite
+def qq_eigen_matrices(draw):
+    """Random n x n over QQ, or g T g^-1 for an upper triangular T whose
+    diagonal repeats values (zero and non-integers among them)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ent = [draw(small_fractions) for _ in range(n * n)]
+        return Matrix(QQ_, n, n, tuple(ent))
+    diag = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2),
+                            Fraction(-1, 3), Fraction(12)])
+    T = [[draw(diag) if i == j else draw(small_fractions) if i < j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    g = Matrix.from_rows(QQ_, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+    hypothesis.assume(rank(g) == n)
+    return g @ Matrix.from_rows(QQ_, T) @ inverse(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qq_eigen_matrices())
+def test_eigen_data_qq_matches_divisor_scan(M):
+    assert eigen_data(M) == _eigen_oracle(M)
+
+
+# Reach: constants whose divisor scan took 8.8 s, and one that did not finish.
+BIG = 10**18 + 3
+REACH_ROWS = [[BIG, 1, 0], [0, BIG, 0], [2, 3, -7]]
+
+
+def _sympy_eigen(rows):
+    sympy = pytest.importorskip("sympy")
+    A = sympy.Matrix(rows)
+    n = A.rows
+    return sorted((Fraction(int(lam.p), int(lam.q)), n - (A - lam * sympy.eye(n)).rank())
+                  for lam in A.eigenvals() if lam.is_rational)
+
+
+@pytest.mark.parametrize("rows,want", [
+    (Matrix.from_rows(QQ_, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+     @ Matrix.from_rows(QQ_, [[720720, 0, 0], [0, 720720, 0], [0, 0, 5040]])
+     @ inverse(Matrix.from_rows(QQ_, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])),
+     [(Fraction(5040), 1), (Fraction(720720), 2)]),
+    (Matrix.from_rows(QQ_, REACH_ROWS), [(Fraction(-7), 1), (Fraction(BIG), 1)]),
+], ids=["diag-720720-720720-5040", "entry-1e18+3"])
+def test_eigen_data_reach_large_constants(rows, want):
+    t0 = time.perf_counter()
+    got = eigen_data(rows)
+    assert time.perf_counter() - t0 < 3
+    assert got == want
+    assert got == _sympy_eigen([[int(v) for v in r] for r in rows.to_rows()])

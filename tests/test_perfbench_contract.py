@@ -6,9 +6,10 @@ import importlib.util
 from pathlib import Path
 
 import conjlab.matrix as matrix
+import conjlab.pencil as pencil
 import conjlab.verify as verify
 from conjlab.chains import ChainSpec
-from conjlab.fields import QQ
+from conjlab.fields import QQ, QQT
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,4 +39,27 @@ def test_tracer_records_matrix_and_verify_spans():
     for op in ("rank_and_rref", "det", "inverse", "char_poly", "eigen_data", "matmul"):
         assert f"matrix.{op}.qq" in recorded
     assert "verify.equivariance" in recorded
+    assert restored
+
+
+def test_tracer_records_qqt_kernels_and_qq_eigenvalues():
+    """The QQ(t) evaluation paths and the Sturm roots stay behind the traced
+    public names."""
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        f = QQT()
+        M = matrix.Matrix.from_rows(f, [[f.t, f.parse("(1)/(t+1)")], [f.one, f.t]])
+        assert matrix.rank(M) == 2
+        d = matrix.det(M)
+        assert matrix.inverse(M) @ M == matrix.Matrix.identity(f, 2)
+        assert d == f.parse("(t^3+t^2-1)/(t+1)")
+        P = matrix.Matrix.from_rows(QQ(), [[5, 1, 0], [0, 5, 0], [0, 0, 7]])
+        assert pencil.shift_rank(P).rank == 2
+    finally:
+        restored = tracer.restore()
+    recorded = {tracer.names[i] for i in tracer.span_name}
+    for name in ("matrix.det.qqt", "matrix.inverse.qqt", "matrix.eigen_data.qq"):
+        assert name in recorded
+    assert "matrix.rank_and_rref.qqt" not in recorded
     assert restored
