@@ -694,9 +694,8 @@ def chain_from_json(obj) -> ChainSpec:
     arrays "prefix" (optional) and "repeat" of [l, r, z] integer triples."""
     if not isinstance(obj, dict):
         raise ChainError("chain JSON must be an object")
-    letter, n1 = obj.get("type"), obj.get("n1")
+    letter, n1 = obj.get("type"), integral(obj.get("n1"))
     blocks = obj.get("prefix", []), obj.get("repeat")
-    n1 = integral(n1)
     if not isinstance(letter, str) or n1 is None:
         raise ChainError("chain JSON needs 'type' as a string and 'n1' as an integer")
     if not all(isinstance(b, list) and all(_is_triple(s) for s in b) for b in blocks):
