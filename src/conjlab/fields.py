@@ -211,7 +211,8 @@ def qpoly_rational_roots(coeffs) -> list[Fraction]:
     Clearing denominators gives a primitive P = a_n x^n + ... + a_0 in ZZ[x],
     and y = a_n x turns it into the monic Q(y) = a_n^(n-1) P(y / a_n), whose
     rational roots are integers.  The squarefree part S of Q has the same
-    roots, all in (-B, B) for the Cauchy bound B = 1 + max |s_i|.  For
+    roots y = a_n x, all in (-B, B) for B = a_n + max |a_i|, a_n times the
+    Cauchy bound of P (the Cauchy bound of Q itself grows like a_n^(n-1)).  For
     squarefree S the Sturm chain S, S', -rem(S, S'), ... has V(a) - V(b) roots
     in (a, b], V counting sign changes; bisecting (-B, B] by that count down
     to unit intervals (h - 1, h] leaves h as the only candidate in each, a
@@ -229,7 +230,7 @@ def qpoly_rational_roots(coeffs) -> list[Fraction]:
     chain = [s, _ipoly_derivative(s)]
     while len(chain[-1]) > 1:
         chain.append(ipoly_neg(_qpoly_primitive(_qpoly_divmod(chain[-2], chain[-1])[1])))
-    bound = 1 + max(map(abs, s[:-1]), default=0)
+    bound = an + max(map(abs, p[:-1]))
     roots = []
     todo = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
     while todo:

@@ -571,3 +571,22 @@ def test_eigen_data_reach_large_constants(rows, want):
     assert time.perf_counter() - t0 < 3
     assert got == want
     assert got == _sympy_eigen([[int(v) for v in r] for r in rows.to_rows()])
+
+
+def test_eigen_data_reach_long_coefficients():
+    """A random 15 x 15 block gives characteristic coefficients of ~160 bits.
+    The root bound follows them, not the a_n^(n-1)-sized coefficients of the
+    monic Q (whose own Cauchy bound took 9 s here)."""
+    R = random_matrix(15, 15, QQ_, random.Random(16))
+    M = Matrix.diag_blocks([R, Matrix.from_rows(QQ_, [[Fraction(1, 2), 1], [0, Fraction(1, 2)]]),
+                            Matrix.from_rows(QQ_, [[-3]])])
+    t0 = time.perf_counter()
+    got = eigen_data(M)
+    assert time.perf_counter() - t0 < 3
+    assert got == [(Fraction(-3), 1), (Fraction(1, 2), 1)]
+    sympy = pytest.importorskip("sympy")
+    P = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(char_poly(M).coeffs)], sympy.Symbol("x"))
+    linear = [f.all_coeffs() for f, _ in P.factor_list()[1] if f.degree() == 1]
+    assert sorted(Fraction(int(-b.p * a.q), int(b.q * a.p)) for a, b in linear) == \
+        [lam for lam, _ in got]
