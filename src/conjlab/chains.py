@@ -701,8 +701,8 @@ def chain_from_json(obj) -> ChainSpec:
     if not all(isinstance(b, list) and all(_is_triple(s) for s in b) for b in blocks):
         raise ChainError("chain JSON needs 'prefix' and 'repeat' as arrays of integer "
                          "triples [l, r, z]")
-    return ChainSpec.make(letter, n1, [tuple(s) for s in blocks[0]],
-                          [tuple(s) for s in blocks[1]])
+    prefix, repeat = ([tuple(integral(x) for x in s) for s in b] for b in blocks)
+    return ChainSpec.make(letter, n1, prefix, repeat)
 
 
 def _is_triple(s) -> bool:

@@ -247,6 +247,69 @@ def qpoly_rational_roots(coeffs) -> list[Fraction]:
     return roots
 
 
+# Polynomials over GF(p), as trimmed ascending tuples of residues.
+
+def _gfpoly_divmod(a, b, p):
+    """(q, r) with a = q b + r and deg r < deg b, for nonzero trimmed b."""
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] * inv % p
+        if c:
+            a[k : k + db + 1] = [(x - c * y) % p for x, y in zip(a[k : k + db + 1], b)]
+    return ipoly_trim(q), ipoly_trim(a[:db])
+
+
+def _gfpoly_powmod(a, e, m, p):
+    """a^e mod m."""
+    out, a = (1,), _gfpoly_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _gfpoly_divmod([v % p for v in ipoly_mul(out, a)], m, p)[1]
+        a = _gfpoly_divmod([v % p for v in ipoly_mul(a, a)], m, p)[1]
+        e >>= 1
+    return out
+
+
+def _gfpoly_gcd(a, b, p):
+    """The monic gcd of a and b (any integer coefficients), for nonzero a."""
+    b = ipoly_trim([v % p for v in b])
+    while b:
+        a, b = b, _gfpoly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return tuple(v * inv % p for v in a)
+
+
+def gfpoly_roots(coeffs, p) -> list[int]:
+    """The distinct roots in GF(p), in increasing order, of a nonzero
+    polynomial with ascending integer coefficients.
+
+    When p exceeds the degree n, g = gcd(f, x^p - x) is the product of the
+    distinct linear factors of f, with x^p taken by repeated squaring mod f;
+    g splits into gcd(g, (x + a)^((p-1)/2) - 1) and its cofactor for the
+    first shift a = 0, 1, ... that separates two of its roots, recursively
+    (Cantor & Zassenhaus, Math. Comp. 36, 1981).  Otherwise f is evaluated
+    at the p <= n elements.
+    """
+    f = ipoly_trim([c % p for c in coeffs])
+    if len(f) - 1 >= p:
+        return [x for x in range(p) if ipoly_eval(f, x) % p == 0]
+    xp = _gfpoly_powmod((0, 1), p, f, p)
+    todo = [_gfpoly_gcd(f, ipoly_add(xp, (0, -1)), p)]
+    roots = []
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            for a in range(p):
+                h = _gfpoly_gcd(g, ipoly_add(_gfpoly_powmod((a, 1), (p - 1) // 2, g, p), (-1,)), p)
+                if 1 < len(h) < len(g):
+                    todo += [h, _gfpoly_divmod(g, h, p)[0]]
+                    break
+    return sorted(roots)
+
+
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:(\*?)(t)(?:\^(\d+))?)?$")
 
 
@@ -590,9 +653,12 @@ class QQT:
         m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", s)
         if m:
             return RatFunc.make(ipoly_parse(m.group("num")), ipoly_parse(m.group("den")))
-        if "/" in s:
-            a, b = s.split("/")
-            return RatFunc.make((int(a),), (int(b),))
+        if "/" in s:  # a monomial over an integer, as t/3, -2*t^2/5 or 2/3
+            a, _, b = s.partition("/")
+            if not (re.fullmatch(r"[+-]?[^+-]+", a) and re.fullmatch(r"[+-]?\d+", b)):
+                raise FieldError(f"cannot parse {s!r}: write a quotient other than a monomial "
+                                 "over an integer as (num)/(den)")
+            return RatFunc.make(ipoly_parse(a), (int(b),))
         return RatFunc.make(ipoly_parse(s), (1,))
 
     def format(self, a) -> str:

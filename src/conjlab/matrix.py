@@ -6,8 +6,12 @@ canonical scalars together with the owning field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm, prod
+from types import SimpleNamespace
 
 from .fields import (
     GF,
@@ -17,6 +21,7 @@ from .fields import (
     RatFunc,
     UniPoly,
     UnsupportedFieldOperation,
+    gfpoly_roots,
     ipoly_eval,
     ipoly_exquo,
     ipoly_interpolate,
@@ -173,6 +178,11 @@ class Matrix:
             raise MatrixError("shape mismatch in @")
         f = self.field
         n, k, m = self.rows, self.cols, other.cols
+        if isinstance(f, QQ):
+            a, da = _cleared_rows(self)
+            b, db = _cleared_rows(other.transpose())
+            return Matrix(f, n, m, tuple(Fraction(sum(map(operator.mul, r, c)), dr * dc)
+                                         for r, dr in zip(a, da) for c, dc in zip(b, db)))
         a, b = self.entries, other.entries
         out = []
         for i in range(n):
@@ -262,11 +272,78 @@ def rank_and_rref(M: Matrix) -> RrefResult:
     return RrefResult(len(pivots), rref, transform, tuple(pivots))
 
 
+def _bareiss(rows, ncols, *, reduced):
+    """Fraction-free Gaussian elimination over ZZ (Bareiss, Math. Comp. 22,
+    1968), in place, on the first ncols columns of integer rows, with
+    _eliminate's pivot rule.  Each step sets a[i] <- (p a[i] - a[i][c] a[r]) / p'
+    for every other row i below the pivot p = a[r][c], and above it too when
+    reduced, p' being the previous pivot; the division is exact, since every
+    entry is then a minor of the input, and the earlier pivots all become p.
+    Returns the pivot columns, the last pivot (1 if none) and the sign of the
+    row permutation: sign * last pivot is the determinant of a nonsingular
+    square matrix."""
+    n = len(rows)
+    pivots, prev, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(0 if reduced else r + 1, n):
+            if i != r:
+                row, s = rows[i], 0 if i < r else c
+                coef = row[c]
+                row[s:] = [(piv * v - coef * w) // prev for v, w in zip(row[s:], prow[s:])]
+        pivots.append(c)
+        prev = piv
+    return pivots, prev, sign
+
+
+def _int_det(rows):
+    n = len(rows)
+    pivots, last, sign = _bareiss(rows, n, reduced=False)
+    return sign * last if len(pivots) == n else 0
+
+
+def _int_adjugate(rows):
+    """(det N, adj N) of a square integer matrix N, from the reduced Bareiss
+    elimination of [N | I] into [p I | p N^-1], p = sign det N; (0, None)
+    when N is singular."""
+    n = len(rows)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, last, sign = _bareiss(a, n, reduced=True)
+    if len(pivots) < n:
+        return 0, None
+    return sign * last, [[sign * v for v in row[n:]] for row in a]
+
+
+def _cleared_rows(M):
+    """The rows of a QQ matrix as int lists, row i multiplied by the lcm d_i
+    of its denominators, and the d_i."""
+    rows, ds = [], []
+    for i in range(M.rows):
+        row = M.entries[i * M.cols : (i + 1) * M.cols]
+        d = lcm(*(a.denominator for a in row))
+        rows.append([a.numerator * (d // a.denominator) for a in row])
+        ds.append(d)
+    return rows, ds
+
+
 def rank(M: Matrix) -> int:
-    """Rank by forward elimination, without building a transform; over QQ(t),
-    the largest rank of the cleared matrix at D + 1 integer points."""
+    """Rank by forward elimination, without building a transform: over QQ by
+    Bareiss on the row-cleared integer matrix, over QQ(t) the largest rank of
+    the cleared matrix at D + 1 integer points."""
     if isinstance(M.field, QQT):
         return _qqt_rank(M)
+    if isinstance(M.field, QQ):
+        return len(_bareiss(_cleared_rows(M)[0], M.cols, reduced=False)[0])
     return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
 
 
@@ -282,23 +359,38 @@ def _signed_product(f, n, elimination):
 
 
 def det(M: Matrix):
-    """Signed product of the elimination pivots (exact over any field); over
-    QQ(t), interpolated from the cleared matrix's determinants at D + 1 points."""
+    """Signed product of the elimination pivots over GF(p); over QQ, the
+    Bareiss determinant of the row-cleared matrix over the product of the
+    d_i; over QQ(t), interpolated from the cleared matrix's determinants at
+    D + 1 points."""
     if not M.is_square:
         raise MatrixError("determinant of non-square matrix")
     if isinstance(M.field, QQT):
         return _qqt_det(M)
+    if isinstance(M.field, QQ):
+        rows, ds = _cleared_rows(M)
+        return Fraction(_int_det(rows), prod(ds))
     f = M.field
     return _signed_product(f, M.rows, _eliminate(M.to_rows(), f, M.cols, reduced=False))
 
 
 def inverse(M: Matrix) -> Matrix:
+    """Over QQ, M^-1 = N^-1 diag(d) = adj(N) diag(d) / det N for the
+    row-cleared N; over QQ(t) by interpolation."""
     if not M.is_square:
         raise MatrixError("inverse of non-square matrix")
     if isinstance(M.field, QQT):
         return _qqt_inverse(M)
+    n = M.rows
+    if isinstance(M.field, QQ):
+        rows, ds = _cleared_rows(M)
+        d, adj = _int_adjugate(rows)
+        if not d:
+            raise MatrixError("matrix is singular")
+        return Matrix(M.field, n, n, tuple(Fraction(v * dj, d)
+                                           for row in adj for v, dj in zip(row, ds)))
     res = rank_and_rref(M)
-    if res.rank != M.rows:
+    if res.rank != n:
         raise MatrixError("matrix is singular")
     return res.transform
 
@@ -308,10 +400,9 @@ def inverse(M: Matrix) -> Matrix:
 # Scaling row i of M by the lcm q_i of its denominators gives N = diag(q) M
 # over ZZ[t].  Every minor of N has degree at most D, the sum of N's row
 # degrees, so a nonzero one is nonzero at one of any D + 1 points, and a
-# minor is the interpolant of its values there.  Each point is eliminated
-# over QQ by _eliminate; RatFunc.make keeps every entry in canonical form.
-
-_QQ = QQ()
+# minor is the interpolant of its values there.  Each point N(t0) is an
+# integer matrix, eliminated by _bareiss; RatFunc.make keeps every entry in
+# canonical form.
 
 
 def _qqt_cleared(M):
@@ -330,8 +421,8 @@ def _qqt_cleared(M):
 
 
 def _at(N, t0):
-    """N(t0) as rows over QQ."""
-    return [[Fraction(ipoly_eval(v, t0)) for v in row] for row in N]
+    """N(t0) as integer rows."""
+    return [[ipoly_eval(v, t0) for v in row] for row in N]
 
 
 def _qqt_rank(M):
@@ -339,22 +430,19 @@ def _qqt_rank(M):
     full = min(M.rows, M.cols)
     best = 0
     for t0 in range(D + 1):
-        best = max(best, len(_eliminate(_at(N, t0), _QQ, M.cols, reduced=False)[0]))
+        best = max(best, len(_bareiss(_at(N, t0), M.cols, reduced=False)[0]))
         if best == full:
             break
     return best
 
 
 def _qqt_det(M):
-    n = M.rows
     N, q, D = _qqt_cleared(M)
     xs = range(D + 1)
-    dets = [int(_signed_product(_QQ, n, _eliminate(_at(N, t0), _QQ, n, reduced=False)))
-            for t0 in xs]
     den = (1,)
     for qi in q:
         den = ipoly_mul(den, qi)
-    return RatFunc.make(ipoly_interpolate(xs, dets), den)
+    return RatFunc.make(ipoly_interpolate(xs, [_int_det(_at(N, t0)) for t0 in xs]), den)
 
 
 def _qqt_inverse(M):
@@ -365,13 +453,11 @@ def _qqt_inverse(M):
     N, q, D = _qqt_cleared(M)
     xs, dets, adjs = [], [], []
     for t0 in range(2 * D + 1):
-        a = [row + [_QQ.one if j == i else _QQ.zero for j in range(n)]
-             for i, row in enumerate(_at(N, t0))]
-        d = _signed_product(_QQ, n, _eliminate(a, _QQ, n, reduced=True))
+        d, adj = _int_adjugate(_at(N, t0))
         if d:
             xs.append(t0)
-            dets.append(int(d))
-            adjs.append([int(d * v) for row in a for v in row[n:]])
+            dets.append(d)
+            adjs.append([v for row in adj for v in row])
             if len(xs) == D + 1:
                 break
     else:
@@ -458,50 +544,85 @@ def solve_left(A: Matrix, B: Matrix) -> Matrix | None:
     return None if xt is None else xt.transpose()
 
 
+_ZZ = SimpleNamespace(zero=0, one=1, add=operator.add, mul=operator.mul, neg=operator.neg)
+
+
 def char_poly(M: Matrix) -> UniPoly:
-    """det(xI - M), monic, by the division-free Berkowitz scheme."""
+    """det(xI - M), monic: over GF(p) by Hessenberg reduction; over QQ by
+    Berkowitz on the integer matrix d M, d the lcm of all denominators, whose
+    coefficient of x^i is d^(n-i) times M's; over QQ(t) by Berkowitz."""
     if not M.is_square:
         raise MatrixError("characteristic polynomial of non-square matrix")
     f = M.field
     n = M.rows
-    if n == 0:
-        return UniPoly.make(f, [f.one])
-    # p holds descending coefficients of det(xI - A_k) for the leading k x k block
-    p = [f.one, f.neg(M.entry(0, 0))]
-    for k in range(1, n):
-        a = M.entry(k, k)
-        R = [M.entry(k, j) for j in range(k)]
-        C = [M.entry(i, k) for i in range(k)]
-        Asub = [[M.entry(i, j) for j in range(k)] for i in range(k)]
-        s = []
-        v = C[:]
+    if isinstance(f, GF):
+        return UniPoly.make(f, _hessenberg_char_poly(M.to_rows(), f.p))
+    if isinstance(f, QQ):
+        rows, ds = _cleared_rows(M)
+        d = lcm(*ds)
+        c = _berkowitz([[v * (d // di) for v in row] for row, di in zip(rows, ds)], _ZZ)
+        return UniPoly.make(f, [Fraction(ci, d ** i) for i, ci in enumerate(c)][::-1])
+    return UniPoly.make(f, _berkowitz(M.to_rows(), f)[::-1])
+
+
+def _berkowitz(a, R):
+    """Descending coefficients of det(xI - A), A a square list of rows over
+    the ring R (its zero, one, add, mul and neg), by the division-free
+    Berkowitz scheme: with A_k the leading k x k block, r and c the row and
+    column that extend it and a = A[k][k], det(xI - A_(k+1)) is the product
+    of the lower triangular Toeplitz matrix on 1, -a, -r c, -r A_k c, ...,
+    -r A_k^(k-1) c with the coefficients of det(xI - A_k)."""
+    dot = lambda xs, ys: reduce(R.add, map(R.mul, xs, ys), R.zero)
+    p = [R.one]
+    for k in range(len(a)):
+        block = [row[:k] for row in a[:k]]
+        r, v = a[k][:k], [row[k] for row in a[:k]]
+        col = [R.one, R.neg(a[k][k])]
         for _ in range(k):
-            acc = f.zero
-            for rv, vv in zip(R, v):
-                acc = f.add(acc, f.mul(rv, vv))
-            s.append(acc)
-            v = [
-                _dot(f, Asub[i], v)
-                for i in range(k)
-            ]
-        first_col = [f.one, f.neg(a)] + [f.neg(x) for x in s]
-        newp = []
-        for i in range(k + 2):
-            acc = f.zero
-            for j in range(k + 1):
-                d = i - j
-                if 0 <= d < len(first_col):
-                    acc = f.add(acc, f.mul(first_col[d], p[j]))
-            newp.append(acc)
-        p = newp
-    return UniPoly.make(f, list(reversed(p)))
+            col.append(R.neg(dot(r, v)))
+            v = [dot(row, v) for row in block]
+        p = [dot(col[i::-1], p) for i in range(k + 2)]
+    return p
 
 
-def _dot(f, xs, ys):
-    acc = f.zero
-    for x, y in zip(xs, ys):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
+def _hessenberg_char_poly(a, p):
+    """Ascending coefficients of det(xI - A) over GF(p), A a square list of
+    residue rows (changed in place): a similarity reduces A to upper
+    Hessenberg form H, then chi_0 = 1 and
+    chi_(m+1) = (x - h_mm) chi_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) chi_i
+    over H's leading blocks (Cohen, GTM 138, Alg. 2.2.9)."""
+    n = len(a)
+    for m in range(1, n - 1):
+        k = next((i for i in range(m, n) if a[i][m - 1]), None)
+        if k is None:
+            continue  # column m - 1 is zero below the subdiagonal already
+        if k != m:
+            a[k], a[m] = a[m], a[k]
+            for row in a:
+                row[k], row[m] = row[m], row[k]
+        inv = pow(a[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = a[i][m - 1] * inv % p
+            if u:  # row_i -= u row_m, then column_m += u column_i
+                a[i][m - 1 :] = [(x - u * y) % p for x, y in zip(a[i][m - 1 :], a[m][m - 1 :])]
+                for row in a:
+                    row[m] = (row[m] + u * row[i]) % p
+    chi = [[1]]
+    for m in range(n):
+        c = [0] + chi[m]
+        h = a[m][m]
+        for j, v in enumerate(chi[m]):
+            c[j] -= h * v
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * a[i + 1][i] % p
+            if not t:
+                break  # a zero subdiagonal entry ends the sum
+            u = a[i][m] * t
+            for j, v in enumerate(chi[i]):
+                c[j] -= u * v
+        chi.append([v % p for v in c])
+    return chi[n]
 
 
 def eigen_data(M: Matrix) -> list[tuple]:
@@ -513,7 +634,7 @@ def eigen_data(M: Matrix) -> list[tuple]:
     if isinstance(f, QQT):
         raise UnsupportedFieldOperation("eigenvalues over QQ(t) are not supported")
     if isinstance(f, GF):
-        candidates = f.elements()
+        candidates = gfpoly_roots(char_poly(M).coeffs, f.p)
     else:
         candidates = qpoly_rational_roots(char_poly(M).coeffs)
     out = []

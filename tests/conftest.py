@@ -42,6 +42,66 @@ def charpoly_oracle(M: Matrix) -> UniPoly:
     return cofactor_det(f, grid)
 
 
+def berkowitz_oracle(M: Matrix) -> UniPoly:
+    """det(xI - M) by the generic division-free Berkowitz loop through the
+    field's add and mul, as char_poly ran it over every field before the
+    Hessenberg and integer backends."""
+    f = M.field
+    n = M.rows
+    if n == 0:
+        return UniPoly.make(f, [f.one])
+    p = [f.one, f.neg(M.entry(0, 0))]
+    for k in range(1, n):
+        a = M.entry(k, k)
+        R = [M.entry(k, j) for j in range(k)]
+        C = [M.entry(i, k) for i in range(k)]
+        Asub = [[M.entry(i, j) for j in range(k)] for i in range(k)]
+        s = []
+        v = C[:]
+        for _ in range(k):
+            s.append(_field_dot(f, R, v))
+            v = [_field_dot(f, Asub[i], v) for i in range(k)]
+        first_col = [f.one, f.neg(a)] + [f.neg(x) for x in s]
+        newp = []
+        for i in range(k + 2):
+            acc = f.zero
+            for j in range(k + 1):
+                d = i - j
+                if 0 <= d < len(first_col):
+                    acc = f.add(acc, f.mul(first_col[d], p[j]))
+            newp.append(acc)
+        p = newp
+    return UniPoly.make(f, list(reversed(p)))
+
+
+def _field_dot(f, xs, ys):
+    acc = f.zero
+    for x, y in zip(xs, ys):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def matmul_oracle(A: Matrix, B: Matrix) -> Matrix:
+    """A @ B by the textbook triple loop through the field's add and mul."""
+    f = A.field
+    return Matrix(f, A.rows, B.cols, tuple(
+        _field_dot(f, A.row_list(i), [B.entry(t, j) for t in range(B.rows)])
+        for i in range(A.rows) for j in range(B.cols)))
+
+
+def eigen_scan_oracle(M: Matrix) -> list[tuple]:
+    """The eigenvalues of M over GF(p) with geometric multiplicities, by one
+    rank per element of the field."""
+    f, n = M.field, M.rows
+    ident = Matrix.identity(f, n)
+    out = []
+    for lam in f.elements():
+        r = gauss_jordan_oracle(M - ident.scale(lam))[0]
+        if r < n:
+            out.append((lam, n - r))
+    return out
+
+
 def laplace_det(M: Matrix, rows=None, cols=None):
     """The minor on rows x cols (default: all of M) by Laplace expansion along its first row."""
     f = M.field

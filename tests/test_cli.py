@@ -129,6 +129,40 @@ def test_eig_large_entry(tmp_path, capsys):
         {"lambda": "-7", "multiplicity": 1}, {"lambda": str(big), "multiplicity": 1}]
 
 
+def test_eig_and_tuplerank_reach_largest_prime(capsys, monkeypatch):
+    """Over GF(2^31 - 1) the eigenvalues come from the roots of the
+    characteristic polynomial, not from a rank per element."""
+    p = 2**31 - 1
+    doc = json.dumps({"rows": [["3", "1"], ["0", "3"]]})
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, ["eig", "--field", f"gf:{p}"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"eigenvalues": [{"lambda": "3", "multiplicity": 1}]}
+    doc = json.dumps({"rows": [["0", "1"], ["-1", "0"]]})  # x^2 + 1, -1 a nonsquare mod p
+    code, out = run_cli(capsys, ["tuplerank", "--field", f"gf:{p}"], stdin=doc,
+                        monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out) == {"rank": 2, "lambda": None}
+    assert time.perf_counter() - t0 < 1
+
+
+def test_qqt_quotient_with_a_sum_exits_2(capsys, monkeypatch):
+    code, out = run_cli(capsys, ["rank", "--field", "qq_t"],
+                        stdin='{"rows":[["t/3","-2*t^2/5"]]}', monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out) == {"rank": 1}
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"rows":[["t+1/3"]]}'))
+    code = main(["rank", "--field", "qq_t"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "'t+1/3'" in err and "(num)/(den)" in err
+
+
+def test_chain_normalize_integral_floats(capsys, monkeypatch):
+    doc = '{"type":"A","n1":2.0,"repeat":[[1.0,0,1]]}'
+    code, out = run_cli(capsys, ["chain", "normalize"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.strip() == '{"n1":2,"prefix":[],"repeat":[[1,0,1]],"type":"A"}'
+
+
 def test_verify_over_budget_exits_2(capsys):
     code, out = run_cli(capsys, ["verify", "char2a", "--field", "gf:3", "--n", "3"])
     assert code == 2 and out == ""

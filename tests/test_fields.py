@@ -101,6 +101,13 @@ def test_qqt_parse_variants():
     assert f.parse("(1)/(t+1)") == RatFunc((1,), (1, 1))
     assert f.parse("2/3") == RatFunc((2,), (3,))
     assert f.parse("t^2+1") == RatFunc((1, 0, 1), (1,))
+    # a monomial over an integer, as 2/3 parses
+    assert f.parse("t/3") == RatFunc((0, 1), (3,)) == f.parse("(t)/(3)")
+    assert f.parse("-2*t^2/5") == RatFunc((0, 0, -2), (5,))
+    assert f.parse("4*t/-6") == RatFunc((0, -2), (3,))
+    for s in ("t+1/3", "1/3+t", "1/t", "t/3/4", "/3", "t/"):
+        with pytest.raises(FieldError, match=r"\(num\)/\(den\)"):
+            f.parse(s)
     # round trip through format
     for s in ("(1)/(t+1)", "-2/3", "t^2+1", "0", "(t)/(t^2+1)"):
         v = f.parse(s)

@@ -8,9 +8,12 @@ import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    berkowitz_oracle,
     charpoly_oracle,
+    eigen_scan_oracle,
     gauss_jordan_oracle,
     laplace_det,
+    matmul_oracle,
     matrix_of_rank,
     minor_rank_oracle,
     rational_roots_oracle,
@@ -38,6 +41,7 @@ from conjlab.matrix import (
 )
 
 G2, G3, G5, G7, QQ_, QQT_ = GF(2), GF(3), GF(5), GF(7), QQ(), QQT()
+G11, G13, G_BIG = GF(11), GF(13), GF(2**31 - 1)
 
 
 def test_rref_identity_gf2():
@@ -590,3 +594,158 @@ def test_eigen_data_reach_long_coefficients():
     linear = [f.all_coeffs() for f, _ in P.factor_list()[1] if f.degree() == 1]
     assert sorted(Fraction(int(-b.p * a.q), int(b.q * a.p)) for a, b in linear) == \
         [lam for lam, _ in got]
+
+
+# ---------------------------------------------------------------------------
+# Hessenberg char_poly over GF(p), and the integer kernels over QQ (Berkowitz
+# on d M, Bareiss, the cleared product), against the generic Berkowitz loop,
+# Laplace expansion, the minor rank, the Gauss-Jordan loop and the textbook
+# product
+# ---------------------------------------------------------------------------
+
+BIG_DENS = [1, 2, 3, 7, 9, 10**6 + 3, 2**61 - 1]
+
+
+def _scalars(f):
+    """Residues, or fractions with small numerators over small and large
+    denominators."""
+    if isinstance(f, GF):
+        return st.integers(0, f.p - 1)
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(BIG_DENS))
+
+
+@st.composite
+def square_inputs(draw, fields, max_n=8):
+    """Random, zero-heavy, nilpotent, companion and block-diagonal matrices;
+    the last three are conjugated by a permutation so that they are not
+    Hessenberg already."""
+    f = draw(st.sampled_from(fields))
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["random", "sparse", "nilpotent", "companion", "blocks"]))
+    x = _scalars(f)
+    zero = f.coerce(0)
+    if kind == "sparse":
+        x = st.one_of(st.just(zero), st.just(zero), st.just(zero), x)
+    a = [[draw(x) for _ in range(n)] for _ in range(n)]
+    if kind == "nilpotent":
+        a = [[v if i < j else zero for j, v in enumerate(r)] for i, r in enumerate(a)]
+    elif kind == "companion":
+        a = [[f.coerce(int(i == j + 1)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            a[i][-1] = draw(x)
+    elif kind == "blocks":
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)))
+        block = [sum(c <= i for c in cuts) for i in range(n)]
+        a = [[v if block[i] == block[j] else zero for j, v in enumerate(r)]
+             for i, r in enumerate(a)]
+    if kind != "random" and kind != "sparse":
+        perm = draw(st.permutations(range(n)))
+        a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(f, a) if n else Matrix(f, 0, 0, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_inputs([G2, G3, G7, QQ_]))
+def test_char_poly_matches_generic_berkowitz(M):
+    got = char_poly(M)
+    assert got == berkowitz_oracle(M)
+    kind = Fraction if M.field == QQ_ else int
+    assert all(type(c) is kind for c in got.coeffs)
+
+
+@pytest.mark.parametrize("field", [G2, G3, G7, QQ_], ids=lambda f: f.name)
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # zero subdiagonal at 2
+    [[2, 0, 0, 0, 0], [0, 1, 2, 3, 1], [0, 1, 1, 0, 2],        # zero column 0, then a
+     [0, 3, 0, 1, 1], [0, 1, 1, 1, 0]],                         # block to reduce
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],                          # column 0 swaps row 2 up
+    [[2, 0, 0, 5], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]],
+], ids=str)
+def test_char_poly_fixed_cases(field, rows):
+    M = Matrix.from_rows(field, rows) if rows else Matrix(field, 0, 0, ())
+    assert char_poly(M) == berkowitz_oracle(M) == charpoly_oracle(M)
+
+
+def test_char_poly_large_denominators():
+    M = Matrix.from_rows(QQ_, [[Fraction(1, 2**61 - 1), 1, 0], [Fraction(-3, 10**6 + 3), 0, 5],
+                               [0, Fraction(7, 9), Fraction(2, 3)]])
+    assert char_poly(M) == berkowitz_oracle(M) == charpoly_oracle(M)
+
+
+@st.composite
+def qq_inputs(draw, square=False, max_n=5):
+    """QQ matrices with zero-heavy, small and large-denominator entries,
+    sometimes with a last row that combines two others."""
+    n = draw(st.integers(0, max_n))
+    m = n if square else draw(st.integers(0, max_n))
+    x = st.one_of(st.just(Fraction(0)), _scalars(QQ_))
+    rows = [[draw(x) for _ in range(m)] for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        c = draw(_scalars(QQ_))
+        rows[-1] = [u + c * v for u, v in zip(rows[0], rows[1])]
+    return Matrix(QQ_, n, m, tuple(v for r in rows for v in r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(qq_inputs())
+def test_qq_rank_matches_oracles(M):
+    assert rank(M) == minor_rank_oracle(M) == gauss_jordan_oracle(M)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(qq_inputs(square=True))
+def test_qq_det_and_inverse_match_oracles(M):
+    d = det(M)
+    assert type(d) is Fraction and d == laplace_det(M)
+    rk, _, T, _ = gauss_jordan_oracle(M)
+    if rk < M.rows:
+        with pytest.raises(MatrixError, match="^matrix is singular$"):
+            inverse(M)
+    else:
+        X = inverse(M)
+        assert X == T and all(type(v) is Fraction for v in X.entries)
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 1, 0], [0, 0, 0]],
+                                  [[Fraction(1, 3), 1], [1, 3]]], ids=str)
+def test_qq_singular_inverse_message(rows):
+    with pytest.raises(MatrixError, match="^matrix is singular$"):
+        inverse(Matrix.from_rows(QQ_, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_qq_matmul_matches_textbook_product(data):
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    x = st.one_of(st.just(Fraction(0)), _scalars(QQ_))
+    A = Matrix(QQ_, n, k, tuple(data.draw(x) for _ in range(n * k)))
+    B = Matrix(QQ_, k, m, tuple(data.draw(x) for _ in range(k * m)))
+    C = A @ B
+    assert C == matmul_oracle(A, B) and all(type(v) is Fraction for v in C.entries)
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalues over GF(p) from the roots of the characteristic polynomial,
+# against one rank per element
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(square_inputs([G3, G5, G7, G11, G13], max_n=6))
+def test_eigen_data_gf_matches_element_scan(M):
+    assert eigen_data(M) == eigen_scan_oracle(M)
+
+
+def test_eigen_data_reach_largest_prime():
+    """p = 2^31 - 1: the element scan would take p ranks."""
+    p = G_BIG.p
+    g = Matrix.from_rows(G_BIG, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    D = Matrix.from_rows(G_BIG, [[p - 1, 0, 0], [0, 123456789, 0], [0, 0, p - 1]])
+    nonsquare = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    t0 = time.perf_counter()
+    assert eigen_data(g @ D @ inverse(g)) == [(123456789, 1), (p - 1, 2)]
+    assert eigen_data(Matrix.from_rows(G_BIG, [[0, nonsquare], [1, 0]])) == []
+    assert eigen_data(Matrix.from_rows(G_BIG, [[5, 1], [0, 5]])) == [(5, 1)]
+    assert time.perf_counter() - t0 < 1

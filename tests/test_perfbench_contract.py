@@ -9,7 +9,7 @@ import conjlab.matrix as matrix
 import conjlab.pencil as pencil
 import conjlab.verify as verify
 from conjlab.chains import ChainSpec
-from conjlab.fields import QQ, QQT
+from conjlab.fields import GF, QQ, QQT
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,9 +27,12 @@ def test_tracer_records_matrix_and_verify_spans():
     try:
         M = matrix.Matrix.from_rows(QQ(), [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
         assert matrix.rank(M) == 3
+        assert matrix.rank_and_rref(M).rank == 3
         assert matrix.det(M) == 12
         assert matrix.inverse(M) @ M == matrix.Matrix.identity(QQ(), 3)
         assert matrix.char_poly(M).coeffs[0] == -12
+        B = matrix.Matrix.from_rows(GF(2), [[0, 1, 1], [0, 0, 1], [1, 0, 0]])
+        assert matrix.char_poly(B).coeffs == (1, 1, 0, 1)
         assert [m for _, m in matrix.eigen_data(M)] == [1, 1]
         chain = ChainSpec.make("A", 1, [], [(1, 1, 1)])
         assert verify.verify_equivariance(chain, trials=2).verdict == "pass"
@@ -38,6 +41,7 @@ def test_tracer_records_matrix_and_verify_spans():
     recorded = {tracer.names[i] for i in tracer.span_name}
     for op in ("rank_and_rref", "det", "inverse", "char_poly", "eigen_data", "matmul"):
         assert f"matrix.{op}.qq" in recorded
+    assert "matrix.char_poly.gf2" in recorded
     assert "verify.equivariance" in recorded
     assert restored
 
