@@ -554,7 +554,6 @@ def char_poly(M: Matrix) -> UniPoly:
     if not M.is_square:
         raise MatrixError("characteristic polynomial of non-square matrix")
     f = M.field
-    n = M.rows
     if isinstance(f, GF):
         return UniPoly.make(f, _hessenberg_char_poly(M.to_rows(), f.p))
     if isinstance(f, QQ):
