@@ -77,19 +77,12 @@ def _emit(args, obj) -> None:
         sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read_json(args):
-    if args.infile == "-":
+def _load(path):
+    """The JSON document at path, or on stdin for ``-``."""
+    if path == "-":
         return json.load(sys.stdin)
-    with open(args.infile) as fh:
+    with open(path) as fh:
         return json.load(fh)
-
-
-def _paths_json(paths):
-    out = []
-    for p in paths:
-        with open(p) as fh:
-            out.append(json.load(fh))
-    return out
 
 
 def main(argv=None) -> int:
@@ -143,28 +136,28 @@ def _dispatch(args) -> int:
     field = field_from_name(args.field)
     verb = args.verb
     if verb == "rank":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         _emit(args, {"rank": rank(M)})
     elif verb == "charpoly":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         cp = char_poly(M)
         _emit(args, {"coeffs": [M.field.format(c) for c in cp.coeffs]})
     elif verb == "eig":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         _emit(args, {"eigenvalues": [
             {"lambda": M.field.format(l), "multiplicity": m} for l, m in eigen_data(M)]})
     elif verb == "tuplerank":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         sr = shift_rank(M)
         _emit(args, {"rank": tuple_rank_identity(M),
                      "lambda": None if sr.lam is None else M.field.format(sr.lam)})
     elif verb == "pencil":
-        obj = json_document(_read_json(args), "pencil", matrices=list)
+        obj = json_document(_load(args.infile), "pencil", matrices=list)
         mats = [matrix_from_json(m, field) for m in obj["matrices"]]
         r, wit = pencil_rank_enumerate(PencilTuple.make(mats))
         _emit(args, {"rank": r, "witness": [mats[0].field.format(c) for c in wit]})
     elif verb == "offdiag-check":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         rng = random.Random(args.seed)
         holds, wit = offdiag_criterion_check(M, args.k, args.m, args.mode,
                                              trials=args.trials, rng=rng)
@@ -175,19 +168,21 @@ def _dispatch(args) -> int:
                               "L": [j + 1 for j in L]}
         _emit(args, out)
     elif verb == "classify-orbit":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         oc = classify_orbit_closure(M)
         _emit(args, {"kind": oc.kind,
                      "lambda": None if oc.lam is None else M.field.format(oc.lam),
                      "rank": oc.rank, "level": oc.level})
     elif verb == "minor-vanishing":
-        M = matrix_from_json(_read_json(args), field)
+        M = matrix_from_json(_load(args.infile), field)
         rng = random.Random(args.seed)
         _emit(args, {"vanishes": minor_vanishing_test(M, args.k, args.mode,
                                                       trials=args.trials, rng=rng)})
     elif verb == "descriptor":
-        objs = _paths_json(args.paths)
-        ds = [descriptor_from_json(field, json_document(o, "descriptor")) for o in objs]
+        if args.op != "canon" and len(args.paths) < 2:
+            raise ValueError(f"descriptor {args.op} needs two paths")
+        ds = [descriptor_from_json(field, json_document(_load(p), "descriptor"))
+              for p in args.paths]
         if args.op == "union":
             _emit(args, descriptor_to_json(descriptor_union(ds[0], ds[1])))
         elif args.op == "intersect":
@@ -197,7 +192,7 @@ def _dispatch(args) -> int:
         else:
             _emit(args, descriptor_to_json(descriptor_canonicalize(ds[0])))
     elif verb == "chain":
-        obj = json_document(_read_json(args), "chain")
+        obj = json_document(_load(args.infile), "chain")
         if args.op == "classify":
             ch = chain_from_json(obj)
             tag = classify_case(ch, args.char)
@@ -220,30 +215,30 @@ def _dispatch(args) -> int:
             pt = point_from_json(obj)
             _emit(args, {"trace": pt.reps[0].field.format(trace_invariant(pt))})
     elif verb == "topleft":
-        obj = json_document(_read_json(args), "topleft")
+        obj = json_document(_load(args.infile), "topleft")
         P = matrix_from_json(obj["p"], field)
         Q = matrix_from_json(obj["q"], field)
         _emit(args, {"g": matrix_to_json(topleft_realization(P, Q))})
     elif verb == "raise-rank":
-        obj = json_document(_read_json(args), "raise-rank", matrices=list)
+        obj = json_document(_load(args.infile), "raise-rank", matrices=list)
         mats = [matrix_from_json(m, field) for m in obj["matrices"]]
         gs = raise_sum_rank(mats)
         _emit(args, {"conjugators": [matrix_to_json(g) for g in gs]})
     elif verb == "lift-tuple-rank":
-        obj = json_document(_read_json(args), "lift-tuple-rank", chain=dict)
+        obj = json_document(_load(args.infile), "lift-tuple-rank", chain=dict)
         ch = chain_from_json(obj["chain"])
         P = matrix_from_json(obj["matrix"], field)
         g = tuple_rank_lift(ch, obj.get("level", 1), P)
         _emit(args, {"g": matrix_to_json(g)})
     elif verb == "degenerate":
-        obj = json_document(_read_json(args), "degenerate")
+        obj = json_document(_load(args.infile), "degenerate")
         R = matrix_from_json(obj["r"], field)
         W = matrix_from_json(obj["w"], field)
         Q = matrix_from_json(obj["q"], field)
         V = matrix_from_json(obj["v"], field)
         _emit(args, {"curve": matrix_to_json(degeneration_witness(R, W, Q, V))})
     elif verb == "graph":
-        obj = _read_json(args)
+        obj = _load(args.infile)
         if args.op == "reduce":
             g = graph_from_json(obj)
             res = reduce_graph(g)
@@ -275,10 +270,7 @@ def _dispatch(args) -> int:
         _emit(args, report.to_json())
         return 0 if report.ok else 1
     elif verb == "suite":
-        config = None
-        if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
+        config = _load(args.config) if args.config else None
         reports = run_suite(config, args.seed)
         _emit(args, {"reports": [r.to_json() for r in reports],
                      "ok": all(r.ok for r in reports)})

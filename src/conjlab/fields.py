@@ -37,7 +37,9 @@ def _parser(parse):
 
 def integral(x):
     """x as an int when it is an integral finite number or an integer string
-    (as JSON documents give them); None otherwise."""
+    (as JSON documents give them); None otherwise, for a JSON boolean too."""
+    if isinstance(x, bool):
+        return None
     if isinstance(x, float):
         return int(x) if x.is_integer() else None
     if isinstance(x, (int, str)):
@@ -477,11 +479,14 @@ class GF:
 
     @_parser
     def parse(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            a, b = s.split("/")
-            return self.div(int(a) % self.p, int(b) % self.p)
-        return int(s) % self.p
+        try:
+            nums = [int(x) % self.p for x in s.split("/")]
+        except ValueError:
+            nums = []
+        if len(nums) not in (1, 2):
+            raise FieldError(f"cannot parse {s!r} over {self.name}: write an integer a "
+                             "or a quotient a/b of integers")
+        return nums[0] if len(nums) == 1 else self.div(*nums)
 
     def format(self, a) -> str:
         return str(a % self.p)

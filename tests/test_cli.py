@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjlab.cli import main
 
@@ -101,6 +104,14 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["descriptor", "canon"], '{"k":1,"exceptional":[{"lambda":"2","bound":1e400}]}'),
     (["chain", "normalize"], '{"type":"A","n1":1,"repeat":[[1,1,1e400]]}'),
     (["chain", "normalize"], '{"type":"A","n1":1,"repeat":[[1.5,0,1]]}'),
+    (["chain", "normalize"], '{"type":"A","n1":true,"repeat":[[true,0,1]]}'),
+    (["chain", "classify"], '{"type":"A","n1":2,"repeat":[[1,false,1]]}'),
+    (["descriptor", "canon"], '{"k":true,"exceptional":[]}'),
+    (["descriptor", "canon"], '{"k":1,"exceptional":[{"lambda":"2","bound":false}]}'),
+    # the binary operations given one path
+    (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
+    (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
+    (["descriptor", "contains"], '{"k":1,"exceptional":[]}'),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     if verb[0] == "descriptor":
@@ -114,6 +125,32 @@ def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_descriptor_reads_stdin(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"k": 2, "exceptional": []}))
+    doc = json.dumps({"k": -1, "exceptional": [{"lambda": "3", "bound": 5}]})
+    code, out = run_cli(capsys, ["descriptor", "intersect", str(a), "-"], stdin=doc,
+                        monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"k": -1, "exceptional": [{"lambda": "3", "bound": 2}]}
+    code, out = run_cli(capsys, ["descriptor", "canon", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out) == json.loads(doc)
+    # canon reads the first of two documents
+    code, out = run_cli(capsys, ["descriptor", "canon", str(a), "-"], stdin=doc,
+                        monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out) == {"k": 2, "exceptional": []}
+
+
+@pytest.mark.parametrize("entry", ["1/2/3", "t", "1.5", ""])
+def test_gf_entry_error_names_input_and_forms(capsys, monkeypatch, entry):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"rows": [[entry]]})))
+    code = main(["rank", "--field", "gf:5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot parse {entry!r} over gf:5: write an integer a "
+                   "or a quotient a/b of integers\n")
 
 
 def test_eig_large_entry(tmp_path, capsys):
@@ -327,3 +364,85 @@ def test_csv_output(tmp_path, capsys):
     m.write_text(json.dumps({"field": "qq", "rows": [["1", "0"], ["0", "2"]]}))
     code, out = run_cli(capsys, ["rank", "--out", "csv", "--in", str(m)])
     assert code == 0 and out.strip() == "rank,2"
+
+
+# Small documents for every verb that reads one: the shape the verb expects,
+# built from small parts with a wrong type or size mixed in now and then, or
+# arbitrary JSON.
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([0.5, 2.0, float("inf")]),
+    st.sampled_from(["0", "1", "-1", "2/3", "1/0", "t", "t/3", "(1)/(t)", "1/2/3", "A"]))
+_JSON = st.recursive(_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text("kqrvw", max_size=2), inner, max_size=3)),
+    max_leaves=8)
+_ENTRY = st.one_of(st.integers(-2, 3), st.integers(-2, 3).map(str), st.sampled_from(["2/3", "t"]))
+_INT = st.one_of(st.integers(0, 2), st.integers(1, 2), st.integers(1, 2), _SCALAR)
+_LABEL = st.sampled_from("abc")
+
+
+def _matrices(k):
+    """k matrices of one size, n x n and now and then n x 1."""
+    return st.integers(0, 3).flatmap(lambda n: st.sampled_from([n, n, 1]).flatmap(
+        lambda m: st.lists(st.fixed_dictionaries({"rows": st.lists(
+            st.lists(_ENTRY, min_size=m, max_size=m), min_size=n, max_size=n)}),
+            min_size=k, max_size=k)))
+
+
+_MATRIX = _matrices(1).map(lambda ms: ms[0])
+_CHAIN = st.fixed_dictionaries(
+    {"type": st.sampled_from("ABCDE"), "n1": _INT,
+     "repeat": st.lists(st.lists(_INT, min_size=3, max_size=3), min_size=1, max_size=2)},
+    optional={"prefix": st.lists(st.lists(_INT, min_size=3, max_size=3), max_size=2)})
+_GRAPH = st.fixed_dictionaries(
+    {"vertices": st.lists(_LABEL, max_size=3, unique=True),
+     "edges": st.lists(st.lists(_LABEL, min_size=2, max_size=2), max_size=4)})
+_STEP = st.fixed_dictionaries(
+    {"rule": st.sampled_from(["remove_edge", "remove_looped_vertex", "migrate_edge", "x"]),
+     "edge": st.lists(_LABEL, min_size=2, max_size=2), "vertex": _LABEL, "looped": _LABEL})
+_ON_CHAIN = st.fixed_dictionaries({"chain": _CHAIN, "matrix": _MATRIX}, optional={"level": _INT})
+_MATRIX_VERBS = [["rank"], ["charpoly"], ["eig"], ["tuplerank"], ["classify-orbit"],
+                 ["offdiag-check", "--k", "1", "--m", "1"], ["minor-vanishing", "--k", "1"]]
+_VERB_DOCS = [(verb, _MATRIX) for verb in _MATRIX_VERBS] + [
+    (["pencil"], st.builds(lambda ms: {"matrices": ms}, st.integers(0, 3).flatmap(_matrices))),
+    (["raise-rank"], st.builds(lambda ms: {"matrices": ms}, st.integers(0, 3).flatmap(_matrices))),
+    (["topleft"], st.builds(lambda ms: dict(zip("pq", ms)), _matrices(2))),
+    (["degenerate"], st.builds(lambda ms: dict(zip("rwqv", ms)), _matrices(4))),
+    (["lift-tuple-rank"], _ON_CHAIN),
+    (["chain", "classify"], _CHAIN), (["chain", "normalize"], _CHAIN),
+    (["chain", "project"], _ON_CHAIN), (["chain", "embed"], _ON_CHAIN),
+    *[(["chain", op], st.fixed_dictionaries({"chain": _CHAIN, "levels": _matrices(2)}))
+      for op in ("check-point", "trace")],
+    (["graph", "reduce"], _GRAPH), (["graph", "incidence"], _GRAPH),
+    (["graph", "replay"], st.fixed_dictionaries(
+        {"graph": _GRAPH, "certificate": st.lists(_STEP, max_size=3)})),
+    *[(["descriptor", op, "-"], st.fixed_dictionaries({"k": _INT, "exceptional": st.lists(
+        st.fixed_dictionaries({"lambda": _ENTRY, "bound": _INT}), max_size=2)}))
+      for op in ("union", "intersect", "contains", "canon")],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_VERB_DOCS), field=st.sampled_from(["gf:2", "gf:3", "qq", "qq_t"]),
+       data=st.data())
+def test_cli_fuzz_exits_0_or_2(tmp_path_factory, case, field, data):
+    """Any small JSON document, sent to any verb that reads one, exits 0 or 2,
+    and 2 with exactly one line on stderr."""
+    verb, docs = case
+    doc = data.draw(st.one_of(docs, docs, _JSON))
+    argv = verb + ["--field", field]
+    if verb[0] == "descriptor":  # the second operand is a fixed valid document
+        other = tmp_path_factory.getbasetemp() / "fuzz-descriptor.json"
+        other.write_text('{"k": 1, "exceptional": [{"lambda": "1", "bound": 0}]}')
+        argv = verb + [str(other), "--field", field]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2), (argv, doc)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == (code == 2), (argv, doc, err.getvalue())

@@ -11,6 +11,7 @@ from conjlab.fields import (
     field_from_name,
     ipoly_format,
     ipoly_gcd,
+    integral,
     ipoly_parse,
 )
 
@@ -26,6 +27,13 @@ def test_gf_requires_prime():
         GF(2**31 + 11)
 
 
+def test_integral():
+    assert [integral(x) for x in (3, -2, 2.0, "7", " 8 ")] == [3, -2, 2, 7, 8]
+    # JSON booleans are not numbers, though bool is an int subclass
+    for bad in (True, False, 1.5, float("inf"), "t", None, [1]):
+        assert integral(bad) is None
+
+
 def test_gf_arithmetic():
     f = GF(7)
     assert f.add(5, 4) == 2
@@ -37,6 +45,11 @@ def test_gf_arithmetic():
     assert list(f.elements()) == list(range(7))
     assert f.parse("10") == 3
     assert f.parse("1/3") == 5
+    assert f.parse(" -2/ 3 ") == f.parse("-2/3") == 4
+    for bad in ("1/2/3", "t", "1.5", "", "1/"):
+        with pytest.raises(FieldError, match=f"cannot parse {bad!r} over gf:7: write an "
+                                             "integer a or a quotient a/b of integers"):
+            f.parse(bad)
     assert f.format(f.coerce(-1)) == "6"
 
 

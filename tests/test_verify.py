@@ -4,13 +4,17 @@ import pytest
 
 from conftest import char2a_oracle, commutator_oracle
 from conjlab.chains import ChainSpec
-from conjlab.fields import GF
+from conjlab.coordpoly import PolyContext, symbolic_matrix
+from conjlab.fields import GF, QQ
 from conjlab.matrix import Matrix, inverse, random_matrix, rank
 from conjlab.pencil import BudgetExceeded
 from conjlab.verify import (
+    _Grid,
     _char2a_units,
     _commutator_units,
     _first_uncovered,
+    _run,
+    _shift_matrix,
     default_suite_config,
     h_symbolic,
     run_one,
@@ -115,10 +119,107 @@ def test_conjugation_cases_pass():
         assert r.verdict == "pass", (case, r.witnesses)
 
 
+# recorded when each case still wrote its identities twice, once for the
+# symbolic and once for the integer check: a drift in a formula, a tag or the
+# entry order shows here
+TAMPER_WITNESSES = {
+    "3a": [
+        ["P'11", "1", 0, 0, "p[1,1] + p[3,1]", "p[1,1] - p[3,1]"],
+        ["P'11", "2", 0, 0, "p[1,1] + 2*p[3,1]", "p[1,1] - 2*p[3,1]"],
+        ["P'11", "3", 0, 0, "p[1,1] + 3*p[3,1]", "p[1,1] - 3*p[3,1]"],
+    ],
+    "C": [
+        ["Q'11", "1", 0, 0, "-2*p[1,2] + q[1,1] - r[2,2]", "-2*p[1,2] + q[1,1]"],
+        ["Q'11", "2", 0, 0, "-4*p[1,2] + q[1,1] - 4*r[2,2]", "-4*p[1,2] + q[1,1] - 2*r[2,2]"],
+        ["Q'11", "3", 0, 0, "-6*p[1,2] + q[1,1] - 9*r[2,2]", "-6*p[1,2] + q[1,1] - 6*r[2,2]"],
+    ],
+    "D": [
+        ["Q'11", "1", 0, 1,
+         "p[1,4] - p[2,3] + q[1,2] + r[3,4]",
+         "p[1,4] - p[2,3] + q[1,2] + 2*r[3,4]"],
+        ["Q'11", "1", 1, 0,
+         "-p[1,4] + p[2,3] - q[1,2] - r[3,4]",
+         "-p[1,4] + p[2,3] - q[1,2] - 2*r[3,4]"],
+        ["Q'11", "2", 0, 1,
+         "2*p[1,4] - 2*p[2,3] + q[1,2] + 4*r[3,4]",
+         "2*p[1,4] - 2*p[2,3] + q[1,2] + 6*r[3,4]"],
+        ["Q'11", "2", 1, 0,
+         "-2*p[1,4] + 2*p[2,3] - q[1,2] - 4*r[3,4]",
+         "-2*p[1,4] + 2*p[2,3] - q[1,2] - 6*r[3,4]"],
+        ["Q'11", "3", 0, 1,
+         "3*p[1,4] - 3*p[2,3] + q[1,2] + 9*r[3,4]",
+         "3*p[1,4] - 3*p[2,3] + q[1,2] + 12*r[3,4]"],
+        ["Q'11", "3", 1, 0,
+         "-3*p[1,4] + 3*p[2,3] - q[1,2] - 9*r[3,4]",
+         "-3*p[1,4] + 3*p[2,3] - q[1,2] - 12*r[3,4]"],
+    ],
+    "B1": [
+        ["antisumQ", "1", 0, 1,
+         "p[1,2] + p[1,15] - p[2,1] - p[2,14] + p[3,13] - p[5,6] + p[6,5] - p[10,6] + p[11,5]",
+         "p[1,2] + p[1,15] - p[2,1] - p[2,14] + p[3,13] - p[5,6] + p[6,5] + p[10,6] - p[11,5]"],
+        ["antisumQ", "1", 1, 0,
+         "-p[1,2] - p[1,15] + p[2,1] + p[2,14] - p[3,13] + p[5,6] - p[6,5] + p[10,6] - p[11,5]",
+         "-p[1,2] - p[1,15] + p[2,1] + p[2,14] - p[3,13] + p[5,6] - p[6,5] - p[10,6] + p[11,5]"],
+        ["antisumQ", "2", 0, 1,
+         "2*p[1,2] + p[1,15] - 2*p[2,1] - p[2,14] + p[3,13] - 2*p[5,6] + 2*p[6,5] - 4*p[10,6] + 4*p[11,5]",
+         "2*p[1,2] + p[1,15] - 2*p[2,1] - p[2,14] + p[3,13] - 2*p[5,6] + 2*p[6,5] + 4*p[10,6] - 4*p[11,5]"],
+        ["antisumQ", "2", 1, 0,
+         "-2*p[1,2] - p[1,15] + 2*p[2,1] + p[2,14] - p[3,13] + 2*p[5,6] - 2*p[6,5] + 4*p[10,6] - 4*p[11,5]",
+         "-2*p[1,2] - p[1,15] + 2*p[2,1] + p[2,14] - p[3,13] + 2*p[5,6] - 2*p[6,5] - 4*p[10,6] + 4*p[11,5]"],
+        ["antisumQ", "3", 0, 1,
+         "3*p[1,2] + p[1,15] - 3*p[2,1] - p[2,14] + p[3,13] - 3*p[5,6] + 3*p[6,5] - 9*p[10,6] + 9*p[11,5]",
+         "3*p[1,2] + p[1,15] - 3*p[2,1] - p[2,14] + p[3,13] - 3*p[5,6] + 3*p[6,5] + 9*p[10,6] - 9*p[11,5]"],
+        ["antisumQ", "3", 1, 0,
+         "-3*p[1,2] - p[1,15] + 3*p[2,1] + p[2,14] - p[3,13] + 3*p[5,6] - 3*p[6,5] + 9*p[10,6] - 9*p[11,5]",
+         "-3*p[1,2] - p[1,15] + 3*p[2,1] + p[2,14] - p[3,13] + 3*p[5,6] - 3*p[6,5] - 9*p[10,6] + 9*p[11,5]"],
+    ],
+    "B2": [
+        ["W'", "0", 0, 0, "p[7,4]", "2*p[7,4]"],
+        ["W'", "0", 0, 1, "p[7,5]", "2*p[7,5]"],
+        ["W'", "0", 0, 2, "p[7,6]", "2*p[7,6]"],
+        ["W'", "0", 1, 0, "p[8,4]", "2*p[8,4]"],
+        ["W'", "0", 1, 1, "p[8,5]", "2*p[8,5]"],
+        ["W'", "0", 1, 2, "p[8,6]", "2*p[8,6]"],
+        ["W'", "0", 2, 0, "p[9,4]", "2*p[9,4]"],
+        ["W'", "0", 2, 1, "p[9,5]", "2*p[9,5]"],
+    ],
+}
+
+
 def test_conjugation_tamper_fails_with_witness():
-    for case in ("3a", "C", "B1", "B2"):
+    for case in ("2", "3a", "4a", "C", "D", "B1", "B2"):
         r = verify_conjugation_identity(case, tamper=True)
-        assert r.verdict == "fail" and r.witnesses
+        assert r.verdict == "fail" and r.witnesses, case
+        if case in TAMPER_WITNESSES:
+            assert r.witnesses == TAMPER_WITNESSES[case], case
+    # cases 2 and 4a flip the sign of the shear term of P'11, as 3a does
+    r = verify_conjugation_identity("2", tamper=True)
+    assert r.witnesses[0] == ["P'11", "1", 0, 0, "p[1,1] + p[4,1]", "p[1,1] - p[4,1]"]
+    r = verify_conjugation_identity("4a", tamper=True)
+    assert r.witnesses[0] == ["P'11", "1", 0, 0, "p[1,1] + p[2,1]", "p[1,1] - p[2,1]"]
+
+
+def test_false_identity_fails_in_both_runs():
+    # Y = X is false for a nontrivial shear: the symbolic grid and the integer
+    # matrix both report it, entry by entry, at every lam but 0
+    n = 2
+    X = _Grid(symbolic_matrix(PolyContext("gl", n), QQ()))
+    M = Matrix.from_rows(QQ(), [[1, 2], [3, 5]])
+    element = lambda lam: _shift_matrix(n, [(0, 1, 1)], lam)
+    same = lambda X, Y, lam, tamper: [("Y=X", Y.block(0, 1, 0, 2), X.block(0, 1, 0, 2))]
+    sym, gen, conj = _run(same, X, M, element, False)
+    assert sym == [("Y=X", lam, 0, j, got, "p[1,1]" if j == 0 else "p[1,2]")
+                   for lam, j, got in ((1, 0, "p[1,1] + p[2,1]"),
+                                       (1, 1, "-p[1,1] + p[1,2] - p[2,1] + p[2,2]"),
+                                       (2, 0, "p[1,1] + 2*p[2,1]"),
+                                       (2, 1, "-2*p[1,1] + p[1,2] - 4*p[2,1] + 2*p[2,2]"),
+                                       (3, 0, "p[1,1] + 3*p[2,1]"),
+                                       (3, 1, "-3*p[1,1] + p[1,2] - 9*p[2,1] + 3*p[2,2]"))]
+    # (I + lam E12) M (I - lam E12), first row: (1 + 3 lam, 2 + 4 lam - 3 lam^2)
+    assert [w[:5] for w in gen] == [("generic", "Y=X", lam, 0, j)
+                                    for lam in (1, 2, 3) for j in (0, 1)]
+    assert gen[0][5:] == ("4", "1") and gen[1][5:] == ("3", "2")
+    assert [lam for lam, _ in conj] == [0, 1, 2, 3]
 
 
 def test_h_symbolic_satisfies_algebra():
