@@ -28,7 +28,7 @@ from .descriptors import (
     descriptor_to_json,
     descriptor_union,
 )
-from .fields import field_from_name
+from .fields import field_from_name, integral
 from .graphs import ReductionCertificate, incidence_rank_check, reduce_graph, replay
 from .jsonio import (
     certificate_from_json,
@@ -228,7 +228,10 @@ def _dispatch(args) -> int:
         obj = json_document(_load(args.infile), "lift-tuple-rank", chain=dict)
         ch = chain_from_json(obj["chain"])
         P = matrix_from_json(obj["matrix"], field)
-        g = tuple_rank_lift(ch, obj.get("level", 1), P)
+        level = integral(obj.get("level", 1))
+        if level is None:
+            raise ValueError("lift-tuple-rank JSON needs 'level' as an integer")
+        g = tuple_rank_lift(ch, level, P)
         _emit(args, {"g": matrix_to_json(g)})
     elif verb == "degenerate":
         obj = json_document(_load(args.infile), "degenerate")

@@ -108,6 +108,10 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["chain", "classify"], '{"type":"A","n1":2,"repeat":[[1,false,1]]}'),
     (["descriptor", "canon"], '{"k":true,"exceptional":[]}'),
     (["descriptor", "canon"], '{"k":1,"exceptional":[{"lambda":"2","bound":false}]}'),
+    (["lift-tuple-rank"], '{"chain":{"type":"A","n1":2,"repeat":[[1,1,0]]},'
+                          '"matrix":{"rows":[["1"]]},"level":"2"}'),
+    (["lift-tuple-rank"], '{"chain":{"type":"A","n1":2,"repeat":[[1,1,0]]},'
+                          '"matrix":{"rows":[["1"]]},"level":1.5}'),
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
@@ -389,10 +393,12 @@ def _matrices(k):
 
 
 _MATRIX = _matrices(1).map(lambda ms: ms[0])
+_SIGNATURE = st.one_of(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                       st.lists(_INT, min_size=3, max_size=3))
 _CHAIN = st.fixed_dictionaries(
-    {"type": st.sampled_from("ABCDE"), "n1": _INT,
-     "repeat": st.lists(st.lists(_INT, min_size=3, max_size=3), min_size=1, max_size=2)},
-    optional={"prefix": st.lists(st.lists(_INT, min_size=3, max_size=3), max_size=2)})
+    {"type": st.sampled_from("AABCDE"), "n1": _INT,
+     "repeat": st.lists(_SIGNATURE, min_size=1, max_size=2)},
+    optional={"prefix": st.lists(_SIGNATURE, max_size=2)})
 _GRAPH = st.fixed_dictionaries(
     {"vertices": st.lists(_LABEL, max_size=3, unique=True),
      "edges": st.lists(st.lists(_LABEL, min_size=2, max_size=2), max_size=4)})
