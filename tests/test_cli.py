@@ -427,7 +427,7 @@ _VERB_DOCS = [(verb, _MATRIX) for verb in _MATRIX_VERBS] + [
 ]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=st.sampled_from(_VERB_DOCS), field=st.sampled_from(["gf:2", "gf:3", "qq", "qq_t"]),
        data=st.data())
 def test_cli_fuzz_exits_0_or_2(tmp_path_factory, case, field, data):
