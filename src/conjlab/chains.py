@@ -236,9 +236,18 @@ class ChainSpec:
             return self.prefix[idx]
         return self.repeat[(idx - len(self.prefix)) % len(self.repeat)]
 
-    def n_at(self, level: int) -> int:
+    def n_at(self, level: int, cap: int | None = None) -> int:
+        """The rank n at a level.  No map shrinks n, and one keeps it exactly
+        when l + r = 1 and z = 0, so a repeat block of such maps fixes n past
+        the prefix and any other grows n with every period.  The walk skips
+        a fixed repeat and, given ``cap``, stops at the first n above cap:
+        that result only bounds the n of the level from below."""
         n = self.n1
+        if all(s.l + s.r == 1 and s.z == 0 for s in self.repeat):
+            level = min(level, len(self.prefix) + 1)
         for i in range(1, level):
+            if cap is not None and n > cap:
+                break
             s = self.signature_at(i)
             if self.letter == "A":
                 n = (s.l + s.r) * n + s.z
@@ -253,6 +262,17 @@ class ChainSpec:
 
     def ambient_at(self, level: int) -> int:
         return self.group_at(level).ambient
+
+    def group_for(self, level: int, M: Matrix) -> GroupType:
+        """The group at a level, after checking that M is square of the
+        level's ambient size.  The size walk stops once it passes the size
+        of M, so any level answers at once."""
+        gt = GroupType(self.letter, self.n_at(level, cap=M.rows))
+        if gt.ambient != M.rows or not M.is_square:
+            N = gt.ambient
+            want = f"{N}x{N} matrices" if N <= M.rows else f"matrices larger than {M.rows}x{M.rows}"
+            raise MatrixError(f"level {level} has {want}, not {M.rows}x{M.cols}")
+        return gt
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +391,7 @@ def _embed_b_h(g: Matrix, n: int, l: int) -> Matrix:
 
 def embed_group(chain: ChainSpec, i: int, g: Matrix) -> Matrix:
     """Embed a level-i group element into the level-(i+1) group; verified."""
-    gt = chain.group_at(i)
+    gt = chain.group_for(i, g)
     if not group_membership(gt, g):
         raise ChainError("element is not in the level-i group")
     s = chain.signature_at(i)
@@ -493,10 +513,8 @@ def _h_projection_instructions(n: int, l: int):
 
 def project_dual(chain: ChainSpec, i: int, M: Matrix) -> Matrix:
     """Apply the dual projection to a level-(i+1) representative."""
-    N_in = chain.ambient_at(i + 1)
+    chain.group_for(i + 1, M)
     N_out = chain.ambient_at(i)
-    if M.rows != N_in or not M.is_square:
-        raise MatrixError(f"expected a {N_in}x{N_in} representative")
     f = M.field
     ent = [[f.zero] * N_out for _ in range(N_out)]
     for sg, (sr, sc), (dr, dc) in dual_projection_instructions(chain, i):

@@ -273,7 +273,11 @@ def _dispatch(args) -> int:
         _emit(args, report.to_json())
         return 0 if report.ok else 1
     elif verb == "suite":
-        config = _load(args.config) if args.config else None
+        config = None  # the default suite
+        if args.config is not None:
+            config = _load(args.config)
+            if not isinstance(config, list):
+                raise ValueError("suite config JSON must be an array of entries")
         reports = run_suite(config, args.seed)
         _emit(args, {"reports": [r.to_json() for r in reports],
                      "ok": all(r.ok for r in reports)})

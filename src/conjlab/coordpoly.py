@@ -198,8 +198,61 @@ class CoordPoly:
 
 
 # ---------------------------------------------------------------------------
-# Structured symbolic matrices and evaluation
+# Matrices of polynomials, structured symbolic matrices and evaluation
 # ---------------------------------------------------------------------------
+
+def linear_combination(ctx: PolyContext, field, pairs) -> CoordPoly:
+    """sum c * p over the (scalar c, CoordPoly p) pairs: zero scalars are
+    skipped, the terms summed into one dict and normalized once."""
+    d: dict = {}
+    for c, p in pairs:
+        if not field.is_zero(c):
+            for mono, coef in p.terms:
+                d[mono] = field.add(d.get(mono, field.zero), field.mul(c, coef))
+    return CoordPoly._normalize(ctx, field, d)
+
+
+class PolyGrid:
+    """A matrix of CoordPoly entries with the block vocabulary of Matrix:
+    ``entry``, ``block``, ``transpose``, ``+``, ``-``, ``scale``, and ``@`` by
+    a scalar Matrix on either side, through :func:`linear_combination`."""
+
+    def __init__(self, polys):
+        self.polys = [list(row) for row in polys]
+        self.rows, self.cols = len(self.polys), len(self.polys[0]) if self.polys else 0
+
+    def entry(self, i, j) -> CoordPoly:
+        return self.polys[i][j]
+
+    def block(self, r0, r1, c0, c1) -> "PolyGrid":
+        return PolyGrid([row[c0:c1] for row in self.polys[r0:r1]])
+
+    def transpose(self) -> "PolyGrid":
+        return PolyGrid(zip(*self.polys))
+
+    def __add__(self, other: "PolyGrid") -> "PolyGrid":
+        return PolyGrid([[x + y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)])
+
+    def __sub__(self, other: "PolyGrid") -> "PolyGrid":
+        return PolyGrid([[x - y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)])
+
+    def scale(self, c) -> "PolyGrid":
+        return PolyGrid([[x.scale(c) for x in row] for row in self.polys])
+
+    def __matmul__(self, B) -> "PolyGrid":
+        if not isinstance(B, Matrix):
+            return NotImplemented
+        return (B.transpose() @ self.transpose()).transpose()
+
+    def __rmatmul__(self, A) -> "PolyGrid":
+        if not isinstance(A, Matrix):
+            return NotImplemented
+        if A.cols != self.rows:
+            raise PolyError("shape mismatch in @")
+        p, cols = self.polys[0][0], list(zip(*self.polys))
+        return PolyGrid([[linear_combination(p.context, p.field, zip(A.row_list(i), col))
+                          for col in cols] for i in range(A.rows)])
+
 
 def pos_of_var(ctx: PolyContext, var) -> tuple[int, int]:
     """Ambient (row, col) of the canonical variable in the structured matrix."""
@@ -268,9 +321,9 @@ def ambient_entry_poly(ctx: PolyContext, field, r: int, c: int) -> CoordPoly:
     return -combo([(1, ("p", c - n, r - n))])
 
 
-def symbolic_matrix(ctx: PolyContext, field):
+def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
     N = ctx.ambient
-    return [[ambient_entry_poly(ctx, field, r, c) for c in range(N)] for r in range(N)]
+    return PolyGrid([[ambient_entry_poly(ctx, field, r, c) for c in range(N)] for r in range(N)])
 
 
 def _check_point_shapes(ctx: PolyContext, point: dict):
@@ -317,25 +370,6 @@ def evaluate(f: CoordPoly, point: dict):
 # Group action on polynomials
 # ---------------------------------------------------------------------------
 
-def conjugate_grid(g: Matrix, grid, g_inv: Matrix):
-    """g . grid . g_inv for scalar matrices g, g_inv and a square polynomial grid."""
-    f = grid[0][0].field
-    zero = CoordPoly.zero(grid[0][0].context, f)
-    N = len(grid)
-
-    def combine(pairs):
-        acc = zero
-        for c, p in pairs:
-            if not f.is_zero(c):
-                acc = acc + p.scale(c)
-        return acc
-
-    left = [[combine((g.entry(i, t), grid[t][j]) for t in range(N)) for j in range(N)]
-            for i in range(N)]
-    return [[combine((g_inv.entry(t, j), left[i][t]) for t in range(N)) for j in range(N)]
-            for i in range(N)]
-
-
 def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
     """(g . f)(X) = f(g^{-1} X g), re-expressed in canonical variables.
 
@@ -348,16 +382,12 @@ def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
     if ctx.kind == "gl":
         if not (g.field == f.field):
             raise PolyError("field mismatch")
-        gi = inverse(g)
     else:
         gt = GroupType(ctx.kind, ctx.n)
         if not group_membership(gt, g):
             raise PolyError(f"conjugator is not in the type {ctx.kind} group")
-        gi = inverse(g)
-    X = symbolic_matrix(ctx, f.field)
-    Y = conjugate_grid(gi, X, g)
-    mapping = {var: Y[pos_of_var(ctx, var)[0]][pos_of_var(ctx, var)[1]]
-               for var in f.variables()}
+    Y = inverse(g) @ symbolic_matrix(ctx, f.field) @ g
+    mapping = {var: Y.entry(*pos_of_var(ctx, var)) for var in f.variables()}
     return f.substitute(mapping)
 
 
@@ -450,13 +480,8 @@ def vandermonde_coefficients(family_fn, degree_bound: int, sample_points) -> lis
     d = degree_bound
     V = Matrix.from_rows(fld, [[_pow(fld, lam, j) for j in range(d + 1)] for lam in pts])
     Vi = inverse(V)
-    out = []
-    for j in range(d + 1):
-        acc = CoordPoly.zero(values[0].context, fld)
-        for i in range(d + 1):
-            acc = acc + values[i].scale(Vi.entry(j, i))
-        out.append(acc)
-    return out
+    return [linear_combination(values[0].context, fld, zip(Vi.row_list(j), values))
+            for j in range(d + 1)]
 
 
 def _pow(fld, x, e):

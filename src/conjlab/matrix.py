@@ -173,6 +173,8 @@ class Matrix:
         return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented  # e.g. a coordpoly.PolyGrid, through its __rmatmul__
         self._chk(other)
         if self.cols != other.rows:
             raise MatrixError("shape mismatch in @")

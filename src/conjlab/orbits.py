@@ -348,10 +348,8 @@ def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix, k: int | None = None) -
     if chain.letter != "A" or s.l + s.r < 2:
         raise ChainError("needs a type A chain with l + r >= 2 at this level")
     f = P.field
-    N = chain.ambient_at(i + 1)
+    N = chain.group_for(i + 1, P).ambient
     m = chain.n_at(i)
-    if P.rows != N:
-        raise MatrixError(f"P must be a level-{i + 1} representative ({N}x{N})")
     kP = tuple_rank_identity(P)
     if k is None:
         k = kP

@@ -31,8 +31,8 @@ from .chains import (
     random_group_element,
     random_sym_or_skew,
 )
-from .coordpoly import CoordPoly, PolyContext, conjugate_grid, poly_format, symbolic_matrix
-from .fields import GF, QQ, field_from_name
+from .coordpoly import CoordPoly, PolyContext, PolyGrid, poly_format, symbolic_matrix
+from .fields import GF, QQ, field_from_name, integral
 from .graphs import ReductionCertificate, char2_gamma, incidence_rank_check, reduce_graph, replay
 from .matrix import Matrix, inverse, random_matrix, rank, rank_and_rref
 from .pencil import BudgetExceeded
@@ -222,38 +222,6 @@ _QQ = QQ()
 _LAMBDAS = [Fraction(v) for v in range(4)]  # past the degree 2 in lambda of every identity
 
 
-class _Grid:
-    """A matrix of CoordPoly entries with the block vocabulary of Matrix:
-    ``block``, ``+``, ``-``, ``scale``, and ``@`` by a scalar Matrix.  Each
-    identity below is written once in that vocabulary and evaluated on a
-    symbolic grid and on an integer Matrix alike."""
-
-    def __init__(self, g):
-        self.g = g
-        self.rows, self.cols = len(g), len(g[0]) if g else 0
-
-    def entry(self, i, j):
-        return self.g[i][j]
-
-    def block(self, r0, r1, c0, c1):
-        return _Grid([row[c0:c1] for row in self.g[r0:r1]])
-
-    def __add__(self, other):
-        return _Grid([[x + y for x, y in zip(a, b)] for a, b in zip(self.g, other.g)])
-
-    def __sub__(self, other):
-        return _Grid([[x - y for x, y in zip(a, b)] for a, b in zip(self.g, other.g)])
-
-    def scale(self, c):
-        return _Grid([[x.scale(c) for x in row] for row in self.g])
-
-    def __matmul__(self, B: Matrix):
-        zero = CoordPoly.zero(self.g[0][0].context, B.field)
-        return _Grid([[sum((x.scale(B.entry(e, c)) for e, x in enumerate(row)
-                            if not B.field.is_zero(B.entry(e, c))), zero)
-                       for c in range(B.cols)] for row in self.g])
-
-
 def _split(T, rows, cols=None):
     """T cut into a grid of blocks with the given row and column sizes."""
     r = list(accumulate(rows, initial=0))
@@ -273,7 +241,7 @@ def _anti_sum(B):
 
 def _mismatches(tag, lam, got, want):
     """(tag, lam, i, j, got, want) at every entry where got and want differ."""
-    fmt = poly_format if isinstance(got, _Grid) else got.field.format
+    fmt = poly_format if isinstance(got, PolyGrid) else got.field.format
     return [(tag, lam, i, j, fmt(got.entry(i, j)), fmt(want.entry(i, j)))
             for i in range(got.rows) for j in range(got.cols)
             if got.entry(i, j) != want.entry(i, j)]
@@ -281,14 +249,14 @@ def _mismatches(tag, lam, got, want):
 
 def _run(identities, X, M, element, tamper):
     """Check ``identities(X, Y, lam, tamper) -> [(tag, got, want)]`` at every
-    sample lam, with Y the conjugate of X by ``element(lam)``: on the symbolic
+    sample lam, with Y = A X A^-1 for A = ``element(lam)``: on the symbolic
     grid X, perturbed when ``tamper`` is set, and on the integer matrix M.
     Returns the symbolic and the integer mismatches and the pairs (lam, Y)."""
     sym, gen, conj = [], [], []
     for lam in _LAMBDAS:
         A = element(lam)
         A_inv = inverse(A)
-        Y = _Grid(conjugate_grid(A, X.g, A_inv))
+        Y = A @ X @ A_inv
         conj.append((lam, Y))
         for tag, got, want in identities(X, Y, lam, tamper):
             sym += _mismatches(tag, lam, got, want)
@@ -325,7 +293,7 @@ def _check_gl(l, r, f, m, tamper, rng):
             out.append((tag, Yb[j][j], Xb[j][j] - feed.scale(lam) if j == f else Xb[j][j]))
         return out
 
-    X = _Grid(symbolic_matrix(PolyContext("gl", n), _QQ))
+    X = symbolic_matrix(PolyContext("gl", n), _QQ)
     element = lambda lam: _shift_matrix(n, [(a, f * m + a, 1) for a in range(m)], lam)
     return _run(identities, X, _random_ints(rng, n), element, tamper)[:2]
 
@@ -360,14 +328,14 @@ def _check_cd(kind: str, l, m, tamper, rng):
         assert group_membership(gt, A)
         return A
 
-    X = _Grid(symbolic_matrix(PolyContext(kind, n), _QQ))
+    X = symbolic_matrix(PolyContext(kind, n), _QQ)
     M = algebra_project(gt, _random_ints(rng, 2 * n))
     return _run(identities, X, M, element, tamper)[:2]
 
 
 # -- symbolic H-form matrices (independent coordinates of the odd H-form) ---
 
-def h_symbolic(n: int, l: int):
+def h_symbolic(n: int, l: int) -> PolyGrid:
     """Grid of the H-form algebra with independent entries as p-variables of a
     gl context of the ambient size; dependent entries are signed copies."""
     L = l * (2 * n + 1)
@@ -409,22 +377,16 @@ def h_symbolic(n: int, l: int):
                 grid[ln + a][ln + c] = var(ln + a, ln + c)
             else:
                 grid[ln + a][ln + c] = -var(ln + pa, ln + pc)
-    return ctx, grid
+    return PolyGrid(grid)
 
 
-def _h_check_algebra(n, l, grid):
-    """The symbolic grid satisfies M H + H M^T = 0 identically."""
-    L = l * (2 * n + 1)
-    Hm = h_form_gram(_QQ, n, l)
-    bad = []
-    for i in range(L):
-        for j in range(L):
-            acc = CoordPoly.zero(grid[0][0].context, _QQ)
-            for t in range(L):
-                acc = acc + grid[i][t].scale(Hm.entry(t, j)) + grid[j][t].scale(Hm.entry(i, t))
-            if not acc.is_zero():
-                bad.append((i, j, poly_format(acc)))
-    return bad
+def _h_check_algebra(n, l, X: PolyGrid):
+    """(i, j, S_ij) at every nonzero entry of S = X H + H X^T, which is
+    X H + (X H)^T for the symmetric H; zero for a grid in the algebra."""
+    XH = X @ h_form_gram(_QQ, n, l)
+    S = XH + XH.transpose()
+    return [(i, j, poly_format(S.entry(i, j)))
+            for i in range(S.rows) for j in range(S.cols) if S.entry(i, j)]
 
 
 def _h_setup(n, l, rng):
@@ -432,7 +394,7 @@ def _h_setup(n, l, rng):
     (M - H M^T H) / 2, with H^2 = I."""
     H = h_form_gram(_QQ, n, l)
     raw = _random_ints(rng, l * (2 * n + 1))
-    return _Grid(h_symbolic(n, l)[1]), (raw - H @ raw.transpose() @ H).scale(Fraction(1, 2))
+    return h_symbolic(n, l), (raw - H @ raw.transpose() @ H).scale(Fraction(1, 2))
 
 
 def _h_slots(T, n, l):
@@ -473,7 +435,7 @@ def _check_b1(n, l, tamper, rng):
 
     X, M = _h_setup(n, l, rng)
     sym, gen, _ = _run(identities, X, M, element, tamper)
-    return [("algebra",) + w for w in _h_check_algebra(n, l, X.g)] + sym, gen
+    return [("algebra",) + w for w in _h_check_algebra(n, l, X)] + sym, gen
 
 
 def _b2_mid(l: int, mu: Fraction) -> Matrix:
@@ -715,23 +677,35 @@ def default_suite_config() -> list[dict]:
 
 
 def run_one(entry: dict, seed: int = 0) -> VerificationReport:
+    """The report of one suite entry: a JSON object with a string "lemma";
+    its sizes "n" and "m" and its "trials" are integers (see
+    :func:`fields.integral`).  Any other entry is a ValueError."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("lemma"), str):
+        raise ValueError("a suite entry must be a JSON object with 'lemma' as a string")
     lemma = entry["lemma"]
+
+    def num(key, least, default=None):
+        v = integral(entry.get(key, default))
+        if v is None or v < least:
+            raise ValueError(f"suite entry {lemma!r} needs {key!r} as an integer >= {least}")
+        return v
+
     if lemma == "char2a":
-        return verify_char2("a", field_from_name(entry["field"]), entry["n"],
-                            entry.get("mode", "enumerate"), entry.get("trials", 0), seed)
+        return verify_char2("a", field_from_name(entry.get("field")), num("n", 1),
+                            entry.get("mode", "enumerate"), num("trials", 0, 0), seed)
     if lemma == "char2b":
-        return verify_char2("b", GF(2), entry["n"], seed=seed)
+        return verify_char2("b", GF(2), num("n", 1), seed=seed)
     if lemma == "commutator":
-        return verify_commutator_scalar(field_from_name(entry["field"]), entry["m"])
+        return verify_commutator_scalar(field_from_name(entry.get("field")), num("m", 1))
     if lemma.startswith("conj-"):
         return verify_conjugation_identity(lemma[5:], tamper=entry.get("tamper", False))
     if lemma.startswith("equivariance"):
-        ch = chain_from_json(entry["chain"])
-        return verify_equivariance(ch, entry.get("trials", 50), seed,
+        ch = chain_from_json(entry.get("chain"))
+        return verify_equivariance(ch, num("trials", 0, 50), seed,
                                    field_from_name(entry.get("field", "gf:7")))
     if lemma.startswith("rankbound-"):
-        return verify_rank_bound_samples(lemma[10:], entry["n"], entry["m"],
-                                         entry.get("trials", 20), seed,
+        return verify_rank_bound_samples(lemma[10:], num("n", 1), num("m", 0),
+                                         num("trials", 0, 20), seed,
                                          field_from_name(entry.get("field", "gf:7")))
     raise ValueError(f"unknown lemma id {lemma!r}")
 

@@ -367,3 +367,42 @@ def test_size_recursions():
     assert ChainSpec.make("A", 2, [], [(2, 1, 1)]).n_at(3) == 22
     assert ChainSpec.make("C", 1, [], [(2, 0, 1)]).n_at(2) == 3
     assert ChainSpec.make("B", 1, [], [(3, 0, 2)]).n_at(2) == 5  # 2*5+1 = 3*3 + 2
+
+
+def _walked_n(ch, level):
+    """n at a level by applying every map below it in turn."""
+    n = ch.n1
+    for i in range(1, level):
+        s = ch.signature_at(i)
+        n = {"A": (s.l + s.r) * n + s.z, "C": s.l * n + s.z, "D": s.l * n + s.z,
+             "B": (s.l * (2 * n + 1) + s.z - 1) // 2}[ch.letter]
+    return n
+
+
+def test_n_at_skips_fixed_repeats_and_stops_past_cap():
+    chains = CHAINS + [
+        ChainSpec.make("A", 3, [(2, 0, 1), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)]),
+        ChainSpec.make("C", 2, [(2, 0, 0)], [(1, 0, 0)]),
+        ChainSpec.make("B", 1, [(3, 0, 0)], [(1, 0, 0)]),
+        ChainSpec.make("D", 2, [], [(1, 0, 0), (1, 0, 2)]),
+    ]
+    for ch in chains:
+        for level in range(0, 9):
+            n = _walked_n(ch, level)
+            assert ch.n_at(level) == n
+            for cap in (1, 3, 10, 100):
+                got = ch.n_at(level, cap)
+                assert got == n if n <= cap else cap < got <= n
+    # a repeat that fixes n answers for any level; one that grows stops at the cap
+    assert chains[-4].n_at(10**18) == _walked_n(chains[-4], 3) == 7
+    assert CHAINS[0].n_at(10**18, cap=100) == _walked_n(CHAINS[0], 7) == 191
+
+
+def test_group_for_rejects_sizes_past_the_level():
+    ch = ChainSpec.make("A", 2, [], [(1, 1, 0)])
+    M = Matrix.identity(QQ_, 4)
+    assert ch.group_for(2, M) == GroupType("A", 4)
+    with pytest.raises(ValueError, match="level 1 has 2x2 matrices, not 4x4"):
+        ch.group_for(1, M)
+    with pytest.raises(ValueError, match="level 1000000000000000000 has matrices larger than 4x4"):
+        ch.group_for(10**18, M)

@@ -112,6 +112,11 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
                           '"matrix":{"rows":[["1"]]},"level":"2"}'),
     (["lift-tuple-rank"], '{"chain":{"type":"A","n1":2,"repeat":[[1,1,0]]},'
                           '"matrix":{"rows":[["1"]]},"level":1.5}'),
+    (["suite", "--config", "-"], "[1]"),
+    (["suite", "--config", "-"], '[{"lemma": 5}]'),
+    (["suite", "--config", "-"], '[{"lemma": "char2b", "n": [3]}]'),
+    (["suite", "--config", "-"], "null"),
+    (["suite", "--config", "-"], '{"lemma": "char2b", "n": 3}'),
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
@@ -308,6 +313,24 @@ def test_chain_embed_and_trace(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"trace": "1"}
 
 
+@pytest.mark.parametrize("verb", [["lift-tuple-rank"], ["chain", "project"], ["chain", "embed"]])
+@pytest.mark.parametrize("level", [10**5, 10**18])
+def test_chain_verbs_answer_any_level_at_once(capsys, monkeypatch, verb, level):
+    """A growing chain has no 2x2 matrices at a huge level: exit 2 at once.
+    A repeat of identity maps keeps n, so project answers at any level."""
+    matrix = {"field": "qq", "rows": [["1", "0"], ["0", "2"]]}
+    for repeat, want in (([[1, 1, 0]], 2), ([[1, 0, 0]], 0 if verb[-1] == "project" else 2)):
+        doc = {"chain": {"type": "A", "n1": 2, "repeat": repeat}, "matrix": matrix}
+        argv = verb + ["--level", str(level)]
+        if verb == ["lift-tuple-rank"]:
+            doc["level"], argv = level, verb
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert time.perf_counter() - t0 < 0.5 and code == want, (repeat, code)
+        if want == 0:
+            assert json.loads(out) == matrix
+
+
 def test_raise_rank_verb(tmp_path, capsys):
     e11 = {"field": "qq", "rows": [["1" if (i, j) == (0, 0) else "0" for j in range(6)]
                                    for i in range(6)]}
@@ -424,6 +447,11 @@ _VERB_DOCS = [(verb, _MATRIX) for verb in _MATRIX_VERBS] + [
     *[(["descriptor", op, "-"], st.fixed_dictionaries({"k": _INT, "exceptional": st.lists(
         st.fixed_dictionaries({"lambda": _ENTRY, "bound": _INT}), max_size=2)}))
       for op in ("union", "intersect", "contains", "canon")],
+    # lemmas that pass at every small size they accept, so a run exits 0 or 2
+    (["suite", "--config", "-"], st.lists(st.one_of(_SCALAR, st.fixed_dictionaries(
+        {"lemma": st.one_of(st.sampled_from(["char2a", "char2b", "conj-2", "x"]), _SCALAR)},
+        optional={"n": _INT, "trials": _INT, "field": st.sampled_from(["gf:3", "gf:5", 5])})),
+        max_size=2)),
 ]
 
 

@@ -3,20 +3,23 @@ import random
 import pytest
 from fractions import Fraction
 
-from conjlab.chains import ChainSpec, GroupType, random_group_element
+from conjlab.chains import ChainSpec, GroupType, random_algebra_element, random_group_element
 from conjlab.coordpoly import (
     DEG,
     GRAD,
     CoordPoly,
     PolyContext,
     PolyError,
+    PolyGrid,
     evaluate,
     graded_part,
     group_act,
+    linear_combination,
     off_diagonal_test,
     poly_format,
     poly_parse,
     pullback_projection,
+    symbolic_matrix,
     vandermonde_coefficients,
 )
 from conjlab.fields import GF, QQ
@@ -300,3 +303,52 @@ def test_parse_format_roundtrip(rng):
         assert poly_parse(poly_format(f), GL3, G5) == f
     assert poly_format(poly_parse("3*p[1,2]*q[2,3] - 1/2*w[4]", B4, QQ_)) \
         == "3*p[1,2]*q[2,3] - 1/2*w[4]"
+
+
+def test_linear_combination_is_the_sum_of_scaled_terms(rng):
+    for _ in range(10):
+        polys = [rand_gl_poly(GL3, G7, rng) for _ in range(4)]
+        cs = [rng.randrange(7) for _ in polys]
+        want = CoordPoly.zero(GL3, G7)
+        for c, p in zip(cs, polys):
+            want = want + p.scale(c)
+        assert linear_combination(GL3, G7, zip(cs, polys)) == want
+    assert linear_combination(GL3, G7, []) == CoordPoly.zero(GL3, G7)
+
+
+def test_polygrid_conjugate_evaluates_to_the_matrix_conjugate(rng):
+    """Entry by entry, A X A^-1 of the symbolic matrix evaluated at the blocks
+    of M is A M A^-1, on gl, C and D contexts; A need not preserve a form."""
+    for kind, n in (("gl", 3), ("C", 2), ("D", 2)):
+        ctx = PolyContext(kind, n)
+        X = symbolic_matrix(ctx, G7)
+        assert isinstance(X, PolyGrid) and (X.rows, X.cols) == (ctx.ambient, ctx.ambient)
+        for _ in range(3):
+            A = random_invertible(ctx.ambient, G7, rng)
+            if kind == "gl":
+                M = random_matrix(n, n, G7, rng)
+                point = {"p": M}
+            else:
+                M = random_algebra_element(GroupType(kind, n), G7, rng)
+                point = {"p": M.block(0, n, 0, n), "q": M.block(0, n, n, 2 * n),
+                         "r": M.block(n, 2 * n, 0, n)}
+            Y, want = A @ X @ inverse(A), A @ M @ inverse(A)
+            assert isinstance(Y, PolyGrid)
+            for i in range(ctx.ambient):
+                for j in range(ctx.ambient):
+                    assert evaluate(Y.entry(i, j), point) == want.entry(i, j)
+
+
+def test_matrix_times_polygrid_is_a_polygrid():
+    X = symbolic_matrix(GL2, QQ_)
+    swap = Matrix.from_rows(QQ_, [[0, 1], [1, 0]])
+    Y = swap @ X
+    assert isinstance(Y, PolyGrid)
+    assert [[poly_format(Y.entry(i, j)) for j in range(2)] for i in range(2)] == \
+        [["p[2,1]", "p[2,2]"], ["p[1,1]", "p[1,2]"]]
+    assert (X @ swap).entry(0, 0) == V(GL2, QQ_, "p", 1, 2)
+    assert X.transpose().entry(0, 1) == V(GL2, QQ_, "p", 2, 1)
+    with pytest.raises(PolyError):
+        Matrix.identity(QQ_, 3) @ X
+    with pytest.raises(TypeError):
+        X @ 2

@@ -4,12 +4,11 @@ import pytest
 
 from conftest import char2a_oracle, commutator_oracle
 from conjlab.chains import ChainSpec
-from conjlab.coordpoly import PolyContext, symbolic_matrix
+from conjlab.coordpoly import PolyContext, PolyGrid, symbolic_matrix
 from conjlab.fields import GF, QQ
 from conjlab.matrix import Matrix, inverse, random_matrix, rank
 from conjlab.pencil import BudgetExceeded
 from conjlab.verify import (
-    _Grid,
     _char2a_units,
     _commutator_units,
     _first_uncovered,
@@ -206,7 +205,7 @@ def test_false_identity_fails_in_both_runs():
     # Y = X is false for a nontrivial shear: the symbolic grid and the integer
     # matrix both report it, entry by entry, at every lam but 0
     n = 2
-    X = _Grid(symbolic_matrix(PolyContext("gl", n), QQ()))
+    X = symbolic_matrix(PolyContext("gl", n), QQ())
     M = Matrix.from_rows(QQ(), [[1, 2], [3, 5]])
     element = lambda lam: _shift_matrix(n, [(0, 1, 1)], lam)
     same = lambda X, Y, lam, tamper: [("Y=X", Y.block(0, 1, 0, 2), X.block(0, 1, 0, 2))]
@@ -227,8 +226,17 @@ def test_false_identity_fails_in_both_runs():
 
 def test_h_symbolic_satisfies_algebra():
     from conjlab.verify import _h_check_algebra
-    ctx, grid = h_symbolic(1, 3)
-    assert _h_check_algebra(1, 3, grid) == []
+    assert _h_check_algebra(1, 3, h_symbolic(1, 3)) == []
+
+
+def test_h_check_algebra_reports_a_perturbed_entry():
+    # doubling X[0][1] = p[1,2] adds p[1,2] E_01 to X; S = X H + (X H)^T then
+    # gains p[1,2] at (0, 7) and (7, 0), since H maps index 1 to index 7
+    from conjlab.verify import _h_check_algebra
+    X = h_symbolic(1, 3)
+    polys = [row[:] for row in X.polys]
+    polys[0][1] = polys[0][1] + polys[0][1]
+    assert _h_check_algebra(1, 3, PolyGrid(polys)) == [(0, 7, "p[1,2]"), (7, 0, "p[1,2]")]
 
 
 def test_equivariance():
