@@ -10,7 +10,8 @@ Forms are the split ones with (anti-)identity blocks:
 
 A dual projection is encoded as a list of signed entry moves
 (sign, (src_row, src_col), (dst_row, dst_col)); the same instruction list
-drives both the matrix-level projection and the coordinate-ring pullback.
+drives the matrix-level projection, the coordinate-ring pullback and the
+group embedding, whose block layout it states once.
 """
 
 from __future__ import annotations
@@ -279,38 +280,8 @@ class ChainSpec:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-def _b_split(g: Matrix, n: int):
-    N = 2 * n + 1
-    assert g.rows == N
-    return {
-        "A": g.block(0, n, 0, n), "al": g.block(0, n, n, n + 1), "B": g.block(0, n, n + 1, N),
-        "be": g.block(n, n + 1, 0, n), "mu": g.block(n, n + 1, n, n + 1), "ga": g.block(n, n + 1, n + 1, N),
-        "C": g.block(n + 1, N, 0, n), "de": g.block(n + 1, N, n, n + 1), "D": g.block(n + 1, N, n + 1, N),
-    }
-
-
-def _embed_b_1z(g: Matrix, n: int, zh: int) -> Matrix:
-    """Odd orthogonal insertion with signature (1, 2*zh)."""
-    f = g.field
-    p = _b_split(g, n)
-    Iz = Matrix.identity(f, zh)
-
-    def Z(r, c):
-        return Matrix.zeros(f, r, c)
-
-    return Matrix.from_blocks([
-        [p["A"], Z(n, zh), p["al"], p["B"], Z(n, zh)],
-        [Z(zh, n), Iz, Z(zh, 1), Z(zh, n), Z(zh, zh)],
-        [p["be"], Z(1, zh), p["mu"], p["ga"], Z(1, zh)],
-        [p["C"], Z(n, zh), p["de"], p["D"], Z(n, zh)],
-        [Z(zh, n), Z(zh, zh), Z(zh, 1), Z(zh, n), Iz],
-    ])
-
-
 def h_form_permutation(field, n: int, l: int) -> Matrix:
     """Permutation P with P (H-form gram matrix) P^T equal to the standard odd form."""
-    k = (l - 1) // 2
-    ln = l * n
     L = l * (2 * n + 1)
     sigma = _h_sigma(n, l)
     ent = [[field.zero] * L for _ in range(L)]
@@ -361,69 +332,26 @@ def h_algebra_membership(field, n: int, l: int, M: Matrix) -> bool:
     return (M @ H + H @ M.transpose()).is_zero()
 
 
-def _embed_b_h(g: Matrix, n: int, l: int) -> Matrix:
-    """Odd orthogonal embedding of signature (l, 0), l odd, via the H-form."""
-    f = g.field
-    p = _b_split(g, n)
-    ln = l * n
-    L = l * (2 * n + 1)
-    ent = [[f.zero] * L for _ in range(L)]
-
-    def put(block: Matrix, r0: int, c0: int):
-        for i in range(block.rows):
-            for j in range(block.cols):
-                ent[r0 + i][c0 + j] = block.entry(i, j)
-
-    for a in range(l):
-        put(p["A"], a * n, a * n)
-        put(p["al"], a * n, ln + a)
-        put(p["B"], a * n, ln + l + (l - 1 - a) * n)
-        put(p["be"], ln + a, a * n)
-        put(p["mu"], ln + a, ln + a)
-        put(p["ga"], ln + a, ln + l + (l - 1 - a) * n)
-        put(p["C"], ln + l + a * n, (l - 1 - a) * n)
-        put(p["de"], ln + l + a * n, ln + (l - 1 - a))
-        put(p["D"], ln + l + a * n, ln + l + a * n)
-    M_h = Matrix.from_rows(f, ent)
-    P = h_form_permutation(f, n, l)
-    return P @ M_h @ P.transpose()
-
-
 def embed_group(chain: ChainSpec, i: int, g: Matrix) -> Matrix:
-    """Embed a level-i group element into the level-(i+1) group; verified."""
+    """Embed a level-i group element into the level-(i+1) group; verified.
+
+    The dual projection is the transpose of the embedding's differential,
+    so the embedding is read off the projection's moves: a move
+    (sign, (sr, sc), (dr, dc)) puts entry (dr, dc) of g at (sr, sc).  The
+    sign -1 marks only type A's r blocks, which carry the contragredient
+    g^{-T} with differential -X^T; those moves read from inverse(g).  The
+    positions no move writes hold the identity on the z coordinates.
+    """
     gt = chain.group_for(i, g)
     if not group_membership(gt, g):
         raise ChainError("element is not in the level-i group")
-    s = chain.signature_at(i)
     f = g.field
-    n = gt.n
-    if chain.letter == "A":
-        blocks = [g] * s.l + [inverse(g).transpose()] * s.r
-        if s.z:
-            blocks.append(Matrix.identity(f, s.z))
-        out = Matrix.diag_blocks(blocks)
-    elif chain.letter in "CD":
-        A = g.block(0, n, 0, n)
-        B = g.block(0, n, n, 2 * n)
-        C = g.block(n, 2 * n, 0, n)
-        D = g.block(n, 2 * n, n, 2 * n)
-        Iz = Matrix.identity(f, s.z)
-        Zz = Matrix.zeros(f, s.z)
-        tl = Matrix.diag_blocks([A] * s.l + ([Iz] if s.z else []))
-        tr = Matrix.diag_blocks([B] * s.l + ([Zz] if s.z else []))
-        bl = Matrix.diag_blocks([C] * s.l + ([Zz] if s.z else []))
-        br = Matrix.diag_blocks([D] * s.l + ([Iz] if s.z else []))
-        out = Matrix.from_blocks([[tl, tr], [bl, br]])
-    else:
-        if s.l == 1:
-            out = _embed_b_1z(g, n, s.z // 2)
-        else:
-            mid = _embed_b_h(g, n, s.l)
-            if s.z:
-                n_mid = (s.l * (2 * n + 1) - 1) // 2
-                out = _embed_b_1z(mid, n_mid, s.z // 2)
-            else:
-                out = mid
+    N = chain.ambient_at(i + 1)
+    source = {1: g, -1: inverse(g) if chain.signature_at(i).r else None}
+    ent = list(Matrix.identity(f, N).entries)
+    for sg, (sr, sc), (dr, dc) in dual_projection_instructions(chain, i):
+        ent[sr * N + sc] = source[sg].entry(dr, dc)
+    out = Matrix(f, N, N, tuple(ent))
     assert group_membership(chain.group_at(i + 1), out)
     return out
 

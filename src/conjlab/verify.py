@@ -569,6 +569,15 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
     field = field or GF(7)
     params = {"lemma": lemma, "n": n, "m": m, "trials": trials, "seed": seed,
               "field": field.name}
+    # the sampled block is symmetric n x n (sp), skew n x n (od) or skew
+    # 3n x 3n (b), so no draw exceeds a bound at or above its largest rank
+    bound = 2 * m if lemma == "od" else m
+    most = {"sp": n, "od": 2 * (n // 2), "b": 2 * (3 * n // 2)}.get(lemma)
+    if most is None:
+        raise ValueError(f"unknown rank-bound lemma {lemma!r}")
+    if bound >= most:
+        raise ValueError(f"rankbound-{lemma} with n = {n} never exceeds the bound {bound}: "
+                         f"the sampled block has rank at most {most}")
     rng = _rng_for(seed, f"rankbound-{lemma}")
     hits = 0
     misses = []
@@ -576,7 +585,6 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
         if lemma in ("sp", "od"):
             skew = lemma == "od"
             gt = GroupType("C" if lemma == "sp" else "D", n)
-            bound = m if lemma == "sp" else 2 * m
             while True:
                 P = random_matrix(n, n, field, rng)
                 Q = random_sym_or_skew(field, n, rng, skew)
@@ -603,7 +611,7 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
                 hits += 1
             else:
                 misses.append({"trial": trial})
-        elif lemma == "b":
+        else:
             l = 3
             ln = l * n
             L = l * (2 * n + 1)
@@ -612,7 +620,7 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
                 raw = random_matrix(L, L, field, rng)
                 half = field.inv(field.coerce(2))
                 M = (raw - Hg @ raw.transpose() @ Hg).scale(half)
-                if rank(M.block(ln + l, L, 0, ln)) > m:
+                if rank(M.block(ln + l, L, 0, ln)) > bound:
                     break
             cands = [Matrix.identity(field, L), Hg]
             for _ in range(4):
@@ -635,15 +643,13 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
                 Rblk = Mc.block(ln + l, L, 0, ln)
                 Wblk = Mc.block(ln + l, L, ln, ln + l)
                 two = Wblk.submatrix(range(ln), [0, l - 1])
-                if rank(Rblk) > m and rank(two) == 2:
+                if rank(Rblk) > bound and rank(two) == 2:
                     found = g
                     break
             if found is not None:
                 hits += 1
             else:
                 misses.append({"trial": trial})
-        else:
-            raise ValueError(f"unknown rank-bound lemma {lemma!r}")
     rate = hits / trials if trials else 1.0
     verdict = "statistical-pass" if rate >= 0.95 else "fail"
     return _report(f"rankbound-{lemma}", params, verdict,

@@ -91,14 +91,78 @@ def test_random_algebra_elements(rng):
     assert algebra_membership(GroupType("A", 3), random_algebra_element(GroupType("A", 3), QQ_, rng))
 
 
-def test_embed_doubling_example():
-    ch = ChainSpec.make("A", 2, [], [(2, 0, 0)])
-    g = Matrix.from_rows(QQ_, [[0, 1], [-1, 0]])
-    assert embed_group(ch, 1, g) == Matrix.diag_blocks([g, g])
+# chains whose embeddings are checked as homomorphisms and for equivariance,
+# beyond CHAINS: several r and z blocks, l = 3, and l = 5 and z = 4 in type B
+EMBED_CHAINS = CHAINS + [
+    ChainSpec.make("A", 2, [], [(1, 2, 3)]),
+    ChainSpec.make("C", 1, [], [(3, 0, 2)]),
+    ChainSpec.make("D", 2, [], [(3, 0, 0)]),
+    ChainSpec.make("B", 1, [], [(5, 0, 0)]),
+    ChainSpec.make("B", 1, [], [(1, 0, 4)]),
+]
+
+
+def _cd_layout(g):
+    """(2, 0, 1) on [[A, B], [C, D]]: two copies of each n x n block and a
+    hyperbolic pair whose one part is the identity."""
+    f, n = g.field, g.rows // 2
+    A, B, C, D = (g.block(r, r + n, c, c + n) for r in (0, n) for c in (0, n))
+    one, zero = Matrix.identity(f, 1), Matrix.zeros(f, 1)
+    return Matrix.from_blocks([
+        [Matrix.diag_blocks([A, A, one]), Matrix.diag_blocks([B, B, zero])],
+        [Matrix.diag_blocks([C, C, zero]), Matrix.diag_blocks([D, D, one])],
+    ])
+
+
+def _b_insert_layout(g):
+    """(1, 0, 2) on the odd form of rank n: psi inserts one new coordinate
+    after each n-block, and g acts as the identity on both."""
+    f, n = g.field, (g.rows - 1) // 2
+    cut = (0, n, n + 1, 2 * n + 1)
+    (A, al, B), (be, mu, ga), (C, de, D) = (
+        [g.block(cut[a], cut[a + 1], cut[b], cut[b + 1]) for b in range(3)] for a in range(3))
+    one = Matrix.identity(f, 1)
+
+    def Z(r, c):
+        return Matrix.zeros(f, r, c)
+
+    return Matrix.from_blocks([
+        [A, Z(n, 1), al, B, Z(n, 1)],
+        [Z(1, n), one, Z(1, 1), Z(1, n), Z(1, 1)],
+        [be, Z(1, 1), mu, ga, Z(1, 1)],
+        [C, Z(n, 1), de, D, Z(n, 1)],
+        [Z(1, n), Z(1, 1), Z(1, 1), Z(1, n), one],
+    ])
+
+
+def _a_layout(g):
+    """(1, 1, 1): g, its contragredient g^{-T}, and a fixed coordinate."""
+    return Matrix.diag_blocks([g, inverse(g).transpose(), Matrix.identity(g.field, 1)])
+
+
+@pytest.mark.parametrize("letter, n1, sig, field, layout", [
+    ("A", 2, (2, 0, 0), QQ_, lambda g: Matrix.diag_blocks([g, g])),
+    ("A", 3, (1, 1, 1), QQ_, _a_layout),
+    ("A", 2, (1, 1, 1), G7, _a_layout),
+    ("C", 2, (2, 0, 1), G7, _cd_layout),
+    ("D", 2, (2, 0, 1), QQ_, _cd_layout),
+    ("B", 1, (1, 0, 2), G7, _b_insert_layout),
+    ("B", 2, (1, 0, 2), QQ_, _b_insert_layout),
+], ids=["A2-doubling", "A3-111-qq", "A2-111-gf7", "C2-201-gf7", "D2-201-qq", "B1-102-gf7",
+        "B2-102-qq"])
+def test_embed_block_layouts(letter, n1, sig, field, layout, rng):
+    chain = ChainSpec.make(letter, n1, [], [sig])
+    gt = chain.group_at(1)
+    for _ in range(5):
+        g = random_group_element(gt, field, rng, 4)
+        assert embed_group(chain, 1, g) == layout(g)
+    if (letter, n1) == ("A", 2):
+        g = Matrix.from_rows(field, [[0, 1], [-1, 0]])
+        assert embed_group(chain, 1, g) == layout(g)
 
 
 def test_embed_homomorphism(rng):
-    for ch in CHAINS:
+    for ch in EMBED_CHAINS:
         gt = ch.group_at(1)
         assert embed_group(ch, 1, Matrix.identity(G7, gt.ambient)) == \
             Matrix.identity(G7, ch.ambient_at(2))
@@ -200,7 +264,7 @@ def _first_copy_lift(ch, target):
 
 
 def test_equivariance_all_types(rng):
-    for ch in CHAINS:
+    for ch in EMBED_CHAINS:
         gt = ch.group_at(1)
         for _ in range(30):
             g = random_group_element(gt, G7, rng, 4)

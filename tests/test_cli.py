@@ -117,6 +117,11 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["suite", "--config", "-"], '[{"lemma": "char2b", "n": [3]}]'),
     (["suite", "--config", "-"], "null"),
     (["suite", "--config", "-"], '{"lemma": "char2b", "n": 3}'),
+    # rank bounds that no sample can exceed
+    (["suite", "--config", "-"], '[{"lemma":"rankbound-sp","n":1,"m":1,"trials":1}]'),
+    (["suite", "--config", "-"], '[{"lemma":"rankbound-od","n":3,"m":1,"trials":1}]'),
+    (["suite", "--config", "-"], '[{"lemma":"rankbound-b","n":1,"m":2,"trials":1}]'),
+    (["suite", "--config", "-"], '[{"lemma":"rankbound-zz","n":2,"m":1,"trials":0}]'),
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),

@@ -271,6 +271,24 @@ def test_rank_bound_verifiers():
         assert r.witnesses[0]["witness_rate"] >= 0.95
 
 
+@pytest.mark.parametrize("lemma, n, m", [
+    ("sp", 1, 1), ("sp", 3, 3), ("sp", 2, 5),
+    ("od", 3, 1), ("od", 4, 2), ("od", 1, 0),
+    ("b", 1, 2), ("b", 2, 6),
+])
+def test_rank_bound_that_no_sample_exceeds_is_refused(lemma, n, m):
+    # the sampled block is symmetric n x n (sp: rank <= n), skew n x n
+    # (od: rank <= 2 floor(n/2) against the bound 2m) or skew 3n x 3n
+    # (b: rank <= 2 floor(3n/2)); the search would redraw forever
+    with pytest.raises(ValueError, match="never exceeds the bound"):
+        verify_rank_bound_samples(lemma, n, m, trials=1)
+
+
+@pytest.mark.parametrize("lemma, n, m", [("sp", 3, 2), ("od", 5, 1), ("b", 1, 1)])
+def test_rank_bound_just_below_the_largest_rank_runs(lemma, n, m):
+    assert verify_rank_bound_samples(lemma, n, m, trials=2, seed=0).verdict == "statistical-pass"
+
+
 def test_od_zero_is_vacuous():
     # the zero matrix never violates the bound; the sampler skips it by
     # construction, so just check the predicate directly
