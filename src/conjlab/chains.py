@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError, integral
+from .fields import FieldError, integral, is_prime
 from .matrix import Matrix, MatrixError, det, inverse, random_invertible, random_matrix
 
 
@@ -597,6 +597,9 @@ def _eventually_divisible(chain: ChainSpec, char: int) -> bool:
 def classify_case(chain: ChainSpec, char: int) -> CaseTag:
     if chain.letter != "A":
         raise ChainError("case classification applies to type A chains")
+    # the bound of GF keeps the trial division of is_prime short
+    if not (char == 0 or (char < 2**31 and is_prime(char))):
+        raise ChainError(f"char must be 0 or a prime below 2^31, got {char}")
     alpha = _count(chain, lambda s: s.l > 1)
     beta = _count(chain, lambda s: s.r > 0)
     gamma = _count(chain, lambda s: s.z > 0)

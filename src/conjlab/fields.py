@@ -418,7 +418,7 @@ class GF:
     kind = "finite"
 
     def __init__(self, p: int):
-        if not (isinstance(p, int) and is_prime(p) and p < 2**31):
+        if not (isinstance(p, int) and p < 2**31 and is_prime(p)):
             raise FieldError(f"GF modulus must be a prime below 2^31, got {p!r}")
         self.p = p
         self.characteristic = p

@@ -2,10 +2,11 @@
 raising the rank of sums of conjugates, orbit-closure classification, the
 level-raising tuple-rank witness, and exact degeneration curves over QQ(t).
 
-Each construction realizes a block shape by an explicit change of basis
-(greedy, deterministic tie-breaks over the standard basis, with a seeded
-generic fallback) and then corrects with unipotent factors.  Every
-returned witness is verified against its postcondition before returning.
+Each construction realizes a block shape by one explicit change of basis
+(greedy, deterministic tie-breaks over the standard basis) and then corrects
+with unipotent factors.  Only tuple_rank_lift draws random conjugators, from
+a fixed seed.  Every returned witness is verified against its postcondition
+before returning.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ def shape_left(P: Matrix, m: int):
 
     Needs rank(P) <= m and m + rank(P) <= n.  The new basis is (W | Z) with
     Z inside ker P and span(W) meeting im P trivially.
+
+    One greedy pass builds it.  For each pivot j the candidates are e_j and
+    e_j + kv for kv in a basis of ker P, and the first outside the running
+    span S (im P plus the vectors chosen so far) is taken.  No random
+    combination e_j + sum c_i kv_i can do better: if e_j and every e_j + kv
+    lie in S, every kv lies in S, and then so does every such combination.
+    So the pass fails only when ker P fits inside S, which needs
+    n < 3 rank(P); no retry could then succeed, and it raises
+    ConstructionError.
     """
     f = P.field
     n = P.rows
@@ -89,67 +99,40 @@ def shape_left(P: Matrix, m: int):
         raise ConstructionError(f"shape_left needs rank <= m and m + rank <= n (rank {k}, m {m}, n {n})")
     im_cols = [_col(P, c) for c in pivots]
     ker = [_col(K, 0) for K in kernel_basis(P)]
-    rng = random.Random(0)
-    for _attempt in range(50):
-        span = Span(f, n, im_cols)
-        W: list = []
-        ok = True
-        # particular solutions P e_j = (pivot column j), adjusted by kernel vectors
-        for j in pivots:
-            base = [f.one if t == j else f.zero for t in range(n)]
-            adjusts = [[f.zero] * n] + ker
-            chosen = None
-            for t in adjusts:
-                cand = _vec_add(f, base, t)
-                if not span.contains(cand):
-                    chosen = cand
-                    break
-            if chosen is None:
-                # random kernel combinations
-                for _ in range(100):
-                    t = [f.zero] * n
-                    for kv in ker:
-                        c = f.random(rng)
-                        t = _vec_add(f, t, [f.mul(c, x) for x in kv])
-                    cand = _vec_add(f, base, t)
-                    if not span.contains(cand):
-                        chosen = cand
-                        break
-            if chosen is None:
-                ok = False
-                break
-            span.add(chosen)
-            W.append(chosen)
-        if not ok:
-            continue
-        for kv in ker:
-            if len(W) == m:
-                break
-            if not span.contains(kv):
-                span.add(kv)
-                W.append(kv)
-        if len(W) < m:
-            continue
-        # complete with kernel vectors independent of W (and of each other)
-        wspan = Span(f, n, W)
-        Z: list = []
-        for kv in ker:
-            if len(Z) == n - m:
-                break
-            if wspan.add(kv):
-                Z.append(kv)
-        if len(Z) < n - m:
-            continue
-        Mb = Matrix.from_rows(f, [[(W + Z)[j][i] for j in range(n)] for i in range(n)])
-        try:
-            h = inverse(Mb)
-        except MatrixError:
-            continue
-        B = h @ P @ Mb
-        if all(f.is_zero(B.entry(i, j)) for i in range(n) for j in range(m, n)) \
-                and rank(B.block(m, n, 0, m)) == k:
-            return h, B
-    raise ConstructionError("shape_left search failed")
+    failed = ConstructionError("shape_left search failed")
+    span = Span(f, n, im_cols)
+    W: list = []
+    # particular solutions P e_j = (pivot column j), adjusted by kernel vectors
+    for j in pivots:
+        base = [f.one if t == j else f.zero for t in range(n)]
+        cand = next((c for c in [base] + [_vec_add(f, base, kv) for kv in ker]
+                     if not span.contains(c)), None)
+        if cand is None:
+            raise failed
+        span.add(cand)
+        W.append(cand)
+    for kv in ker:
+        if len(W) == m:
+            break
+        if span.add(kv):
+            W.append(kv)
+    if len(W) < m:
+        raise failed
+    # complete with kernel vectors independent of W (and of each other)
+    wspan = Span(f, n, W)
+    Z = [kv for kv in ker if wspan.add(kv)][: n - m]
+    if len(Z) < n - m:
+        raise failed
+    Mb = Matrix.from_rows(f, [[(W + Z)[j][i] for j in range(n)] for i in range(n)])
+    try:
+        h = inverse(Mb)
+    except MatrixError:
+        raise failed from None
+    B = h @ P @ Mb
+    if not (all(f.is_zero(B.entry(i, j)) for i in range(n) for j in range(m, n))
+            and rank(B.block(m, n, 0, m)) == k):
+        raise failed
+    return h, B
 
 
 def shape_right(P: Matrix, m: int):
@@ -229,21 +212,16 @@ def raise_sum_rank(mats) -> list[Matrix]:
             raise ValueError("all matrices must be n x n of rank exactly k")
     if n < 6 * k:
         raise ValueError("need n >= 6k")
-    gs: list[Matrix] = []
     # first pair: disjointly supported blocks add ranks
-    h1, B1 = shape_left(mats[0], k)
+    h1, _ = shape_left(mats[0], k)
     h2, _ = shape_right(mats[1], k)
     gs = [h1, h2]
     S = h1 @ mats[0] @ inverse(h1) + h2 @ mats[1] @ inverse(h2)
     for j in range(2, len(mats)):
         r = rank(S)
         m = max(r, k)
-        if r <= 2 * k:
-            hS, _ = shape_left(S, m)
-            hj, _ = shape_right(mats[j], m)
-        else:
-            hS, _ = shape_left(S, m)
-            hj, _ = shape_left(mats[j], m)
+        hS, _ = shape_left(S, m)
+        hj, _ = (shape_right if r <= 2 * k else shape_left)(mats[j], m)
         gs = [hS @ g for g in gs] + [hj]
         S = hS @ S @ inverse(hS) + hj @ mats[j] @ inverse(hj)
     r = rank(S)
@@ -530,12 +508,7 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
             break
     if choice is None:
         raise ConstructionError("no shear makes the last R column leave im(W)")
-    L = Matrix.identity(f, n)
-    if any(not f.is_zero(c) for c in choice[: n - 1]):
-        ent = [[f.one if a == b else f.zero for b in range(n)] for a in range(n)]
-        for b in range(n - 1):
-            ent[n - 1][b] = choice[b]
-        L = Matrix.from_rows(f, ent)
+    L = Matrix.from_rows(f, Matrix.identity(f, n).to_rows()[: n - 1] + [choice])
     R2, W2 = L @ R1 @ L.transpose(), L @ W1
     # step 3: normalize that column to e_{n-1}
     ctop = [R2.entry(a, n - 1) for a in range(n - 1)]
@@ -551,16 +524,8 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
         Matrix.from_rows(qqt, [[qqt.t]]),
         Matrix.identity(qqt, 1),
     ])
-    R4 = Matrix.from_rows(f, [
-        [R3.entry(a, b) if (a < n - 2 and b < n - 2) else f.zero for b in range(n)]
-        for a in range(n)
-    ])
-    W4 = Matrix.from_rows(f, [
-        [f.zero if a == n - 2 else W3.entry(a, b) for b in range(k)]
-        for a in range(n)
-    ])
-    Rc = R4.block(0, n - 2, 0, n - 2)
-    Wc = W4.block(0, n - 2, 0, k - 1)
+    Rc = R3.block(0, n - 2, 0, n - 2)
+    Wc = W3.block(0, n - 2, 0, k - 1)
     if rank(Wc) != k - 1:
         raise ConstructionError("corner column block lost rank")
     if rank(Q) > rank(Rc) - 2 * (k - 1):
@@ -575,44 +540,19 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
     Gin = _degen(Rc, Wc, Qin, Vin)
     Gstep = Matrix.diag_blocks([Gin, Matrix.identity(qqt, 2)])
     # exact state after the corner move
-    R5 = Matrix.from_rows(f, [
-        [Qin.entry(a, b) if (a < n - 2 and b < n - 2) else f.zero for b in range(n)]
-        for a in range(n)
-    ])
-    W5rows = []
-    for a in range(n):
-        if a < n - 2:
-            W5rows.append([Vin.entry(a, b) for b in range(k - 1)] + [f.zero])
-        elif a == n - 2:
-            W5rows.append([f.zero] * k)
-        else:
-            W5rows.append([W4.entry(a, b) for b in range(k)])
-    W5 = Matrix.from_rows(f, W5rows)
+    R5 = Matrix.diag_blocks([Qin, Matrix.zeros(f, 2)])
     # step 6: move the zero row n-2 up so the identity block sits at the bottom
     order = list(range(n - k - 1)) + [n - 2] + list(range(n - k - 1, n - 3 + 1)) + [n - 1]
     perm = Matrix.from_rows(f, [
         [f.one if order[a] == b else f.zero for b in range(n)] for a in range(n)
     ])
-    R6 = perm @ R5 @ perm.transpose()
-    W6 = perm @ W5
-    assert R6 == R5  # the moved rows and columns are zero
-    # step 7: shrink the last k coordinates while feeding in the target columns
-    u = [W6.entry(n - 1, b) for b in range(k - 1)]
-    Vuse = gQ @ V
-    Tu = Matrix.from_rows(f, [
-        [f.one if a == b else f.zero for b in range(k - 1)] + [f.zero]
-        for a in range(k - 1)
-    ] + [[f.neg(x) for x in u] + [f.one]])
-    corr = Vuse @ Tu
-    ent = [[qqt.zero] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                ent[a][b] = qqt.one if a < n - k else qqt.t
-    for a in range(n):
-        for b in range(k):
-            ent[a][n - k + b] = qqt.add(ent[a][n - k + b], qqt.coerce(corr.entry(a, b)))
-    A = Matrix.from_rows(qqt, ent)
-    gf = lift_to_qqt(inverse(gQ))
-    return gf @ A @ perm.map_field(qqt, qqt.coerce) @ Gstep @ qD @ \
+    assert perm @ R5 @ perm.transpose() == R5  # the moved rows and columns are zero
+    # step 7: shrink the last k coordinates while feeding in the target columns;
+    # the permutation fixes row n-1 of W3, whose first k-1 entries are u
+    u = W3.row_list(n - 1)[: k - 1]
+    Tu = Matrix.from_rows(f, Matrix.identity(f, k).to_rows()[: k - 1]
+                          + [[f.neg(x) for x in u] + [f.one]])
+    corr = lift_to_qqt(gQ @ V @ Tu)
+    A = _qqt_diag_scale(n, n - k) + Matrix.from_blocks([[Matrix.zeros(qqt, n, n - k), corr]])
+    return lift_to_qqt(inverse(gQ)) @ A @ lift_to_qqt(perm) @ Gstep @ qD @ \
         lift_to_qqt(g3 @ L @ g1)

@@ -528,6 +528,8 @@ def verify_conjugation_identity(case: str, tamper: bool = False) -> Verification
 
 def verify_equivariance(chain: ChainSpec, trials: int = 100, seed: int = 0,
                         field=None) -> VerificationReport:
+    if trials < 1:
+        raise ValueError("equivariance needs trials >= 1")
     t0 = time.monotonic()
     field = field or GF(7)
     params = {"chain": chain.letter, "n1": chain.n1,
@@ -565,6 +567,8 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
     """Contrapositive searches: a sample whose off-diagonal block already
     exceeds the bound must admit a conjugate exposing that excess in the
     hypothesis block (or, for the H-form, independent outer W columns)."""
+    if trials < 1:
+        raise ValueError(f"rankbound-{lemma} needs trials >= 1")
     t0 = time.monotonic()
     field = field or GF(7)
     params = {"lemma": lemma, "n": n, "m": m, "trials": trials, "seed": seed,
@@ -650,7 +654,7 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
                 hits += 1
             else:
                 misses.append({"trial": trial})
-    rate = hits / trials if trials else 1.0
+    rate = hits / trials
     verdict = "statistical-pass" if rate >= 0.95 else "fail"
     return _report(f"rankbound-{lemma}", params, verdict,
                    [{"witness_rate": rate, "misses": misses[:5]}], t0)
@@ -707,11 +711,11 @@ def run_one(entry: dict, seed: int = 0) -> VerificationReport:
         return verify_conjugation_identity(lemma[5:], tamper=entry.get("tamper", False))
     if lemma.startswith("equivariance"):
         ch = chain_from_json(entry.get("chain"))
-        return verify_equivariance(ch, num("trials", 0, 50), seed,
+        return verify_equivariance(ch, num("trials", 1, 50), seed,
                                    field_from_name(entry.get("field", "gf:7")))
     if lemma.startswith("rankbound-"):
         return verify_rank_bound_samples(lemma[10:], num("n", 1), num("m", 0),
-                                         num("trials", 0, 20), seed,
+                                         num("trials", 1, 20), seed,
                                          field_from_name(entry.get("field", "gf:7")))
     raise ValueError(f"unknown lemma id {lemma!r}")
 

@@ -328,6 +328,14 @@ def test_classify_cases():
         classify_case(ChainSpec.make("C", 1, [], [(2, 0, 0)]), 0)
 
 
+def test_classify_rejects_non_characteristics():
+    # every n is divisible by 1, so char 1 would turn case 4a into 4b
+    ch = ChainSpec.make("A", 2, [], [(2, 0, 0)])
+    for char in (1, 4, -3, 10**30 + 57):
+        with pytest.raises(ChainError, match="prime"):
+            classify_case(ch, char)
+
+
 def test_classify_invariance():
     for sigs, n1, char in [([(1, 1, 0)], 2, 2), ([(2, 0, 1)], 1, 3),
                            ([(3, 0, 0)], 2, 2), ([(1, 0, 1)], 1, 0), ([(2, 1, 0)], 2, 2)]:

@@ -122,6 +122,15 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["suite", "--config", "-"], '[{"lemma":"rankbound-od","n":3,"m":1,"trials":1}]'),
     (["suite", "--config", "-"], '[{"lemma":"rankbound-b","n":1,"m":2,"trials":1}]'),
     (["suite", "--config", "-"], '[{"lemma":"rankbound-zz","n":2,"m":1,"trials":0}]'),
+    # sampled verifiers given no samples
+    (["suite", "--config", "-"], '[{"lemma":"rankbound-sp","n":4,"m":1,"trials":0}]'),
+    (["suite", "--config", "-"], '[{"lemma":"equivariance-A","chain":{"type":"A","n1":2,'
+                                 '"prefix":[[1,1,1]],"repeat":[[1,1,1]]},"trials":0}]'),
+    (["verify", "rankbound-sp", "--n", "4", "--m", "1", "--trials", "0"], ""),
+    (["verify", "equivariance-A", "--trials", "0"], ""),
+    # a characteristic is 0 or a prime
+    *[(["chain", "classify", "--char", c], '{"type":"A","n1":2,"repeat":[[2,0,0]]}')
+      for c in ("1", "4", "-3")],
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),

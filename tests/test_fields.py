@@ -25,6 +25,9 @@ def test_gf_requires_prime():
         GF(1)
     with pytest.raises(FieldError):
         GF(2**31 + 11)
+    # refused by its size before a trial division that would not finish
+    with pytest.raises(FieldError):
+        GF(10**30 + 57)
 
 
 def test_integral():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from conftest import matrix_of_rank, minor_gl_oracle, skew_of_rank
 
 from conjlab.chains import ChainError, ChainSpec, project_dual
-from conjlab.fields import GF, QQ
+from conjlab.fields import GF, QQ, QQT
 from conjlab.matrix import (
     Matrix,
     det,
@@ -32,7 +32,19 @@ from conjlab.orbits import (
 from conjlab import orbits
 from conjlab.pencil import BudgetExceeded, shift_rank, tuple_rank_identity
 
-G2, G5, G7, QQ_ = GF(2), GF(5), GF(7), QQ()
+G2, G3, G5, G7, QQ_ = GF(2), GF(3), GF(5), GF(7), QQ()
+
+
+def _check_shapes(P, m):
+    fld, n, k = P.field, P.rows, rank(P)
+    h, B = shape_left(P, m)
+    assert B == h @ P @ inverse(h)
+    assert all(fld.is_zero(B.entry(i, j)) for i in range(n) for j in range(m, n))
+    assert rank(B.block(m, n, 0, m)) == k
+    g, C = shape_right(P, m)
+    assert C == g @ P @ inverse(g)
+    assert all(fld.is_zero(C.entry(i, j)) for i in range(m, n) for j in range(n))
+    assert rank(C.block(0, m, m, n)) == k
 
 
 def test_shape_left_right(rng):
@@ -41,15 +53,31 @@ def test_shape_left_right(rng):
             n = 6
             k = rng.randint(1, 2)
             P = matrix_of_rank(fld, n, k, rng)
-            m = rng.randint(k, 3)
-            h, B = shape_left(P, m)
-            assert B == h @ P @ inverse(h)
-            assert all(fld.is_zero(B.entry(i, j)) for i in range(n) for j in range(m, n))
-            assert rank(B.block(m, n, 0, m)) == k
-            g, C = shape_right(P, m)
-            assert C == g @ P @ inverse(g)
-            assert all(fld.is_zero(C.entry(i, j)) for i in range(m, n) for j in range(n))
-            assert rank(C.block(0, m, m, n)) == k
+            _check_shapes(P, rng.randint(k, 3))
+    # 2k <= n < 3k is the only range where ker P can fit inside the span the
+    # greedy pass has built, so where its one pass could fail
+    for fld in (G2, G3, G5, QQ_):
+        for k in (1, 2, 3):
+            for n in range(2 * k, 3 * k):
+                for m in range(k, n - k + 1):
+                    for _ in range(3):
+                        _check_shapes(matrix_of_rank(fld, n, k, rng), m)
+
+
+def test_shape_left_pinned():
+    # exact witnesses: another valid h would still change the output of the
+    # topleft and raise-rank verbs; both inputs need a kernel-adjusted
+    # e_j + kv for some pivot
+    P = Matrix.from_rows(G2, [[0, 1, 0, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 1, 1],
+                              [0, 1, 0, 0, 1], [0, 1, 0, 1, 1]])
+    h, _ = shape_left(P, 2)
+    assert h == Matrix.from_rows(G2, [[0, 1, 0, 0, 1], [0, 0, 0, 1, 0], [1, 0, 0, 1, 0],
+                                      [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]])
+    P = Matrix.from_rows(QQ_, [[1, -2, 0, -1], [-2, 0, -1, 2], [-2, 0, -1, 2], [0, 0, 0, 0]])
+    h, _ = shape_left(P, 2)
+    F = Fraction
+    assert h == Matrix.from_rows(QQ_, [[1, 0, F(1, 2), -1], [0, 1, F(1, 4), 0],
+                                       [-1, 0, F(1, 2), 1], [0, -1, F(-1, 4), 1]])
 
 
 def test_topleft_examples():
@@ -207,6 +235,24 @@ def test_degeneration_examples():
     V = Matrix.from_rows(QQ_, [[1], [0]])
     G = degeneration_witness(J2, W, Matrix.zeros(QQ_, 2), V)
     assert limit_at_zero(G @ lift_to_qqt(W)) == V
+
+
+def test_degeneration_pinned():
+    # the exact k = 2 curve: another valid curve would still change the
+    # output of the degenerate verb
+    R = Matrix.from_rows(QQ_, [[0, 1, 0, 2, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 0, 3],
+                               [-2, 0, 0, 0, 1], [0, 0, -3, -1, 0]])
+    W = Matrix.from_rows(QQ_, [[1, 0], [0, 1], [1, 1], [0, 0], [2, 0]])
+    V = Matrix.from_rows(QQ_, [[0, 1], [1, 0], [0, 0], [1, 1], [0, 2]])
+    G = degeneration_witness(R, W, Matrix.zeros(QQ_, 5), V)
+    qqt = QQT()
+    assert G == Matrix.from_rows(qqt, [[qqt.parse(x) for x in row] for row in [
+        ["-t-1", "3*t", "-3*t+1", "-3*t/2", "t"],
+        ["t+1", "2*t", "-2*t", "-3*t/2", "t"],
+        ["0", "0", "0", "0", "-t/3"],
+        ["t^2", "0", "1", "0", "0"],
+        ["-3*t-2", "0", "t+2", "0", "0"],
+    ]])
 
 
 def test_degeneration_preconditions():

@@ -53,6 +53,15 @@ def test_char2a_sampling_needs_trials():
         verify_char2("a", G3, 2, mode="sample", trials=0)
 
 
+def test_sampled_verifiers_need_trials():
+    # zero samples would report a pass that nothing was checked for
+    ch = ChainSpec.make("A", 2, [(1, 1, 1)], [(1, 1, 1)])
+    with pytest.raises(ValueError, match="trials"):
+        verify_equivariance(ch, trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        verify_rank_bound_samples("sp", 4, 1, trials=0)
+
+
 def test_char2a_rejects_unknown_mode():
     # a mistyped mode is an error, not a sampled run, with or without trials
     for mode in ("sampled", "enumerat"):
