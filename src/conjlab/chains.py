@@ -493,6 +493,8 @@ class TruncatedPoint:
     @staticmethod
     def make(chain, reps) -> "TruncatedPoint":
         reps = tuple(reps)
+        if not reps:
+            raise ChainError("a truncated point needs at least one level")
         for lvl, rep in enumerate(reps, start=1):
             if rep.rows != chain.ambient_at(lvl) or not rep.is_square:
                 raise MatrixError(f"level {lvl} representative has the wrong size")

@@ -2,17 +2,20 @@
 pullbacks along dual projections, and Vandermonde coefficient extraction.
 
 Variables come in families p, q, r (matrix entries) and v, w (vector
-entries).  The symmetric and skew blocks of types B, C, D are stored through
-canonical variables only: q[k,l] with k <= l for symmetric (type C) and
-k < l for skew (types B, D, diagonal absent); other positions read as +/-
-the canonical variable.  Monomials are sorted variable-power tuples; terms
-are kept in a fixed graded order so printing is canonical.
+entries).  One table per context, :func:`_layout`, states the canonical
+variables and the signed ambient positions each one fills: q[k,l] and
+r[k,l] with k <= l for the symmetric blocks of type C and k < l for the
+skew blocks of types B and D, whose other positions read as +/- the
+canonical variable.  Variable validation, positions, the symbolic matrix
+and the pullbacks are all read off it.  Monomials are sorted variable-power
+tuples; terms are kept in a fixed graded order so printing is canonical.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .chains import ChainSpec, GroupType, dual_projection_instructions, group_membership
 from .matrix import Matrix, inverse
@@ -48,36 +51,37 @@ class PolyContext:
         return 2 * self.n
 
 
+@cache
+def _layout(ctx: PolyContext) -> dict:
+    """Each canonical variable of ``ctx`` -> the signed ambient positions it
+    fills, its own position first; every other ambient entry is zero."""
+    n, idx = ctx.n, range(1, ctx.n + 1)
+    if ctx.kind == "gl":
+        return {("p", i, j): ((1, (i - 1, j - 1)),) for i in idx for j in idx}
+    o = n + 1 if ctx.kind == "B" else n  # first row and column of the lower blocks
+    s = 1 if ctx.kind == "C" else -1  # the q and r blocks are symmetric or skew
+    out = {}
+    for i in idx:
+        for j in idx:
+            out["p", i, j] = ((1, (i - 1, j - 1)), (-1, (o + j - 1, o + i - 1)))
+            if i < j or i == j and ctx.kind == "C":
+                k = 2 if i < j else 1  # a diagonal entry has no mirror
+                out["q", i, j] = ((1, (i - 1, o + j - 1)), (s, (j - 1, o + i - 1)))[:k]
+                out["r", i, j] = ((1, (o + i - 1, j - 1)), (s, (o + j - 1, i - 1)))[:k]
+    if ctx.kind == "B":
+        for i in idx:
+            out["v", i] = ((1, (i - 1, n)), (-1, (n, o + i - 1)))
+            out["w", i] = ((1, (o + i - 1, n)), (-1, (n, i - 1)))
+    return out
+
+
 def canonical_var(ctx: PolyContext, family: str, i: int, j: int | None = None):
     """Validate and return a canonical variable key."""
-    n = ctx.n
-    if family not in ctx.families:
-        raise PolyError(f"family {family!r} not available in context {ctx.kind}")
-    if family in ("v", "w"):
-        if j is not None or not (1 <= i <= n):
-            raise PolyError(f"bad vector variable {family}[{i}]")
-        return (family, i)
-    if j is None or not (1 <= i <= n and 1 <= j <= n):
-        raise PolyError(f"bad variable {family}[{i},{j}]")
-    if family in ("q", "r"):
-        if ctx.kind in ("B", "D") and i >= j:
-            raise PolyError(f"skew canonical {family} variables need i < j")
-        if ctx.kind == "C" and i > j:
-            raise PolyError(f"symmetric canonical {family} variables need i <= j")
-    return (family, i, j)
-
-
-def family_entry(ctx: PolyContext, family: str, i: int, j: int):
-    """Signed canonical variable for entry (i, j) of a q/r block; [] on the skew diagonal."""
-    if family == "p" or ctx.kind == "gl":
-        return [(1, canonical_var(ctx, family, i, j))]
-    if ctx.kind == "C":
-        return [(1, canonical_var(ctx, family, min(i, j), max(i, j)))]
-    if i == j:
-        return []
-    if i < j:
-        return [(1, canonical_var(ctx, family, i, j))]
-    return [(-1, canonical_var(ctx, family, j, i))]
+    var = (family, i) if j is None else (family, i, j)
+    if var not in _layout(ctx):
+        idx = i if j is None else f"{i},{j}"
+        raise PolyError(f"{family}[{idx}] is not a canonical variable of {ctx.kind}, n={ctx.n}")
+    return var
 
 
 @dataclass(frozen=True)
@@ -183,19 +187,6 @@ class CoordPoly:
             return -1
         return max(sum(e for _, e in m) for m, _ in self.terms)
 
-    def substitute(self, mapping: dict) -> "CoordPoly":
-        """Replace variables by polynomials (same context and field)."""
-        out = CoordPoly.zero(self.context, self.field)
-        for mono, c in self.terms:
-            term = CoordPoly.constant(self.context, self.field, c)
-            for var, e in mono:
-                repl = mapping.get(var)
-                if repl is None:
-                    repl = CoordPoly(self.context, self.field, ((((var, 1),), self.field.one),))
-                term = term * repl.power(e)
-            out = out + term
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Matrices of polynomials, structured symbolic matrices and evaluation
@@ -256,74 +247,17 @@ class PolyGrid:
 
 def pos_of_var(ctx: PolyContext, var) -> tuple[int, int]:
     """Ambient (row, col) of the canonical variable in the structured matrix."""
-    n = ctx.n
-    fam = var[0]
-    if ctx.kind == "gl":
-        _, i, j = var
-        return (i - 1, j - 1)
-    if ctx.kind in ("C", "D"):
-        _, i, j = var
-        if fam == "p":
-            return (i - 1, j - 1)
-        if fam == "q":
-            return (i - 1, n + j - 1)
-        return (n + i - 1, j - 1)
-    # type B, blocks (n, 1, n)
-    if fam == "p":
-        return (var[1] - 1, var[2] - 1)
-    if fam == "q":
-        return (var[1] - 1, n + 1 + var[2] - 1)
-    if fam == "r":
-        return (n + 1 + var[1] - 1, var[2] - 1)
-    if fam == "v":
-        return (var[1] - 1, n)
-    return (n + 1 + var[1] - 1, n)  # w
-
-
-def ambient_entry_poly(ctx: PolyContext, field, r: int, c: int) -> CoordPoly:
-    """The (r, c) entry of the structured matrix of canonical variables."""
-    n = ctx.n
-
-    def combo(pairs):
-        out = CoordPoly.zero(ctx, field)
-        for sg, var in pairs:
-            mono = CoordPoly(ctx, field, ((((var, 1),), field.one),))
-            out = out + (mono if sg == 1 else -mono)
-        return out
-
-    if ctx.kind == "gl":
-        return combo([(1, ("p", r + 1, c + 1))])
-    if ctx.kind in ("C", "D"):
-        if r < n and c < n:
-            return combo([(1, ("p", r + 1, c + 1))])
-        if r < n:
-            return combo(family_entry(ctx, "q", r + 1, c - n + 1))
-        if c < n:
-            return combo(family_entry(ctx, "r", r - n + 1, c + 1))
-        return -combo([(1, ("p", c - n + 1, r - n + 1))])
-    # type B
-    if r < n:
-        if c < n:
-            return combo([(1, ("p", r + 1, c + 1))])
-        if c == n:
-            return combo([(1, ("v", r + 1))])
-        return combo(family_entry(ctx, "q", r + 1, c - n))
-    if r == n:
-        if c < n:
-            return -combo([(1, ("w", c + 1))])
-        if c == n:
-            return CoordPoly.zero(ctx, field)
-        return -combo([(1, ("v", c - n))])
-    if c < n:
-        return combo(family_entry(ctx, "r", r - n, c + 1))
-    if c == n:
-        return combo([(1, ("w", r - n))])
-    return -combo([(1, ("p", c - n, r - n))])
+    return _layout(ctx)[var][0][1]
 
 
 def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
+    """The structured matrix: each canonical variable, signed, at its positions."""
     N = ctx.ambient
-    return PolyGrid([[ambient_entry_poly(ctx, field, r, c) for c in range(N)] for r in range(N)])
+    polys = [[CoordPoly.zero(ctx, field)] * N for _ in range(N)]
+    for var, places in _layout(ctx).items():
+        for sg, (r, c) in places:
+            polys[r][c] = CoordPoly(ctx, field, ((((var, 1),), field.coerce(sg)),))
+    return PolyGrid(polys)
 
 
 def _check_point_shapes(ctx: PolyContext, point: dict):
@@ -388,7 +322,18 @@ def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
             raise PolyError(f"conjugator is not in the type {ctx.kind} group")
     Y = inverse(g) @ symbolic_matrix(ctx, f.field) @ g
     mapping = {var: Y.entry(*pos_of_var(ctx, var)) for var in f.variables()}
-    return f.substitute(mapping)
+    return _substitute(f, ctx, mapping)
+
+
+def _substitute(f: CoordPoly, ctx: PolyContext, mapping: dict) -> CoordPoly:
+    """f with each variable replaced by its image in ``mapping``, a polynomial on ``ctx``."""
+    out = CoordPoly.zero(ctx, f.field)
+    for mono, c in f.terms:
+        term = CoordPoly.constant(ctx, f.field, c)
+        for var, e in mono:
+            term = term * mapping[var].power(e)
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +341,7 @@ def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
 # ---------------------------------------------------------------------------
 
 def level_context(chain: ChainSpec, level: int) -> PolyContext:
-    if chain.letter == "A":
-        return PolyContext("gl", chain.n_at(level))
-    return PolyContext(chain.letter, chain.n_at(level))
+    return PolyContext("gl" if chain.letter == "A" else chain.letter, chain.n_at(level))
 
 
 def pullback_projection(f: CoordPoly, chain: ChainSpec, i: int) -> CoordPoly:
@@ -407,24 +350,14 @@ def pullback_projection(f: CoordPoly, chain: ChainSpec, i: int) -> CoordPoly:
     ctx_hi = level_context(chain, i + 1)
     if f.context != ctx_lo:
         raise PolyError(f"polynomial lives on {f.context}, not level {i} of the chain")
+    fld = f.field
+    X = symbolic_matrix(ctx_hi, fld)
     by_dst: dict = {}
     for sg, src, dst in dual_projection_instructions(chain, i):
-        by_dst.setdefault(dst, []).append((sg, src))
-    mapping = {}
-    for var in f.variables():
-        dst = pos_of_var(ctx_lo, var)
-        acc = CoordPoly.zero(ctx_hi, f.field)
-        for sg, (sr, sc) in by_dst.get(dst, []):
-            e = ambient_entry_poly(ctx_hi, f.field, sr, sc)
-            acc = acc + (e if sg == 1 else -e)
-        mapping[var] = acc
-    out = CoordPoly.zero(ctx_hi, f.field)
-    for mono, c in f.terms:
-        term = CoordPoly.constant(ctx_hi, f.field, c)
-        for var, e in mono:
-            term = term * mapping[var].power(e)
-        out = out + term
-    return out
+        by_dst.setdefault(dst, []).append((fld.coerce(sg), X.entry(*src)))
+    mapping = {var: linear_combination(ctx_hi, fld, by_dst.get(pos_of_var(ctx_lo, var), ()))
+               for var in f.variables()}
+    return _substitute(f, ctx_hi, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,9 @@ def shape_left(P: Matrix, m: int):
 
 def shape_right(P: Matrix, m: int):
     """g with C = g P g^{-1} satisfying C[m:, :] = 0 and rank(C[:m, m:]) = rank(P)."""
-    hT, _ = shape_left(P.transpose(), m)
+    hT, BT = shape_left(P.transpose(), m)
     g = inverse(hT).transpose()
-    C = g @ P @ inverse(g)
+    C = BT.transpose()  # g^{-1} = hT^T, so g P g^{-1} = (hT P^T hT^{-1})^T
     f = P.field
     n = P.rows
     assert all(f.is_zero(C.entry(i, j)) for i in range(m, n) for j in range(n))
@@ -213,17 +213,17 @@ def raise_sum_rank(mats) -> list[Matrix]:
     if n < 6 * k:
         raise ValueError("need n >= 6k")
     # first pair: disjointly supported blocks add ranks
-    h1, _ = shape_left(mats[0], k)
-    h2, _ = shape_right(mats[1], k)
+    h1, B1 = shape_left(mats[0], k)
+    h2, C2 = shape_right(mats[1], k)
     gs = [h1, h2]
-    S = h1 @ mats[0] @ inverse(h1) + h2 @ mats[1] @ inverse(h2)
+    S = B1 + C2
     for j in range(2, len(mats)):
         r = rank(S)
         m = max(r, k)
-        hS, _ = shape_left(S, m)
-        hj, _ = (shape_right if r <= 2 * k else shape_left)(mats[j], m)
+        hS, BS = shape_left(S, m)
+        hj, Bj = (shape_right if r <= 2 * k else shape_left)(mats[j], m)
         gs = [hS @ g for g in gs] + [hj]
-        S = hS @ S @ inverse(hS) + hj @ mats[j] @ inverse(hj)
+        S = BS + Bj
     r = rank(S)
     if not (k < r <= 3 * k):
         raise ConstructionError(f"sum rank {r} escaped the bound ({k}, {3 * k}]")
@@ -278,6 +278,8 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
+        if trials < 1:
+            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
         for _ in range(trials):
             g = random_invertible(n, f, rng)
             Qc = g @ P @ inverse(g)
@@ -313,7 +315,7 @@ def classify_orbit_closure(P: Matrix) -> OrbitClosure:
 # Level-raising witness for bounded tuple rank
 # ---------------------------------------------------------------------------
 
-def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix, k: int | None = None) -> Matrix:
+def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix) -> Matrix:
     """A level-(i+1) conjugator g such that the dual projection of g P g^{-1}
     has identity-tuple rank strictly above k = rk(P, I).
 
@@ -327,11 +329,7 @@ def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix, k: int | None = None) -
     f = P.field
     N = chain.group_for(i + 1, P).ambient
     m = chain.n_at(i)
-    kP = tuple_rank_identity(P)
-    if k is None:
-        k = kP
-    if k != kP:
-        raise ValueError(f"declared k={k} but rk(P, I) = {kP}")
+    k = tuple_rank_identity(P)
     if k == 0:
         raise ChainError("tuple rank 0 means a scalar class; its conjugates project to scalars")
     if m < 6 * k:

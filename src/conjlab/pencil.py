@@ -305,6 +305,8 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
+        if trials < 1:
+            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
         for _ in range(trials):
             g = random_invertible(n, f, rng)
             Q = g @ P @ inverse(g)

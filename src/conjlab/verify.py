@@ -582,6 +582,8 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
     if bound >= most:
         raise ValueError(f"rankbound-{lemma} with n = {n} never exceeds the bound {bound}: "
                          f"the sampled block has rank at most {most}")
+    if lemma == "b" and field.characteristic == 2:
+        raise ValueError("rankbound-b halves its samples, so it needs characteristic other than 2")
     rng = _rng_for(seed, f"rankbound-{lemma}")
     hits = 0
     misses = []

@@ -394,6 +394,8 @@ def test_point_checks():
     assert not check_point(TruncatedPoint.make(ch, [E, lift2 + Matrix.basis(G2, 4, 0, 1), lift3]))
     zero = TruncatedPoint.make(ch, [Matrix.zeros(G2, 2), Matrix.zeros(G2, 4)])
     assert check_point(zero)
+    with pytest.raises(ChainError):
+        TruncatedPoint.make(ch, [])  # a point with no level has nothing to check
 
 
 def test_trace_invariant():

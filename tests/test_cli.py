@@ -128,6 +128,17 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
                                  '"prefix":[[1,1,1]],"repeat":[[1,1,1]]},"trials":0}]'),
     (["verify", "rankbound-sp", "--n", "4", "--m", "1", "--trials", "0"], ""),
     (["verify", "equivariance-A", "--trials", "0"], ""),
+    (["offdiag-check", "--k", "0", "--m", "1", "--mode", "sampled", "--trials", "-5",
+      "--field", "gf:2"], '{"rows":[["1","0"],["0","0"]]}'),
+    (["minor-vanishing", "--k", "1", "--mode", "sampled", "--trials", "-1"],
+     '{"rows":[["1","0"],["0","0"]]}'),
+    (["minor-vanishing", "--k", "1", "--mode", "sampled", "--trials", "0"],
+     '{"rows":[["1","0"],["0","0"]]}'),
+    # a point with no level
+    (["chain", "trace"], '{"chain":{"type":"A","n1":2,"repeat":[[1,1,0]]},"levels":[]}'),
+    (["chain", "check-point"], '{"chain":{"type":"A","n1":2,"repeat":[[1,1,0]]},"levels":[]}'),
+    # rankbound-b halves its samples
+    (["verify", "rankbound-b", "--field", "gf:2", "--n", "1", "--m", "0"], ""),
     # a characteristic is 0 or a prime
     *[(["chain", "classify", "--char", c], '{"type":"A","n1":2,"repeat":[[2,0,0]]}')
       for c in ("1", "4", "-3")],

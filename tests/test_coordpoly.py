@@ -3,7 +3,13 @@ import random
 import pytest
 from fractions import Fraction
 
-from conjlab.chains import ChainSpec, GroupType, random_algebra_element, random_group_element
+from conjlab.chains import (
+    ChainSpec,
+    GroupType,
+    form_matrix,
+    random_algebra_element,
+    random_group_element,
+)
 from conjlab.coordpoly import (
     DEG,
     GRAD,
@@ -57,6 +63,36 @@ def test_canonical_vars():
     V(B2, QQ_, "v", 2)
     with pytest.raises(PolyError):
         V(B2, QQ_, "v", 3)
+
+
+def test_symbolic_matrix_lies_in_the_algebra():
+    """X J + J X^T = 0 for the form J of types B, C and D."""
+    for kind in ("B", "C", "D"):
+        for n in range(1, 6):
+            X = symbolic_matrix(PolyContext(kind, n), QQ_)
+            J = form_matrix(QQ_, GroupType(kind, n))
+            S = X @ J + J @ X.transpose()
+            assert all(S.entry(i, j).is_zero() for i in range(S.rows) for j in range(S.cols))
+
+
+def test_symbolic_matrix_variable_count():
+    want = {"gl": lambda n: n * n, "B": lambda n: n * (2 * n + 1),
+            "C": lambda n: n * (2 * n + 1), "D": lambda n: n * (2 * n - 1)}
+    for kind, count in want.items():
+        for n in range(1, 6):
+            X = symbolic_matrix(PolyContext(kind, n), QQ_)
+            assert len(set().union(*(e.variables() for row in X.polys for e in row))) == count(n)
+
+
+def test_symbolic_matrix_type_b_pinned():
+    X = symbolic_matrix(PolyContext("B", 2), QQ_)
+    assert [[poly_format(e) for e in row] for row in X.polys] == [
+        ["p[1,1]", "p[1,2]", "v[1]", "0", "q[1,2]"],
+        ["p[2,1]", "p[2,2]", "v[2]", "-q[1,2]", "0"],
+        ["-w[1]", "-w[2]", "0", "-v[1]", "-v[2]"],
+        ["0", "r[1,2]", "w[1]", "-p[1,1]", "-p[2,1]"],
+        ["-r[1,2]", "0", "w[2]", "-p[1,2]", "-p[2,2]"],
+    ]
 
 
 def test_evaluate_examples():

@@ -124,6 +124,10 @@ def test_offdiag_examples():
     assert (K, L) == ((0,), (1,))
     with pytest.raises(ValueError):
         offdiag_criterion_check(Matrix.identity(G2, 2), 1, 1)  # needs m >= k+1
+    for trials in (0, -5):  # no sample would pass without checking a conjugate
+        with pytest.raises(ValueError, match="trials"):
+            offdiag_criterion_check(Matrix.identity(G2, 2), 0, 1, mode="sampled",
+                                    trials=trials, rng=random.Random(0))
 
 
 def test_offdiag_equals_tuple_rank_exhaustive_small():

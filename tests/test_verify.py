@@ -62,6 +62,12 @@ def test_sampled_verifiers_need_trials():
         verify_rank_bound_samples("sp", 4, 1, trials=0)
 
 
+def test_rankbound_b_needs_odd_characteristic():
+    # the samples are halved, and 2 has no inverse in characteristic 2
+    with pytest.raises(ValueError, match="characteristic"):
+        verify_rank_bound_samples("b", 1, 0, field=G2)
+
+
 def test_char2a_rejects_unknown_mode():
     # a mistyped mode is an error, not a sampled run, with or without trials
     for mode in ("sampled", "enumerat"):
