@@ -498,6 +498,9 @@ class TruncatedPoint:
         for lvl, rep in enumerate(reps, start=1):
             if rep.rows != chain.ambient_at(lvl) or not rep.is_square:
                 raise MatrixError(f"level {lvl} representative has the wrong size")
+            if rep.field != reps[0].field:
+                raise ChainError(f"level {lvl} representative is over {rep.field.name}, "
+                                 f"level 1 over {reps[0].field.name}")
         return TruncatedPoint(chain, reps)
 
     def element(self, level: int) -> DualElement:

@@ -55,7 +55,7 @@ from .pencil import (
     shift_rank,
     tuple_rank_identity,
 )
-from .verify import run_one, run_suite
+from .verify import default_suite_config, run_one, run_suite
 
 
 def _emit(args, obj) -> None:
@@ -265,10 +265,11 @@ def _dispatch(args) -> int:
         if args.lemma == "commutator":
             entry["field"] = args.field if args.field.startswith("gf") else "gf:3"
         if args.lemma.startswith("equivariance"):
-            letter = args.lemma.split("-")[1] if "-" in args.lemma else "A"
-            sig = {"A": [1, 1, 1], "B": [1, 0, 2], "C": [2, 0, 1], "D": [2, 0, 1]}[letter]
-            n1 = 2 if letter in ("A", "D") else 1
-            entry["chain"] = {"type": letter, "n1": n1, "prefix": [sig], "repeat": [sig]}
+            name = "equivariance-A" if args.lemma == "equivariance" else args.lemma
+            chains = [e["chain"] for e in default_suite_config() if e["lemma"] == name]
+            if not chains:
+                raise ValueError(f"unknown lemma id {args.lemma!r}")
+            entry["chain"] = chains[0]
         report = run_one(entry, args.seed)
         _emit(args, report.to_json())
         return 0 if report.ok else 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import GF
 from .matrix import Matrix, rank
 
 
@@ -218,45 +219,43 @@ def incidence_rank_check(g: Multigraph, field) -> tuple[bool, int]:
 # The explicit multigraph behind the characteristic-2 density argument
 # ---------------------------------------------------------------------------
 
-def _vname(i: int, j: int) -> str:
-    return f"E_{i}_{j}"
+def _char2_units(n: int) -> list[tuple[int, int]]:
+    """The matrix units (i, j) of gl_n except E_{n,n}, row-major."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) != (n, n)]
 
 
-def char2_gamma(n: int) -> Multigraph:
-    """Multigraph whose reducibility certifies surjectivity of the derivative
-    of (P, Q) -> PQ + P^T Q^T at the superdiagonal/antidiagonal base point,
-    over GF(2), modulo the last matrix unit.
+def char2_derivative(n: int) -> Matrix:
+    """The derivative of (P, Q) -> PQ + P^T Q^T over GF(2) at the base point
+    P0 = superdiagonal, Q0 = antidiagonal, modulo the last matrix unit.
 
-    Vertices are the matrix units except E_{n,n}.  Each domain basis vector
-    that maps to one or two surviving units becomes an edge (a loop when only
-    one unit survives or both coincide).
+    Rows are the matrix units except E_{n,n}, in row-major order.  Columns
+    are the 2n^2 directions, row-major, the P directions first.  Direction
+    E_ij of P maps to E_ij Q0 + E_ji Q0 = E_{i,n+1-j} + E_{j,n+1-i}, and
+    direction E_kl of Q maps to P0 E_kl + P0^T E_lk = E_{k-1,l} + E_{l+1,k},
+    where a unit outside the n x n grid is zero.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    verts = [_vname(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) != (n, n)]
-    vset = set(verts)
-    edges = []
+    row = {u: r for r, u in enumerate(_char2_units(n))}
+    span = range(1, n + 1)
+    images = [((i, n + 1 - j), (j, n + 1 - i)) for i in span for j in span]
+    images += [((k - 1, ell), (ell + 1, k)) for k in span for ell in span]
+    ent = [[0] * len(images) for _ in row]
+    for c, image in enumerate(images):
+        for unit in image:
+            if unit in row:
+                ent[row[unit]][c] ^= 1
+    return Matrix.from_rows(GF(2), ent)
 
-    def add_image(points):
-        alive = [p for p in points if p in vset]
-        if len(alive) == 2:
-            edges.append((alive[0], alive[1]))
-        elif len(alive) == 1:
-            edges.append((alive[0], alive[0]))
-        # both endpoints on the discarded unit cannot happen for the listed basis
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                add_image([_vname(i, n + 1 - j), _vname(j, n + 1 - i)])
-    for k in range(1, n + 1):
-        for ell in range(1, n + 1):
-            if (k, ell) == (1, n):
-                continue  # maps to zero; not an edge
-            points = []
-            if k > 1:
-                points.append(_vname(k - 1, ell))
-            if ell < n:
-                points.append(_vname(ell + 1, k))
-            add_image(points)
-    return Multigraph.make(verts, edges)
+def char2_gamma(n: int) -> Multigraph:
+    """Multigraph whose reducibility certifies surjectivity of
+    :func:`char2_derivative`: the column graph of that matrix.
+
+    Vertices are the matrix units except E_{n,n}.  Each nonzero column is an
+    edge between the two units it hits, or a loop at the only one.
+    """
+    D = char2_derivative(n)
+    verts = [f"E_{i}_{j}" for i, j in _char2_units(n)]
+    cols = ([verts[r] for r in range(D.rows) if D.entry(r, c)] for c in range(D.cols))
+    return Multigraph.make(verts, [(ends[0], ends[-1]) for ends in cols if ends])

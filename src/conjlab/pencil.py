@@ -286,8 +286,8 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     n = P.rows
     if not P.is_square:
         raise MatrixError("offdiag criterion expects a square matrix")
-    if not (n >= 2 * m >= 2 * (k + 1)):
-        raise ValueError(f"need n >= 2m >= 2(k+1), got n={n}, m={m}, k={k}")
+    if not (n >= 2 * m >= 2 * (k + 1) and k >= 0):
+        raise ValueError(f"need n >= 2m >= 2(k+1) and k >= 0, got n={n}, m={m}, k={k}")
     K = tuple(range(m))
     L = tuple(range(m, 2 * m))
     if mode == "exhaustive":

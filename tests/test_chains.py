@@ -396,6 +396,8 @@ def test_point_checks():
     assert check_point(zero)
     with pytest.raises(ChainError):
         TruncatedPoint.make(ch, [])  # a point with no level has nothing to check
+    with pytest.raises(ChainError, match="over qq"):
+        TruncatedPoint.make(ch, [E, Matrix.identity(QQ_, 4)])  # levels over two fields
 
 
 def test_trace_invariant():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjlab.cli import main
+from conjlab.verify import run_one
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -142,6 +143,20 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     # a characteristic is 0 or a prime
     *[(["chain", "classify", "--char", c], '{"type":"A","n1":2,"repeat":[[2,0,0]]}')
       for c in ("1", "4", "-3")],
+    # offdiag-check needs k >= 0 in both modes
+    *[(["offdiag-check", "--k", "-1", "--m", "0", "--field", "gf:2", "--mode", mode],
+       '{"rows":[["1","0"],["0","0"]]}') for mode in ("sampled", "exhaustive")],
+    # a point whose levels lie over different fields
+    *[(["chain", op], '{"chain":{"type":"A","n1":1,"repeat":[[1,1,0]]},"levels":['
+                      '{"field":"qq","rows":[["1"]]},'
+                      '{"field":"gf:2","rows":[["1","0"],["0","1"]]}]}')
+      for op in ("trace", "check-point")],
+    # tamper is a JSON boolean
+    (["suite", "--config", "-"], '[{"lemma":"conj-2","tamper":"no"}]'),
+    (["suite", "--config", "-"], '[{"lemma":"conj-2","tamper":0}]'),
+    # equivariance of a chain type the default suite does not name
+    (["verify", "equivariance-E"], ""),
+    (["verify", "equivariance-A-B"], ""),
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
@@ -232,6 +247,23 @@ def test_chain_normalize_integral_floats(capsys, monkeypatch):
     code, out = run_cli(capsys, ["chain", "normalize"], stdin=doc, monkeypatch=monkeypatch)
     assert code == 0
     assert out.strip() == '{"n1":2,"prefix":[],"repeat":[[1,0,1]],"type":"A"}'
+
+
+@pytest.mark.parametrize("lemma, chain", [
+    ("equivariance", {"type": "A", "n1": 2, "prefix": [[1, 1, 1]], "repeat": [[1, 1, 1]]}),
+    ("equivariance-A", {"type": "A", "n1": 2, "prefix": [[1, 1, 1]], "repeat": [[1, 1, 1]]}),
+    ("equivariance-B", {"type": "B", "n1": 1, "prefix": [[1, 0, 2]], "repeat": [[1, 0, 2]]}),
+    ("equivariance-C", {"type": "C", "n1": 1, "prefix": [[2, 0, 1]], "repeat": [[2, 0, 1]]}),
+    ("equivariance-D", {"type": "D", "n1": 2, "prefix": [[2, 0, 1]], "repeat": [[2, 0, 1]]}),
+])
+def test_verify_equivariance_default_chains(capsys, lemma, chain):
+    # verify runs each equivariance lemma on these chains
+    code, out = run_cli(capsys, ["verify", lemma, "--trials", "3", "--seed", "4"])
+    entry = {"lemma": lemma, "n": 2, "m": 1, "field": "gf:7", "trials": 3, "chain": chain}
+    want = run_one(entry, 4).to_json()
+    got = json.loads(out)
+    assert code == 0 and got.pop("ms") >= 0 and want.pop("ms") >= 0
+    assert got == want
 
 
 def test_verify_over_budget_exits_2(capsys):

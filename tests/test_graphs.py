@@ -12,12 +12,14 @@ from conjlab.graphs import (
     RemoveLoopedVertex,
     RuleError,
     apply_rule,
+    char2_derivative,
     char2_gamma,
     incidence_rank_check,
     reduce_graph,
     replay,
 )
 from conjlab.jsonio import certificate_from_json, certificate_to_json, graph_from_json, graph_to_json
+from conjlab.matrix import Matrix
 
 G2, G3, QQ_ = GF(2), GF(3), QQ()
 
@@ -143,6 +145,37 @@ def test_char2_gamma():
         for ell in range(1, n):
             assert g.has_loop_at(f"E_{ell}_{n}")
         assert g.edges.count(("E_1_1", "E_1_1")) == (3 if n == 2 else 2)
+
+
+def _derivative_by_products(n):
+    """The derivative of (P, Q) -> PQ + P^T Q^T over GF(2) at the superdiagonal
+    P0 and the antidiagonal Q0, one direction per column, from Matrix
+    products; the entry at E_{n,n} is dropped."""
+    P0 = Matrix.from_rows(G2, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+    Q0 = Matrix.from_rows(G2, [[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    units = [Matrix.basis(G2, n, i, j) for i in range(n) for j in range(n)]
+    images = [X @ Q0 + X.transpose() @ Q0.transpose() for X in units]
+    images += [P0 @ Y + P0.transpose() @ Y.transpose() for Y in units]
+    return Matrix.from_rows(G2, [[im.entries[r] for im in images] for r in range(n * n - 1)])
+
+
+def test_char2_derivative_matches_matrix_products():
+    with pytest.raises(ValueError):
+        char2_derivative(1)
+    for n in range(2, 6):
+        D = char2_derivative(n)
+        assert (D.rows, D.cols) == (n * n - 1, 2 * n * n)
+        assert D == _derivative_by_products(n)
+
+
+def test_char2_gamma_n3_edges():
+    g = char2_gamma(3)
+    assert g.vertices == ("E_1_1", "E_1_2", "E_1_3", "E_2_1", "E_2_2", "E_2_3", "E_3_1", "E_3_2")
+    assert g.edges == (
+        ("E_1_1", "E_1_1"), ("E_1_1", "E_1_1"), ("E_1_1", "E_2_2"), ("E_1_2", "E_2_3"),
+        ("E_1_2", "E_2_3"), ("E_1_2", "E_3_2"), ("E_1_3", "E_1_3"), ("E_2_1", "E_2_1"),
+        ("E_2_1", "E_2_3"), ("E_2_1", "E_3_2"), ("E_2_1", "E_3_2"), ("E_2_2", "E_2_2"),
+        ("E_2_3", "E_2_3"), ("E_3_1", "E_3_1"))
 
 
 def test_graph_json_roundtrip():

@@ -124,6 +124,10 @@ def test_offdiag_examples():
     assert (K, L) == ((0,), (1,))
     with pytest.raises(ValueError):
         offdiag_criterion_check(Matrix.identity(G2, 2), 1, 1)  # needs m >= k+1
+    for mode in ("exhaustive", "sampled"):  # k = -1, m = 0 meets n >= 2m >= 2(k+1)
+        with pytest.raises(ValueError, match="k >= 0"):
+            offdiag_criterion_check(Matrix.identity(G2, 2), -1, 0, mode=mode,
+                                    rng=random.Random(0))
     for trials in (0, -5):  # no sample would pass without checking a conjugate
         with pytest.raises(ValueError, match="trials"):
             offdiag_criterion_check(Matrix.identity(G2, 2), 0, 1, mode="sampled",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import char2a_oracle, commutator_oracle
-from conjlab.chains import ChainSpec
+from conjlab.chains import ChainSpec, GroupType, form_matrix, random_sym_or_skew
 from conjlab.coordpoly import PolyContext, PolyGrid, symbolic_matrix
 from conjlab.fields import GF, QQ
 from conjlab.matrix import Matrix, inverse, random_matrix, rank
@@ -284,6 +284,37 @@ def test_rank_bound_verifiers():
         r = verify_rank_bound_samples(lemma, n, 1, trials=8, seed=0)
         assert r.verdict == "statistical-pass"
         assert r.witnesses[0]["witness_rate"] >= 0.95
+
+
+@pytest.mark.parametrize("letter, skew, s", [("C", False, -1), ("D", True, 1)])
+def test_form_conjugate_exposes_q(letter, skew, s):
+    # J M J^-1 = [[-P^T, sR], [sQ, P]] for J = [[0, I], [sI, 0]], so the form
+    # alone exposes rank Q in the lower-left block
+    rng = random.Random(5)
+    n = 4
+    J = form_matrix(G7, GroupType(letter, n))
+    for _ in range(3):
+        P = random_matrix(n, n, G7, rng)
+        Q, R = (random_sym_or_skew(G7, n, rng, skew) for _ in range(2))
+        M = Matrix.from_blocks([[P, Q], [R, -P.transpose()]])
+        conj = J @ M @ inverse(J)
+        assert conj == Matrix.from_blocks([[-P.transpose(), R.scale(s)], [Q.scale(s), P]])
+        assert conj.block(n, 2 * n, 0, n) == Q.scale(s)
+
+
+@pytest.mark.parametrize("lemma, n, m, trials", [("sp", 8, 1, 20), ("od", 8, 1, 20),
+                                                 ("b", 2, 1, 10)])
+def test_rank_bound_reports_pinned(lemma, n, m, trials):
+    # the default suite's rank-bound entries over GF(7), seeds 0-2
+    for seed in range(3):
+        r = verify_rank_bound_samples(lemma, n, m, trials=trials, seed=seed, field=G7)
+        assert r.to_json() | {"ms": 0} == {
+            "lemma": f"rankbound-{lemma}",
+            "params": {"lemma": lemma, "n": n, "m": m, "trials": trials, "seed": seed,
+                       "field": "gf:7"},
+            "verdict": "statistical-pass",
+            "witness": [{"witness_rate": 1.0, "misses": []}],
+            "ms": 0}
 
 
 @pytest.mark.parametrize("lemma, n, m", [
