@@ -436,6 +436,8 @@ class GF:
         return f"GF({self.p})"
 
     def coerce(self, v):
+        if type(v) is int:
+            return v % self.p
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise FieldError(f"denominator of {v} not invertible mod {self.p}")

@@ -2,6 +2,17 @@
 
 Everything is immutable and pure.  Matrices store a flat row-major tuple of
 canonical scalars together with the owning field.
+
+``@``, ``rank_and_rref``, ``rank``, ``det``, ``inverse``, ``char_poly`` and
+``Span`` look their field's class up once in ``_KERNELS``, one record of
+private kernels per field: over GF(p) they work on plain int rows with one
+``% p`` per entry of each row operation, over QQ on row-cleared integers
+(Bareiss), over QQ(t) by evaluation at integer points.  A field class
+without a record, and whatever a record leaves out, runs the generic scalar
+loop through the field's own operations (``_GENERIC``), which the tests keep
+as the oracle of the faster kernels.  Every kernel keeps the generic loop's
+pivot rule, so rref, transform and pivots do not depend on the field's
+record.
 """
 
 from __future__ import annotations
@@ -178,25 +189,7 @@ class Matrix:
         self._chk(other)
         if self.cols != other.rows:
             raise MatrixError("shape mismatch in @")
-        f = self.field
-        n, k, m = self.rows, self.cols, other.cols
-        if isinstance(f, QQ):
-            a, da = _cleared_rows(self)
-            b, db = _cleared_rows(other.transpose())
-            return Matrix(f, n, m, tuple(Fraction(sum(map(operator.mul, r, c)), dr * dc)
-                                         for r, dr in zip(a, da) for c, dc in zip(b, db)))
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = f.zero
-                for t in range(k):
-                    av = arow[t]
-                    if not f.is_zero(av):
-                        acc = f.add(acc, f.mul(av, b[t * m + j]))
-                out.append(acc)
-        return Matrix(f, n, m, tuple(out))
+        return _kernels(self.field).matmul(self, other)
 
     def transpose(self) -> "Matrix":
         ent = tuple(self.entry(j, i) for i in range(self.cols) for j in range(self.rows))
@@ -226,6 +219,97 @@ class RrefResult:
     rref: Matrix
     transform: Matrix
     pivots: tuple
+
+
+def rank_and_rref(M: Matrix) -> RrefResult:
+    """Gauss-Jordan elimination of [M | I]; returns invertible T with T @ M = rref."""
+    return _kernels(M.field).rref(M)
+
+
+def rank(M: Matrix) -> int:
+    """Rank by forward elimination, without building a transform: over GF(p)
+    on residue rows, over QQ by Bareiss on the row-cleared integer matrix,
+    over QQ(t) the largest rank of the cleared matrix at D + 1 integer
+    points."""
+    return _kernels(M.field).rank(M)
+
+
+def det(M: Matrix):
+    """Signed product of the elimination pivots over GF(p); over QQ, the
+    Bareiss determinant of the row-cleared matrix over the product of the
+    d_i; over QQ(t), interpolated from the cleared matrix's determinants at
+    D + 1 points."""
+    if not M.is_square:
+        raise MatrixError("determinant of non-square matrix")
+    return _kernels(M.field).det(M)
+
+
+def inverse(M: Matrix) -> Matrix:
+    """The transform of [M | I]'s Gauss-Jordan elimination over GF(p); over
+    QQ, M^-1 = N^-1 diag(d) = adj(N) diag(d) / det N for the row-cleared N;
+    over QQ(t) by interpolation."""
+    if not M.is_square:
+        raise MatrixError("inverse of non-square matrix")
+    return _kernels(M.field).inverse(M)
+
+
+# -- kernels per field ---------------------------------------------------------
+#
+# A record of private kernels for one field class.  The public functions
+# check shapes; a kernel gets well-shaped input.
+
+
+@dataclass(frozen=True)
+class _Kernels:
+    matmul: object     # (A, B) -> A @ B
+    rref: object       # M -> RrefResult of the Gauss-Jordan elimination of [M | I]
+    rank: object       # M -> rank M
+    det: object        # square M -> det M
+    inverse: object    # square M -> M^-1; MatrixError "matrix is singular"
+    char_poly: object  # square M -> det(xI - M)
+    span_insert: object  # (field, rows, vec, store) -> whether vec is outside the span; see Span
+
+
+def _kernels(field) -> _Kernels:
+    return _KERNELS.get(type(field), _GENERIC)
+
+
+def _rref_inverse(rref):
+    """The inverse kernel that reads M^-1 off the transform of rref(M)."""
+    def inverse(M):
+        res = rref(M)
+        if res.rank != M.rows:
+            raise MatrixError("matrix is singular")
+        return res.transform
+    return inverse
+
+
+def _rref_result(field, a, ncols, pivots):
+    """The RrefResult of the reduced rows a of [M | I], M having ncols columns."""
+    n = len(a)
+    rref = Matrix(field, n, ncols, tuple([v for row in a for v in row[:ncols]]))
+    transform = Matrix(field, n, n, tuple([v for row in a for v in row[ncols:]]))
+    return RrefResult(len(pivots), rref, transform, tuple(pivots))
+
+
+# -- the generic scalar loop, through the field's operations -------------------
+
+
+def _generic_matmul(A, B):
+    f = A.field
+    n, k, m = A.rows, A.cols, B.cols
+    a, b = A.entries, B.entries
+    out = []
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        for j in range(m):
+            acc = f.zero
+            for t in range(k):
+                av = arow[t]
+                if not f.is_zero(av):
+                    acc = f.add(acc, f.mul(av, b[t * m + j]))
+            out.append(acc)
+    return Matrix(f, n, m, tuple(out))
 
 
 def _eliminate(rows, field, ncols, *, reduced):
@@ -263,15 +347,140 @@ def _eliminate(rows, field, ncols, *, reduced):
     return pivots, entries, sign
 
 
-def rank_and_rref(M: Matrix) -> RrefResult:
-    """Gauss-Jordan elimination of [M | I]; returns invertible T with T @ M = rref."""
+def _generic_rref(M):
     f = M.field
     n, m = M.rows, M.cols
     a = [M.row_list(i) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)]
     pivots, _, _ = _eliminate(a, f, m, reduced=True)
-    rref = Matrix(f, n, m, tuple(v for row in a for v in row[:m]))
-    transform = Matrix(f, n, n, tuple(v for row in a for v in row[m:]))
-    return RrefResult(len(pivots), rref, transform, tuple(pivots))
+    return _rref_result(f, a, m, pivots)
+
+
+def _generic_rank(M):
+    return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
+
+
+def _generic_det(M):
+    """The signed product of the elimination's pivot entries."""
+    f = M.field
+    pivots, entries, sign = _eliminate(M.to_rows(), f, M.cols, reduced=False)
+    if len(pivots) < M.rows:
+        return f.zero
+    acc = f.one
+    for piv in entries:
+        acc = f.mul(acc, piv)
+    return acc if sign == 1 else f.neg(acc)
+
+
+def _generic_span_insert(f, rows, vec, store):
+    """Reduce vec by the rows of a Span, in the order of their pivots; False
+    when it reduces to zero, else True, after storing it scaled to 1 at its
+    first nonzero entry when store."""
+    v = list(vec)
+    for piv in sorted(rows):
+        if not f.is_zero(v[piv]):
+            c = v[piv]
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, rows[piv])]
+    piv = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
+    if piv is None:
+        return False
+    if store:
+        inv = f.inv(v[piv])
+        rows[piv] = [f.mul(inv, x) for x in v]
+    return True
+
+
+# -- GF(p): the same loops on plain int rows -----------------------------------
+#
+# The product reduces each entry's sum of int products once.  Elimination
+# and Span reduce their entries into range(p) on the way in, so a residue is
+# zero exactly when it is falsy; each row operation then takes one % p per
+# entry.
+
+
+def _gf_matmul(A, B):
+    """Each entry from a row of A and a column slice B.entries[j::m] of B."""
+    p, k, m = A.field.p, A.cols, B.cols
+    a = A.entries
+    rows = [a[i * k : (i + 1) * k] for i in range(A.rows)]
+    cols = [B.entries[j::m] for j in range(m)]
+    return Matrix(A.field, A.rows, m, tuple([sum(map(operator.mul, r, c)) % p
+                                             for r in rows for c in cols]))
+
+
+def _gf_rows(M):
+    p, m, e = M.field.p, M.cols, M.entries
+    return [[v % p for v in e[i * m : (i + 1) * m]] for i in range(M.rows)]
+
+
+def _gf_eliminate(rows, p, ncols, *, reduced):
+    """_eliminate over GF(p), in place, on rows of residues in range(p):
+    the same pivots, swaps and row operations, and the same return value."""
+    n = len(rows)
+    pivots, entries, sign = [], [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        for pr in range(r, n):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        if piv != 1:
+            inv = pow(piv, -1, p)
+            rows[r][c:] = [inv * v % p for v in rows[r][c:]]
+        tail = rows[r][c:]
+        for i in range(0 if reduced else r + 1, n):
+            row = rows[i]
+            coef = row[c]
+            if coef and i != r:
+                row[c:] = [(v - coef * w) % p for v, w in zip(row[c:], tail)]
+        pivots.append(c)
+        entries.append(piv)
+    return pivots, entries, sign
+
+
+def _gf_rref(M):
+    n, m = M.rows, M.cols
+    a = _gf_rows(M)
+    for i, row in enumerate(a):
+        row += [0] * n
+        row[m + i] = 1
+    pivots, _, _ = _gf_eliminate(a, M.field.p, m, reduced=True)
+    return _rref_result(M.field, a, m, pivots)
+
+
+def _gf_rank(M):
+    return len(_gf_eliminate(_gf_rows(M), M.field.p, M.cols, reduced=False)[0])
+
+
+def _gf_det(M):
+    p = M.field.p
+    pivots, entries, sign = _gf_eliminate(_gf_rows(M), p, M.cols, reduced=False)
+    return sign * prod(entries) % p if len(pivots) == M.rows else 0
+
+
+def _gf_span_insert(f, rows, vec, store):
+    p = f.p
+    v = [x % p for x in vec]
+    for piv in sorted(rows):
+        c = v[piv]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, rows[piv])]
+    piv = next((i for i, x in enumerate(v) if x), None)
+    if piv is None:
+        return False
+    if store:
+        inv = pow(v[piv], -1, p)
+        rows[piv] = [inv * x % p for x in v]
+    return True
+
+
+# -- QQ: fraction-free elimination of the row-cleared integer matrix -----------
 
 
 def _bareiss(rows, ncols, *, reduced):
@@ -338,63 +547,32 @@ def _cleared_rows(M):
     return rows, ds
 
 
-def rank(M: Matrix) -> int:
-    """Rank by forward elimination, without building a transform: over QQ by
-    Bareiss on the row-cleared integer matrix, over QQ(t) the largest rank of
-    the cleared matrix at D + 1 integer points."""
-    if isinstance(M.field, QQT):
-        return _qqt_rank(M)
-    if isinstance(M.field, QQ):
-        return len(_bareiss(_cleared_rows(M)[0], M.cols, reduced=False)[0])
-    return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
+def _qq_matmul(A, B):
+    """The row-cleared A times the column-cleared B in ints, one Fraction per entry."""
+    a, da = _cleared_rows(A)
+    b, db = _cleared_rows(B.transpose())
+    return Matrix(A.field, A.rows, B.cols, tuple(Fraction(sum(map(operator.mul, r, c)), dr * dc)
+                                                 for r, dr in zip(a, da) for c, dc in zip(b, db)))
 
 
-def _signed_product(f, n, elimination):
-    """The determinant of an n x n matrix from its elimination's pivots."""
-    pivots, entries, sign = elimination
-    if len(pivots) < n:
-        return f.zero
-    acc = f.one
-    for piv in entries:
-        acc = f.mul(acc, piv)
-    return acc if sign == 1 else f.neg(acc)
+def _qq_rank(M):
+    return len(_bareiss(_cleared_rows(M)[0], M.cols, reduced=False)[0])
 
 
-def det(M: Matrix):
-    """Signed product of the elimination pivots over GF(p); over QQ, the
-    Bareiss determinant of the row-cleared matrix over the product of the
-    d_i; over QQ(t), interpolated from the cleared matrix's determinants at
-    D + 1 points."""
-    if not M.is_square:
-        raise MatrixError("determinant of non-square matrix")
-    if isinstance(M.field, QQT):
-        return _qqt_det(M)
-    if isinstance(M.field, QQ):
-        rows, ds = _cleared_rows(M)
-        return Fraction(_int_det(rows), prod(ds))
-    f = M.field
-    return _signed_product(f, M.rows, _eliminate(M.to_rows(), f, M.cols, reduced=False))
+def _qq_det(M):
+    """det N / prod d_i for the row-cleared N."""
+    rows, ds = _cleared_rows(M)
+    return Fraction(_int_det(rows), prod(ds))
 
 
-def inverse(M: Matrix) -> Matrix:
-    """Over QQ, M^-1 = N^-1 diag(d) = adj(N) diag(d) / det N for the
-    row-cleared N; over QQ(t) by interpolation."""
-    if not M.is_square:
-        raise MatrixError("inverse of non-square matrix")
-    if isinstance(M.field, QQT):
-        return _qqt_inverse(M)
-    n = M.rows
-    if isinstance(M.field, QQ):
-        rows, ds = _cleared_rows(M)
-        d, adj = _int_adjugate(rows)
-        if not d:
-            raise MatrixError("matrix is singular")
-        return Matrix(M.field, n, n, tuple(Fraction(v * dj, d)
-                                           for row in adj for v, dj in zip(row, ds)))
-    res = rank_and_rref(M)
-    if res.rank != n:
+def _qq_inverse(M):
+    """M^-1 = N^-1 diag(d) = adj(N) diag(d) / det N for the row-cleared N."""
+    rows, ds = _cleared_rows(M)
+    d, adj = _int_adjugate(rows)
+    if not d:
         raise MatrixError("matrix is singular")
-    return res.transform
+    return Matrix(M.field, M.rows, M.rows, tuple(Fraction(v * dj, d)
+                                                 for row in adj for v, dj in zip(row, ds)))
 
 
 # -- QQ(t) rank, det and inverse by evaluation at integer points ---------------
@@ -495,31 +673,17 @@ class Span:
     def __init__(self, field, dim, vecs=()):
         self.field = field
         self.dim = dim
-        self.rows = {}  # pivot index -> reduced row (list)
+        self.rows = {}  # pivot index -> reduced row (list), zero left of its pivot
+        self._insert = _kernels(field).span_insert
         for v in vecs:
             self.add(v)
 
-    def _reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for piv in sorted(self.rows):
-            if not f.is_zero(v[piv]):
-                c = v[piv]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, self.rows[piv])]
-        return v
-
     def contains(self, vec) -> bool:
-        return all(self.field.is_zero(x) for x in self._reduce(vec))
+        return not self._insert(self.field, self.rows, vec, False)
 
     def add(self, vec) -> bool:
-        f = self.field
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        self.rows[piv] = [f.mul(inv, x) for x in v]
-        return True
+        """Add vec; False when it is in the span already."""
+        return self._insert(self.field, self.rows, vec, True)
 
 
 def solve_right(A: Matrix, B: Matrix) -> Matrix | None:
@@ -555,15 +719,22 @@ def char_poly(M: Matrix) -> UniPoly:
     coefficient of x^i is d^(n-i) times M's; over QQ(t) by Berkowitz."""
     if not M.is_square:
         raise MatrixError("characteristic polynomial of non-square matrix")
-    f = M.field
-    if isinstance(f, GF):
-        return UniPoly.make(f, _hessenberg_char_poly(M.to_rows(), f.p))
-    if isinstance(f, QQ):
-        rows, ds = _cleared_rows(M)
-        d = lcm(*ds)
-        c = _berkowitz([[v * (d // di) for v in row] for row, di in zip(rows, ds)], _ZZ)
-        return UniPoly.make(f, [Fraction(ci, d ** i) for i, ci in enumerate(c)][::-1])
-    return UniPoly.make(f, _berkowitz(M.to_rows(), f)[::-1])
+    return _kernels(M.field).char_poly(M)
+
+
+def _generic_char_poly(M):
+    return UniPoly.make(M.field, _berkowitz(M.to_rows(), M.field)[::-1])
+
+
+def _gf_char_poly(M):
+    return UniPoly.make(M.field, _hessenberg_char_poly(M.to_rows(), M.field.p))
+
+
+def _qq_char_poly(M):
+    rows, ds = _cleared_rows(M)
+    d = lcm(*ds)
+    c = _berkowitz([[v * (d // di) for v in row] for row, di in zip(rows, ds)], _ZZ)
+    return UniPoly.make(M.field, [Fraction(ci, d ** i) for i, ci in enumerate(c)][::-1])
 
 
 def _berkowitz(a, R):
@@ -624,6 +795,24 @@ def _hessenberg_char_poly(a, p):
                 c[j] -= u * v
         chi.append([v % p for v in c])
     return chi[n]
+
+
+_GENERIC = _Kernels(matmul=_generic_matmul, rref=_generic_rref, rank=_generic_rank,
+                    det=_generic_det, inverse=_rref_inverse(_generic_rref),
+                    char_poly=_generic_char_poly, span_insert=_generic_span_insert)
+_KERNELS = {
+    GF: _Kernels(matmul=_gf_matmul, rref=_gf_rref, rank=_gf_rank, det=_gf_det,
+                 inverse=_rref_inverse(_gf_rref), char_poly=_gf_char_poly,
+                 span_insert=_gf_span_insert),
+    # rref keeps the generic loop over QQ and QQ(t): for singular input the
+    # transform is not unique, so another elimination could change it
+    QQ: _Kernels(matmul=_qq_matmul, rref=_generic_rref, rank=_qq_rank, det=_qq_det,
+                 inverse=_qq_inverse, char_poly=_qq_char_poly,
+                 span_insert=_generic_span_insert),
+    QQT: _Kernels(matmul=_generic_matmul, rref=_generic_rref, rank=_qqt_rank, det=_qqt_det,
+                  inverse=_qqt_inverse, char_poly=_generic_char_poly,
+                  span_insert=_generic_span_insert),
+}
 
 
 def eigen_data(M: Matrix) -> list[tuple]:

@@ -204,19 +204,24 @@ def _offdiag_bad_pairs(P: Matrix, k: int, m: int) -> list:
     """Every pair (R, C) with rank(R P C) > k: R runs over Gr(m, n) and C over
     the m-dimensional subspaces of ker R, both in the order of
     :func:`enumerate_subspaces`.  R is a Matrix of basis rows, C one of basis
-    columns."""
+    columns.
+
+    With B the basis rows of ker R, each C is (X B)^T for an RREF X, so
+    R P C = W X^T with W = R P B^T: an R with rank W <= k has no bad C and
+    is skipped, and the rank of each pair is read off the m x m product
+    W X^T."""
     f, n = P.field, P.rows
     bad = []
     for r_rows in enumerate_subspaces(m, n, f.p):
         R = Matrix.from_rows(f, r_rows)
-        RP = R @ P
-        if rank(RP) <= k:
-            continue  # rank(R P C) <= rank(R P)
         B = _kernel_rows(R)
+        W = R @ P @ B.transpose()
+        if rank(W) <= k:
+            continue  # rank(R P C) = rank(W X^T) <= rank W
         for x_rows in enumerate_subspaces(m, n - m, f.p):
-            C = (Matrix.from_rows(f, x_rows) @ B).transpose()
-            if rank(RP @ C) > k:
-                bad.append((R, C))
+            X = Matrix.from_rows(f, x_rows)
+            if rank(W @ X.transpose()) > k:
+                bad.append((R, (X @ B).transpose()))
     return bad
 
 

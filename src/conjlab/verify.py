@@ -546,9 +546,11 @@ def verify_equivariance(chain: ChainSpec, trials: int = 100, seed: int = 0,
 
 def _form_exposes(gt: GroupType, field, bound: int, rng) -> bool:
     """Draw M = [[P, Q], [R, -P^T]] in sp_2n (Q, R symmetric) or o_2n (Q, R
-    skew) until rank Q > bound, and conjugate by the form J = [[0, I], [sI, 0]]:
-    J M J^-1 = [[-P^T, sR], [sQ, P]] has lower-left block +-Q.  So J exposes
-    every sample, and the search passes by construction."""
+    skew) until rank Q > bound, and conjugate by the form J = [[0, I], [sI, 0]]
+    (s = -1 for sp, +1 for o): J M J^-1 = [[-P^T, sR], [sQ, P]].  A sample is
+    exposed when the lower-left block is sQ, of rank above the bound; a wrong
+    conjugator shows there as a block other than sQ, even when R too has rank
+    above the bound."""
     n, skew = gt.n, gt.letter == "D"
     while True:
         P = random_matrix(n, n, field, rng)
@@ -559,7 +561,9 @@ def _form_exposes(gt: GroupType, field, bound: int, rng) -> bool:
     M = Matrix.from_blocks([[P, Q], [R, -P.transpose()]])
     J = form_matrix(field, gt)
     assert group_membership(gt, J)
-    return rank((J @ M @ inverse(J)).block(n, 2 * n, 0, n)) > bound
+    exposed = (J @ M @ inverse(J)).block(n, 2 * n, 0, n)
+    s = field.one if skew else field.neg(field.one)
+    return exposed == Q.scale(s) and rank(exposed) > bound
 
 
 def _h_form_exposes(field, n: int, bound: int, rng) -> bool:
@@ -604,9 +608,9 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
     exceeds the bound must admit a conjugate exposing that excess in the
     hypothesis block (or, for the H-form, independent outer W columns).
 
-    For sp and od the form J alone exposes every sample (see
-    :func:`_form_exposes`), so those entries pass by construction; the
-    H-form search (b) tries several candidates."""
+    For sp and od the form J alone exposes every sample, and each trial
+    checks that its lower-left block is the sample's sQ (see
+    :func:`_form_exposes`); the H-form search (b) tries several candidates."""
     if trials < 1:
         raise ValueError(f"rankbound-{lemma} needs trials >= 1")
     t0 = time.monotonic()

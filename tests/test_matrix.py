@@ -19,11 +19,13 @@ from conftest import (
     rational_roots_oracle,
 )
 
+from conjlab import matrix
 from conjlab.fields import GF, QQ, QQT, RatFunc, UnsupportedFieldOperation, qpoly_rational_roots
 from conjlab.matrix import (
     Matrix,
     MatrixError,
     PoleAtZero,
+    Span,
     char_poly,
     det,
     eigen_data,
@@ -301,10 +303,12 @@ def test_det_matches_charpoly(rng):
 # ---------------------------------------------------------------------------
 
 _T = QQT_.t
-KERNEL_FIELDS = [G2, G7, QQ_, QQT_]
+KERNEL_FIELDS = [G2, G7, QQ_, QQT_, G3, G_BIG]
 NONZERO = {
     G2: [1],
     G7: [1, 2, 3, 6],
+    G3: [1, 2],
+    G_BIG: [1, 2, 123456789, 2**30, G_BIG.p - 1],
     QQ_: [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)],
     QQT_: [QQT_.one, _T, QQT_.inv(QQT_.add(QQT_.one, _T)),
            QQT_.sub(QQT_.mul(_T, _T), QQT_.one), QQT_.coerce(2)],
@@ -312,10 +316,10 @@ NONZERO = {
 
 
 @st.composite
-def kernel_matrices(draw, square=False):
-    """Small matrices over GF(2), GF(7), QQ and QQ(t), half their entries
-    zero on average, sometimes with a repeated row."""
-    f = draw(st.sampled_from(KERNEL_FIELDS))
+def kernel_matrices(draw, square=False, fields=KERNEL_FIELDS):
+    """Small matrices over GF(2), GF(7), QQ, QQ(t), GF(3) and GF(2^31 - 1),
+    half their entries zero on average, sometimes with a repeated row."""
+    f = draw(st.sampled_from(fields))
     hi = 3 if f is QQT_ else 4
     n = draw(st.integers(0, hi))
     m = n if square else draw(st.integers(0, hi))
@@ -645,7 +649,7 @@ def square_inputs(draw, fields, max_n=8):
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_inputs([G2, G3, G7, QQ_]))
+@given(square_inputs([G2, G3, G7, QQ_, G_BIG]))
 def test_char_poly_matches_generic_berkowitz(M):
     got = char_poly(M)
     assert got == berkowitz_oracle(M)
@@ -725,6 +729,72 @@ def test_qq_matmul_matches_textbook_product(data):
     B = Matrix(QQ_, k, m, tuple(data.draw(x) for _ in range(k * m)))
     C = A @ B
     assert C == matmul_oracle(A, B) and all(type(v) is Fraction for v in C.entries)
+
+
+# ---------------------------------------------------------------------------
+# The GF(p) kernels on int rows against the generic scalar loop, the
+# textbook product, the Gauss-Jordan loop and Laplace expansion
+# ---------------------------------------------------------------------------
+
+GF_FIELDS = [G2, G3, G7, G_BIG]
+
+
+def _gf_scalars(f):
+    """Residues, zero often, and ints outside range(p), negative ones too."""
+    return st.one_of(st.just(0), st.integers(0, f.p - 1), st.integers(-3 * f.p, 3 * f.p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gf_matmul_matches_textbook_product(data):
+    f = data.draw(st.sampled_from([G2, G7, G_BIG]))
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    x = _gf_scalars(f)
+    A = Matrix(f, n, k, tuple(data.draw(x) for _ in range(n * k)))
+    B = Matrix(f, k, m, tuple(data.draw(x) for _ in range(k * m)))
+    C = A @ B
+    assert C == matmul_oracle(A, B) == matrix._GENERIC.matmul(A, B)
+    assert all(type(v) is int and 0 <= v < f.p for v in C.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(kernel_matrices(fields=GF_FIELDS), kernel_matrices(square=True, fields=GF_FIELDS)))
+def test_gf_elimination_matches_generic_loop(M):
+    generic = matrix._GENERIC
+    res = rank_and_rref(M)
+    assert res == generic.rref(M)
+    assert rank(M) == generic.rank(M) == res.rank
+    if not M.is_square:
+        return
+    assert det(M) == generic.det(M) == laplace_det(M)
+    rk, _, T, _ = gauss_jordan_oracle(M)
+    if rk < M.rows:
+        with pytest.raises(MatrixError, match="^matrix is singular$"):
+            inverse(M)
+    else:
+        X = inverse(M)
+        assert X == generic.inverse(M) == T and X @ M == Matrix.identity(M.field, M.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gf_span_matches_generic_loop_and_rank(data):
+    f = data.draw(st.sampled_from([G3, G_BIG, G2]))
+    dim = data.draw(st.integers(0, 5))
+    x = _gf_scalars(f)
+    vecs = data.draw(st.lists(st.lists(x, min_size=dim, max_size=dim), max_size=7))
+    if len(vecs) >= 3 and data.draw(st.booleans()):
+        vecs[2] = [a + 2 * b for a, b in zip(vecs[0], vecs[1])]  # in the span of the first two
+    span, rows, seen = Span(f, dim), {}, []
+    for v in vecs:
+        inside = span.contains(v)
+        assert inside == (not matrix._generic_span_insert(f, rows, v, False))
+        before = gauss_jordan_oracle(Matrix.from_rows(f, seen))[0] if seen else 0
+        seen.append(v)
+        assert inside == (gauss_jordan_oracle(Matrix.from_rows(f, seen))[0] == before)
+        assert span.add(v) == matrix._generic_span_insert(f, rows, v, True) == (not inside)
+        assert span.rows == rows
+        assert span.contains(v)
 
 
 # ---------------------------------------------------------------------------

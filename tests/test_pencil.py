@@ -195,6 +195,44 @@ def test_offdiag_gf3_n4():
                 assert rank((g @ P @ inverse(g)).submatrix(K, L)) > k
 
 
+def _bad_pairs_full_scan(P, k, m):
+    """Every (R, C) with rank(R P C) > k, testing every pair of subspaces."""
+    f, n = P.field, P.rows
+    bad = []
+    for r_rows in enumerate_subspaces(m, n, f.p):
+        R = Matrix.from_rows(f, r_rows)
+        B = pencil._kernel_rows(R)
+        for x_rows in enumerate_subspaces(m, n - m, f.p):
+            C = (Matrix.from_rows(f, x_rows) @ B).transpose()
+            if rank(R @ P @ C) > k:
+                bad.append((R, C))
+    return bad
+
+
+def test_offdiag_bad_pairs_match_full_scan():
+    # the skip of an R with rank(R P B^T) <= k drops no bad pair and keeps their order
+    rng = random.Random(23)
+    for fld in (G2, G3):
+        ins = [random_matrix(4, 4, fld, rng) for _ in range(3)]
+        ins += [matrix_of_rank(fld, 4, 1, rng), _transvection(fld, 4, rng),
+                Matrix.scalar(fld, 4, 1) + matrix_of_rank(fld, 4, 2, rng)]
+        for P in ins:
+            for k, m in ((0, 1), (0, 2), (1, 2)):
+                assert pencil._offdiag_bad_pairs(P, k, m) == _bad_pairs_full_scan(P, k, m)
+
+
+def test_offdiag_gf2_n6_follows_the_theorem():
+    # n = 6, m = 2, k = 1: the verdict is rk(P, I) <= 1, over 22785 subspace pairs
+    rng = random.Random(6)
+    P = _transvection(G2, 6, rng)
+    assert tuple_rank_identity(P) == 1
+    assert offdiag_criterion_check(P, 1, 2) == (True, None)
+    P2 = P @ _transvection(G2, 6, rng)
+    assert tuple_rank_identity(P2) == 2
+    holds, (g, K, L) = offdiag_criterion_check(P2, 1, 2)
+    assert not holds and rank((g @ P2 @ inverse(g)).submatrix(K, L)) > 1
+
+
 def test_offdiag_budget():
     with pytest.raises(BudgetExceeded):
         offdiag_criterion_check(Matrix.identity(GF(101), 4), 1, 2)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from conjlab.coordpoly import PolyContext, PolyGrid, symbolic_matrix
 from conjlab.fields import GF, QQ
 from conjlab.matrix import Matrix, inverse, random_matrix, rank
 from conjlab.pencil import BudgetExceeded
+import conjlab.verify as verify_mod
 from conjlab.verify import (
     _char2a_units,
     _commutator_units,
@@ -317,6 +320,18 @@ def test_rank_bound_reports_pinned(lemma, n, m, trials):
             "ms": 0}
 
 
+@pytest.mark.parametrize("lemma", ["sp", "od"])
+def test_rank_bound_fails_with_a_wrong_form(monkeypatch, lemma):
+    # with J replaced by the identity the exposed block is R, not sQ; R has
+    # rank above the bound as often as Q does, so only the block check fails
+    monkeypatch.setattr(verify_mod, "form_matrix",
+                        lambda field, gt: Matrix.identity(field, gt.ambient))
+    r = verify_rank_bound_samples(lemma, 8, 1, trials=20, seed=0, field=G7)
+    assert r.verdict == "fail"
+    assert r.witnesses[0]["witness_rate"] == 0.0
+    assert r.witnesses[0]["misses"] == [{"trial": t} for t in range(5)]
+
+
 @pytest.mark.parametrize("lemma, n, m", [
     ("sp", 1, 1), ("sp", 3, 3), ("sp", 2, 5),
     ("od", 3, 1), ("od", 4, 2), ("od", 1, 0),
@@ -365,3 +380,16 @@ def test_run_suite_empty_and_entries():
 def test_default_config_ids_resolve():
     for entry in default_suite_config():
         assert isinstance(entry["lemma"], str)
+
+
+def test_default_suite_reports_pinned():
+    # every verdict and witness of the default suite at seeds 0 and 1, the
+    # timing field dropped, hashed as recorded before the GF(p) int kernels
+    docs = []
+    for seed in (0, 1):
+        for entry in default_suite_config():
+            doc = run_one(entry, seed).to_json()
+            del doc["ms"]
+            docs.append(doc)
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "6628318f0857950546ec091d0d5a57724251aeef480d4f0ce11a5ab90bd2aba5"
