@@ -149,8 +149,7 @@ def _random_generator(gtype: GroupType, field, rng) -> Matrix:
         if kind == 2:
             h = random_invertible(n, field, rng)
             return Matrix.diag_blocks([h, inverse(h).transpose()])
-        sign = -1 if gtype.letter == "C" else 1
-        return Matrix.from_blocks([[Z, I], [I.scale(sign), Z]])
+        return form_matrix(field, gtype)
     # type B over char != 2
     if field.characteristic == 2:
         raise FieldError("type B generators need characteristic != 2")

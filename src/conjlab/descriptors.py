@@ -76,20 +76,20 @@ def _check_fields(a, b):
         raise ValueError("descriptor field mismatch")
 
 
-def descriptor_union(a: ClosedSetDescriptor, b: ClosedSetDescriptor) -> ClosedSetDescriptor:
+def _pointwise(a: ClosedSetDescriptor, b: ClosedSetDescriptor, op) -> ClosedSetDescriptor:
+    """op (max or min) of the two bounds, at every eigenvalue and for k."""
     _check_fields(a, b)
-    k = max(a.k, b.k)
     lams = {l for l, _ in a.exceptional} | {l for l, _ in b.exceptional}
-    entries = [(l, max(a.bound_at(l), b.bound_at(l))) for l in lams]
-    return ClosedSetDescriptor.make(a.field, k, entries)
+    entries = [(l, op(a.bound_at(l), b.bound_at(l))) for l in lams]
+    return ClosedSetDescriptor.make(a.field, op(a.k, b.k), entries)
+
+
+def descriptor_union(a: ClosedSetDescriptor, b: ClosedSetDescriptor) -> ClosedSetDescriptor:
+    return _pointwise(a, b, max)
 
 
 def descriptor_intersect(a: ClosedSetDescriptor, b: ClosedSetDescriptor) -> ClosedSetDescriptor:
-    _check_fields(a, b)
-    k = min(a.k, b.k)
-    lams = {l for l, _ in a.exceptional} | {l for l, _ in b.exceptional}
-    entries = [(l, min(a.bound_at(l), b.bound_at(l))) for l in lams]
-    return ClosedSetDescriptor.make(a.field, k, entries)
+    return _pointwise(a, b, min)
 
 
 def descriptor_contains(a: ClosedSetDescriptor, b: ClosedSetDescriptor) -> bool:

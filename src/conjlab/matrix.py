@@ -163,16 +163,17 @@ class Matrix:
         if self.field != other.field:
             raise MatrixError("field mismatch")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other, op, symbol) -> "Matrix":
         self._chk(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixError("shape mismatch in +")
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
+            raise MatrixError(f"shape mismatch in {symbol}")
+        return Matrix(self.field, self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.field.add, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._entrywise(other, self.field.sub, "-")
 
     def __neg__(self) -> "Matrix":
         f = self.field

@@ -4,9 +4,10 @@ level-raising tuple-rank witness, and exact degeneration curves over QQ(t).
 
 Each construction realizes a block shape by one explicit change of basis
 (greedy, deterministic tie-breaks over the standard basis) and then corrects
-with unipotent factors.  Only tuple_rank_lift draws random conjugators, from
-a fixed seed.  Every returned witness is verified against its postcondition
-before returning.
+with unipotent factors.  The skew normal form behind the degeneration curves
+is symplectic Gram-Schmidt, one Gram product V R V^T per hyperbolic pair.
+Only tuple_rank_lift draws random conjugators, from a fixed seed.  Every
+returned witness is verified against its postcondition before returning.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .chains import ChainSpec, ChainError, project_dual
-from .fields import GF, QQ, QQT
+from .fields import GF, QQ, QQT, UnsupportedFieldOperation
 from .matrix import (
     Matrix,
     MatrixError,
@@ -123,14 +124,13 @@ def shape_left(P: Matrix, m: int):
     Z = [kv for kv in ker if wspan.add(kv)][: n - m]
     if len(Z) < n - m:
         raise failed
-    Mb = Matrix.from_rows(f, [[(W + Z)[j][i] for j in range(n)] for i in range(n)])
+    Mb = Matrix.from_rows(f, W + Z).transpose()
     try:
         h = inverse(Mb)
     except MatrixError:
         raise failed from None
     B = h @ P @ Mb
-    if not (all(f.is_zero(B.entry(i, j)) for i in range(n) for j in range(m, n))
-            and rank(B.block(m, n, 0, m)) == k):
+    if not (B.block(0, n, m, n).is_zero() and rank(B.block(m, n, 0, m)) == k):
         raise failed
     return h, B
 
@@ -140,9 +140,8 @@ def shape_right(P: Matrix, m: int):
     hT, BT = shape_left(P.transpose(), m)
     g = inverse(hT).transpose()
     C = BT.transpose()  # g^{-1} = hT^T, so g P g^{-1} = (hT P^T hT^{-1})^T
-    f = P.field
     n = P.rows
-    assert all(f.is_zero(C.entry(i, j)) for i in range(m, n) for j in range(n))
+    assert C.block(m, n, 0, n).is_zero()
     assert rank(C.block(0, m, m, n)) == rank(P)
     return g, C
 
@@ -170,8 +169,8 @@ def topleft_realization(P: Matrix, Q: Matrix) -> Matrix:
     src = _complete_basis(f, [_col(v, 0) for v in kR], n)
     tgt_seed = [_col(v, 0) for v in kQ[: len(kR)]]
     tgt = _complete_basis(f, tgt_seed, n)
-    Msrc = Matrix.from_rows(f, [[src[j][i] for j in range(n)] for i in range(n)])
-    Mtgt = Matrix.from_rows(f, [[tgt[j][i] for j in range(n)] for i in range(n)])
+    Msrc = Matrix.from_rows(f, src).transpose()
+    Mtgt = Matrix.from_rows(f, tgt).transpose()
     h = Mtgt @ inverse(Msrc)
     g2 = Matrix.diag_blocks([h, Matrix.identity(f, n)])
     B2 = g2 @ B @ inverse(g2)
@@ -259,7 +258,7 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
         raise ValueError("need 1 <= k <= n")
     if mode == "exhaustive":
         if not isinstance(f, GF):
-            raise BudgetExceeded("exhaustive mode needs a finite field")
+            raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
         if gaussian_binomial(n, k, f.p) ** 2 > ENUMERATION_BUDGET:
             raise BudgetExceeded("Gr(k, n)^2 exceeds the enumeration budget")
         subs = [Matrix.from_rows(f, rows) for rows in enumerate_subspaces(k, n, f.p)]
@@ -338,23 +337,13 @@ def tuple_rank_lift(chain: ChainSpec, i: int, P: Matrix) -> Matrix:
     P0 = P - Matrix.scalar(f, N, sr.lam)
     assert rank(P0) == k
     rng = random.Random(0)
-    blocks = None
-    g0 = None
     for _ in range(300):
-        cand = random_invertible(N, f, rng)
-        B = cand @ P0 @ inverse(cand)
-        bl = []
-        good = True
-        for jb in range(s.l + s.r):
-            blk = B.block(jb * m, (jb + 1) * m, jb * m, (jb + 1) * m)
-            if rank(blk) != k:
-                good = False
-                break
-            bl.append(blk)
-        if good:
-            g0, blocks = cand, bl
+        g0 = random_invertible(N, f, rng)
+        B = g0 @ P0 @ inverse(g0)
+        blocks = [B.block(jb * m, (jb + 1) * m, jb * m, (jb + 1) * m) for jb in range(s.l + s.r)]
+        if all(rank(blk) == k for blk in blocks):
             break
-    if g0 is None:
+    else:
         raise ConstructionError("could not position rank-k diagonal blocks (diagnostic: "
                                 f"N={N}, m={m}, k={k})")
     summands = blocks[: s.l] + [-(Qb.transpose()) for Qb in blocks[s.l:]]
@@ -378,76 +367,48 @@ def is_skew(M: Matrix) -> bool:
 
 
 def skew_normal_form(R: Matrix):
-    """g with g R g^T = Diag(J_2, ..., J_2, 0), J_2 = [[0,1],[-1,0]]."""
+    """g with g R g^T = Diag(J_2, ..., J_2, 0), J_2 = [[0,1],[-1,0]].
+
+    Symplectic Gram-Schmidt on working rows V, from the standard basis: each
+    round takes G = V R V^T and the first a < b with c = G[a][b] != 0, keeps
+    the pair u = V[a], v = V[b]/c, and replaces every other row w by
+    w - G[a][w] v + (G[b][w]/c) u, which pairs to zero with both.  g lists
+    u_1, v_1, ..., then the rows left when G vanishes (the radical).
+    """
     f = R.field
     n = R.rows
     if not is_skew(R):
         raise MatrixError("expected a skew matrix")
-
-    def form(u, v):
-        acc = f.zero
-        for a in range(n):
-            if f.is_zero(u[a]):
-                continue
-            for b in range(n):
-                acc = f.add(acc, f.mul(f.mul(u[a], R.entry(a, b)), v[b]))
-        return acc
-
-    vecs = [[f.one if t == i else f.zero for t in range(n)] for i in range(n)]
+    V = Matrix.identity(f, n)
     pairs = []
-    while True:
-        found = None
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                if not f.is_zero(form(vecs[a], vecs[b])):
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if not found:
+    while V.rows > 1:
+        G = V @ R @ V.transpose()
+        ab = next(((a, b) for a in range(V.rows) for b in range(a + 1, V.rows)
+                   if not f.is_zero(G.entry(a, b))), None)
+        if ab is None:
             break
-        a, b = found
-        u = vecs[a]
-        c = form(u, vecs[b])
-        v = [f.div(x, c) for x in vecs[b]]
-        rest = [vecs[t] for t in range(len(vecs)) if t not in (a, b)]
-        fixed = []
-        for w in rest:
-            cu = form(u, w)
-            cv = form(v, w)
-            w2 = [f.add(f.sub(x, f.mul(cu, y)), f.mul(cv, z)) for x, y, z in zip(w, v, u)]
-            fixed.append(w2)
-        pairs.append((u, v))
-        vecs = fixed
-    cols = []
-    for u, v in pairs:
-        cols.append(u)
-        cols.append(v)
-    cols.extend(vecs)
-    B = Matrix.from_rows(f, [[cols[j][i] for j in range(n)] for i in range(n)])
-    g = B.transpose()
-    N = g @ R @ g.transpose()
-    expect = _skew_jform(f, n, len(pairs))
-    if N != expect:
+        a, b = ab
+        inv_c = f.inv(G.entry(a, b))
+        u, v = V.block(a, a + 1, 0, n), V.block(b, b + 1, 0, n).scale(inv_c)
+        pairs += [u, v]
+        rest = [w for w in range(V.rows) if w not in (a, b)]
+        V = (V.submatrix(rest, range(n)) - G.submatrix([a], rest).transpose() @ v
+             + G.submatrix([b], rest).transpose().scale(inv_c) @ u)
+    g = Matrix.from_blocks([[row] for row in pairs + [V]])
+    if g @ R @ g.transpose() != _skew_jform(f, n, len(pairs) // 2):
         raise ConstructionError("skew normal form failed verification")
-    return g, len(pairs)
+    return g, len(pairs) // 2
 
 
 def _skew_jform(field, n, npairs) -> Matrix:
-    ent = [[field.zero] * n for _ in range(n)]
-    for i in range(npairs):
-        ent[2 * i][2 * i + 1] = field.one
-        ent[2 * i + 1][2 * i] = field.neg(field.one)
-    return Matrix.from_rows(field, ent)
+    J2 = Matrix.from_rows(field, [[0, 1], [-1, 0]])
+    return Matrix.diag_blocks([J2] * npairs + [Matrix.zeros(field, n - 2 * npairs)])
 
 
 def _qqt_diag_scale(n: int, keep: int) -> Matrix:
     """Diag(I_keep, t, ..., t) over QQ(t)."""
     qqt = QQT()
-    ent = [[qqt.zero] * n for _ in range(n)]
-    for i in range(n):
-        ent[i][i] = qqt.one if i < keep else qqt.t
-    return Matrix.from_rows(qqt, ent)
+    return Matrix.diag_blocks([Matrix.identity(qqt, keep), Matrix.scalar(qqt, n - keep, qqt.t)])
 
 
 def degeneration_witness(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
@@ -491,27 +452,21 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
     # step 1: move the last column of W to e_n
     wl = _col(W, k - 1)
     others = _complete_basis(f, [wl], n)[1:]
-    Mb = Matrix.from_rows(f, [[(others + [wl])[j][i] for j in range(n)] for i in range(n)])
+    Mb = Matrix.from_rows(f, others + [wl]).transpose()
     g1 = inverse(Mb)
     R1, W1 = g1 @ R @ g1.transpose(), g1 @ W
     # step 2: push the last column of R out of the column space of W
-    choice = None
-    for idx in range(n):
-        u = [f.zero] * n
-        u[n - 1] = f.one
-        if idx < n - 1:
-            u[idx] = f.one
-        if solve_right(W1, R1 @ Matrix(f, n, 1, tuple(u))) is None:
-            choice = u
-            break
+    I = Matrix.identity(f, n).to_rows()
+    choice = next((u for u in [_vec_add(f, I[n - 1], e) for e in I[: n - 1]] + [I[n - 1]]
+                   if solve_right(W1, R1 @ Matrix(f, n, 1, tuple(u))) is None), None)
     if choice is None:
         raise ConstructionError("no shear makes the last R column leave im(W)")
-    L = Matrix.from_rows(f, Matrix.identity(f, n).to_rows()[: n - 1] + [choice])
+    L = Matrix.from_rows(f, I[: n - 1] + [choice])
     R2, W2 = L @ R1 @ L.transpose(), L @ W1
     # step 3: normalize that column to e_{n-1}
     ctop = [R2.entry(a, n - 1) for a in range(n - 1)]
     comp = _complete_basis(f, [ctop], n - 1)[1:]
-    M2 = Matrix.from_rows(f, [[(comp + [ctop])[j][i] for j in range(n - 1)] for i in range(n - 1)])
+    M2 = Matrix.from_rows(f, comp + [ctop]).transpose()
     h = inverse(M2)
     g3 = Matrix.diag_blocks([h, Matrix.identity(f, 1)])
     R3, W3 = g3 @ R2 @ g3.transpose(), g3 @ W2
@@ -531,19 +486,14 @@ def _degen(R: Matrix, W: Matrix, Q: Matrix, V: Matrix) -> Matrix:
     # step 5: recurse into the corner toward the normal form of Q
     gQ, sQ = skew_normal_form(Q)
     Qin = _skew_jform(f, n - 2, sQ)
-    Vin = Matrix.from_rows(f, [
-        [f.one if (a >= n - k - 1 and a - (n - k - 1) == b) else f.zero for b in range(k - 1)]
-        for a in range(n - 2)
-    ])
+    Vin = Matrix.from_blocks([[Matrix.zeros(f, n - k - 1, k - 1)], [Matrix.identity(f, k - 1)]])
     Gin = _degen(Rc, Wc, Qin, Vin)
     Gstep = Matrix.diag_blocks([Gin, Matrix.identity(qqt, 2)])
     # exact state after the corner move
     R5 = Matrix.diag_blocks([Qin, Matrix.zeros(f, 2)])
     # step 6: move the zero row n-2 up so the identity block sits at the bottom
     order = list(range(n - k - 1)) + [n - 2] + list(range(n - k - 1, n - 3 + 1)) + [n - 1]
-    perm = Matrix.from_rows(f, [
-        [f.one if order[a] == b else f.zero for b in range(n)] for a in range(n)
-    ])
+    perm = Matrix.from_rows(f, [I[b] for b in order])
     assert perm @ R5 @ perm.transpose() == R5  # the moved rows and columns are zero
     # step 7: shrink the last k coordinates while feeding in the target columns;
     # the permutation fixes row n-1 of W3, whose first k-1 entries are u

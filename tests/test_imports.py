@@ -1,8 +1,10 @@
 """src/ stays standard-library only: every module of the package imports the
-standard library and conjlab itself, nothing else, and uses what it imports."""
+standard library and conjlab itself, nothing else, and uses what it imports;
+and every private helper it defines is named somewhere in src/."""
 
 import ast
 import pathlib
+import re
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "conjlab"
@@ -42,3 +44,27 @@ def test_src_has_no_unused_imports():
     unused = {(path.name, name) for path in sorted(SRC.glob("*.py"))
               for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
     assert not unused
+
+
+def _private_definitions(tree):
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_src_has_no_unreferenced_private_helpers():
+    """Every module-level private function, class or constant of the package is
+    named somewhere in src/ besides its definition, so a rewrite does not leave
+    a helper behind.  Dunders such as __all__ are read by the interpreter and
+    are not checked."""
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    everything = "\n".join(texts.values())
+    unreferenced = {(path.name, name) for path, text in texts.items()
+                    for name in _private_definitions(ast.parse(text, str(path)))
+                    if len(re.findall(rf"\b{re.escape(name)}\b", everything)) < 2}
+    assert not unreferenced

@@ -273,6 +273,7 @@ def gf5_matrices(draw, n=3):
 def test_matrix_ring_laws(A, B, C):
     assert (A @ B) @ C == A @ (B @ C)
     assert A @ (B + C) == A @ B + A @ C
+    assert A - B == A + (-B) and (A - B) + B == A
     assert (A + B).transpose() == A.transpose() + B.transpose()
     assert (A @ B).transpose() == B.transpose() @ A.transpose()
     assert (A + B).trace() == G5.add(A.trace(), B.trace())

@@ -7,7 +7,7 @@ from fractions import Fraction
 from conftest import matrix_of_rank, minor_gl_oracle, skew_of_rank
 
 from conjlab.chains import ChainError, ChainSpec, project_dual
-from conjlab.fields import GF, QQ, QQT
+from conjlab.fields import GF, QQ, QQT, UnsupportedFieldOperation
 from conjlab.matrix import (
     Matrix,
     det,
@@ -134,6 +134,9 @@ def test_minor_vanishing():
     for trials in (0, -1):  # no sample would report vanishing without checking a conjugate
         with pytest.raises(ValueError, match="trials"):
             minor_vanishing_test(Matrix.zeros(QQ_, 3), 1, mode="sampled", trials=trials, rng=rng)
+    # no enumeration over a field that is not finite: unsupported, not over budget
+    with pytest.raises(UnsupportedFieldOperation, match="finite field"):
+        minor_vanishing_test(Matrix.zeros(QQ_, 2), 1)
 
 
 def test_minor_vanishing_exhaustive_gf2_n2():
@@ -229,6 +232,27 @@ def test_skew_normal_form(rng):
                 assert N.entry(2 * i, 2 * i + 1) == 1
 
 
+def test_skew_normal_form_pinned():
+    # the exact g: another valid g would still change every degeneration curve
+    F = Fraction
+    cases = [
+        # full rank over QQ
+        (Matrix.from_rows(QQ_, [[0, 1, 2, -1], [-1, 0, 3, 1], [-2, -3, 0, 2], [1, -1, -2, 0]]),
+         [[1, 0, 0, 0], [0, 1, 0, 0], [3, -2, 1, 0], [F(-1, 3), F(-1, 3), 0, F(-1, 3)]], 2),
+        # rank 2 of 5 over QQ: u v^T - v u^T
+        (Matrix.from_rows(QQ_, [[0, 1, 1, 2, -1], [-1, 0, 2, 5, -5], [-1, -2, 0, 1, -3],
+                                [-2, -5, -1, 0, -5], [1, 5, 3, 5, 0]]),
+         [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [2, -1, 1, 0, 0], [5, -2, 0, 1, 0],
+          [-5, 1, 0, 0, 1]], 1),
+        # full rank over GF(5), whose first pivot pair is (e_1, e_3)
+        (Matrix.from_rows(G5, [[0, 0, 1, 2], [0, 0, 3, 4], [4, 2, 0, 1], [3, 1, 4, 0]]),
+         [[1, 0, 0, 0], [0, 0, 1, 0], [2, 1, 0, 0], [2, 0, 1, 2]], 2),
+    ]
+    for R, rows, pairs in cases:
+        g, got_pairs = skew_normal_form(R)
+        assert (g, got_pairs) == (Matrix.from_rows(R.field, rows), pairs)
+
+
 def test_degeneration_examples():
     J2 = Matrix.from_rows(QQ_, [[0, 1], [-1, 0]])
     G = degeneration_witness(J2, Matrix.zeros(QQ_, 2, 0), Matrix.zeros(QQ_, 2),
@@ -238,6 +262,20 @@ def test_degeneration_examples():
     V = Matrix.from_rows(QQ_, [[1], [0]])
     G = degeneration_witness(J2, W, Matrix.zeros(QQ_, 2), V)
     assert limit_at_zero(G @ lift_to_qqt(W)) == V
+
+
+def test_degeneration_pinned_k0():
+    # the exact k = 0 curve, read off the two skew normal forms
+    R = Matrix.from_rows(QQ_, [[0, 1, 2, -1], [-1, 0, 3, 1], [-2, -3, 0, 2], [1, -1, -2, 0]])
+    Q = Matrix.from_rows(QQ_, [[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
+    G = degeneration_witness(R, Matrix.zeros(QQ_, 4, 0), Q, Matrix.zeros(QQ_, 4, 0))
+    qqt = QQT()
+    assert G == Matrix.from_rows(qqt, [[qqt.parse(x) for x in row] for row in [
+        ["3*t", "-2*t", "t", "0"],
+        ["1", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["-t/3", "-t/3", "0", "-t/3"],
+    ]])
 
 
 def test_degeneration_pinned():
