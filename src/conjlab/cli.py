@@ -259,11 +259,10 @@ def _dispatch(args) -> int:
             surj, r = incidence_rank_check(g, field)
             _emit(args, {"surjective": surj, "rank": r})
     elif verb == "verify":
+        default = "gf:3" if args.lemma == "commutator" else "gf:7"  # for the default qq
         entry = {"lemma": args.lemma, "n": args.n, "m": args.m,
-                 "field": args.field if args.field != "qq" else "gf:7",
+                 "field": args.field if args.field != "qq" else default,
                  "trials": args.trials}
-        if args.lemma == "commutator":
-            entry["field"] = args.field if args.field.startswith("gf") else "gf:3"
         if args.lemma.startswith("equivariance"):
             name = "equivariance-A" if args.lemma == "equivariance" else args.lemma
             chains = [e["chain"] for e in default_suite_config() if e["lemma"] == name]

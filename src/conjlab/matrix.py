@@ -107,8 +107,7 @@ class Matrix:
         for b in blocks:
             for i in range(b.rows):
                 base = (r0 + i) * m + c0
-                for j in range(b.cols):
-                    ent[base + j] = b.entry(i, j)
+                ent[base:base + b.cols] = b.entries[i * b.cols:(i + 1) * b.cols]
             r0 += b.rows
             c0 += b.cols
         return Matrix(field, n, m, tuple(ent))
@@ -129,8 +128,7 @@ class Matrix:
                     raise MatrixError("block shape mismatch")
                 for i in range(b.rows):
                     base = (r0 + i) * m + c0
-                    for j in range(b.cols):
-                        ent[base + j] = b.entry(i, j)
+                    ent[base:base + b.cols] = b.entries[i * b.cols:(i + 1) * b.cols]
                 c0 += b.cols
             r0 += row_h[bi]
         return Matrix(field, n, m, tuple(ent))
@@ -151,11 +149,19 @@ class Matrix:
         return self.rows == self.cols
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        ent = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
-        return Matrix(self.field, len(row_idx), len(col_idx), ent)
+        e, c = self.entries, self.cols
+        rows = [e[i * c:(i + 1) * c] for i in row_idx]
+        return Matrix(self.field, len(rows), len(col_idx),
+                      tuple([row[j] for row in rows for j in col_idx]))
 
     def block(self, r0, r1, c0, c1) -> "Matrix":
-        return self.submatrix(range(r0, r1), range(c0, c1))
+        """Rows r0..r1-1 and columns c0..c1-1, one slice of entries a row."""
+        e, c = self.entries, self.cols
+        if r0 < 0 or c0 < 0 or r1 > self.rows or c1 > c:
+            raise MatrixError("block out of range")  # a slice would run into the next row
+        rows = range(r0, r1)
+        return Matrix(self.field, len(rows), len(range(c0, c1)),
+                      tuple([v for i in rows for v in e[i * c + c0:i * c + c1]]))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -193,16 +199,17 @@ class Matrix:
         return _kernels(self.field).matmul(self, other)
 
     def transpose(self) -> "Matrix":
-        ent = tuple(self.entry(j, i) for i in range(self.cols) for j in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
+        """Row j of the transpose is the column slice entries[j::cols]."""
+        e, c = self.entries, self.cols
+        return Matrix(self.field, c, self.rows, tuple([v for j in range(c) for v in e[j::c]]))
 
     def trace(self):
         if not self.is_square:
             raise MatrixError("trace of non-square matrix")
         f = self.field
         acc = f.zero
-        for i in range(self.rows):
-            acc = f.add(acc, self.entry(i, i))
+        for v in self.entries[::self.cols + 1]:
+            acc = f.add(acc, v)
         return acc
 
     def is_zero(self) -> bool:

@@ -80,30 +80,63 @@ def _digits(code, p, k):
     return tuple(code // p ** i % p for i in range(k))
 
 
+def _monic_codes(p, k):
+    """0, then every code below p^k whose first nonzero digit is 1: one
+    vector of each line of F_p^k."""
+    return [0] + [p ** j * (1 + p * t) for j in range(k) for t in range(p ** (k - 1 - j))]
+
+
 def _first_uncovered(p, dim, bases):
     """The least code (see :func:`_digits`) of a vector of F_p^dim in none of
-    the spans of ``bases`` (lists of vectors); -1 if they cover F_p^dim."""
-    covered = bytearray(p ** dim)
+    the spans of ``bases`` (lists of vectors); -1 if they cover F_p^dim.
+
+    A vector is an int with digit k in bits [s k, s k + s), where
+    2^(s-1) >= p.  Two such ints add digit by digit without a carry, as each
+    digit sum is below 2p <= 2^s; adding 2^(s-1) - p to every digit sets the
+    top bit of exactly the digits >= p, and one mask subtracts p from them.
+    Over GF(2) this is XOR.  Each span is listed from the ints of its basis
+    rows and marked in a bytearray indexed by those ints; the span of the
+    unit vectors lists every vector in code order, which reads the marks
+    back.
+    """
+    s = (p - 1).bit_length() + 1
+    top = s - 1
+    ones = sum(1 << s * k for k in range(dim))
+    high, bias = ones << top, ones * ((1 << top) - p)
+
+    def span(rows):
+        """Every sum of c_i rows[i], c_i in F_p, with c_0 the lowest digit of its index."""
+        vecs = [0]
+        for b in rows:
+            step, grown = vecs, list(vecs)
+            for _ in range(p - 1):
+                step = [z - ((z + bias & high) >> top) * p for v in step for z in (v + b,)]
+                grown += step
+            vecs = grown
+        return vecs
+
+    covered = bytearray(1 << s * dim)
     for basis in bases:
-        vecs = [(0,) * dim]
-        for row in basis:
-            vecs = [tuple((a + c * b) % p for a, b in zip(v, row)) for v in vecs for c in range(p)]
-        for v in vecs:
-            covered[sum(x * p ** k for k, x in enumerate(v))] = 1
-    return covered.find(0)
+        for v in span([sum(x % p << s * k for k, x in enumerate(row)) for row in basis]):
+            covered[v] = 1
+    return bytes(map(covered.__getitem__, span([1 << s * k for k in range(dim)]))).find(0)
 
 
-def _coverage_report(lemma, params, field, n, units, t0) -> VerificationReport:
+def _coverage_report(lemma, params, field, n, units, reps, t0) -> VerificationReport:
     """Exact coverage of gl_n(F_p) by the image of a map linear in its second
     argument: the union over outer matrices A of the span of ``units(A, n, p)``,
-    the images of the matrix units.  A span of dimension n^2 passes at once;
-    otherwise the witness is the least uncovered code, which is the first
-    missing target of the former enumeration of every pair."""
+    the images of the matrix units.  That span is constant on the orbits of
+    a group acting on the outer matrices, and ``reps(p, n^2)`` lists the code
+    of one A in each orbit; so the distinct spans, their union and a span of
+    full dimension are those of the loop over every A.  A span of dimension
+    n^2 passes at once; otherwise the witness is the least uncovered code
+    (:func:`_first_uncovered`), which is the first missing target of the
+    former enumeration of every pair."""
     p, dim = field.p, n * n
     if p ** (2 * dim) > 10**7:  # the pair budget of that enumeration, kept
         raise BudgetExceeded(f"GF({p}) with n = {n} exceeds the enumeration budget")
     spans = set()
-    for code in range(p ** dim):
+    for code in reps(p, dim):
         gens = units(_digits(code, p, dim), n, p)
         res = rank_and_rref(Matrix(field, len(gens), dim, sum(gens, ())))
         if res.rank == dim:
@@ -120,11 +153,24 @@ def _char2a_units(A, n, p):
                   for r in range(n) for c in range(n)) for i in range(n) for j in range(n)]
 
 
+def _char2a_reps(p, dim):
+    """One A of each orbit of A -> cA, c != 0, which scales every unit image
+    by c: 0 and the codes whose first nonzero digit is 1."""
+    return _monic_codes(p, dim)
+
+
 def _commutator_units(X, n, p):
     """[X, E_ij]: column i of X in column j, minus row j of X in row i; then I."""
     return [tuple((X[r * n + i] * (c == j) - X[j * n + c] * (r == i)) % p
                   for r in range(n) for c in range(n)) for i in range(n) for j in range(n)] + \
         [tuple(int(r == c) for r in range(n) for c in range(n))]
+
+
+def _commutator_reps(p, dim):
+    """One X of each orbit of X -> cX + dI, c != 0, since [cX + dI, E] =
+    c[X, E]: the codes whose digit 0 (entry X_11) is 0 and whose first
+    nonzero digit is 1."""
+    return [p * code for code in _monic_codes(p, dim - 1)]
 
 
 def verify_char2(part: str, field, n: int, mode: str = "enumerate",
@@ -149,7 +195,7 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
             raise ValueError("part (a) needs an odd finite field")
         lemma = "char2a"
         if mode == "enumerate":
-            return _coverage_report(lemma, params, field, n, _char2a_units, t0)
+            return _coverage_report(lemma, params, field, n, _char2a_units, _char2a_reps, t0)
         if mode != "sample":
             raise ValueError(f"part (a) mode must be 'enumerate' or 'sample', got {mode!r}")
         if trials < 1:
@@ -186,14 +232,16 @@ def verify_commutator_scalar(field, m: int) -> VerificationReport:
     trace -- E_11, i.e. ``[1, 0, 0, 0]``, for GF(2), m = 2.
 
     (Y, lambda) -> [X,Y] + lambda*I is linear, so :func:`_coverage_report`
-    checks the union over X of span([X, E_ij], I) and scans for the witness
-    in the order of the former enumeration of all pairs, which keeps it.
+    checks the union over X of span([X, E_ij], I), one X of each orbit of
+    X -> cX + dI (:func:`_commutator_reps`), and scans for the witness in
+    the order of the former enumeration of all pairs, which keeps it.
     """
     t0 = time.monotonic()
     params = {"field": field.name, "m": m}
     if not isinstance(field, GF):
-        raise ValueError("enumeration needs a finite field")
-    return _coverage_report("commutator", params, field, m, _commutator_units, t0)
+        raise ValueError(f"commutator coverage needs a finite field gf:<p>, got {field.name}")
+    return _coverage_report("commutator", params, field, m, _commutator_units,
+                            _commutator_reps, t0)
 
 
 # ---------------------------------------------------------------------------

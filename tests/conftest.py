@@ -251,6 +251,20 @@ def first_missing(mats, image):
     return next((list(M.entries) for M in mats if M.entries not in image), None)
 
 
+def first_uncovered_oracle(p, dim, bases):
+    """The least code of a vector of F_p^dim (entry k is base-p digit k) in
+    none of the spans of bases, or -1: every vector of every span built as
+    a tuple and marked by its code."""
+    covered = bytearray(p ** dim)
+    for basis in bases:
+        vecs = [(0,) * dim]
+        for row in basis:
+            vecs = [tuple((a + c * b) % p for a, b in zip(v, row)) for v in vecs for c in range(p)]
+        for v in vecs:
+            covered[sum(x * p ** k for k, x in enumerate(v))] = 1
+    return covered.find(0)
+
+
 def char2a_oracle(field, n):
     """First target of gl_n(F_p) missed by A B + A^T B^T over every pair (A, B)."""
     mats = square_matrices(field, n)

@@ -271,6 +271,16 @@ def test_verify_over_budget_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+def test_verify_commutator_needs_a_finite_field(capsys):
+    # qq_t exits 2, as for char2a, with one line naming the lemma; the
+    # default field qq still means GF(3)
+    code = main(["verify", "commutator", "--field", "qq_t"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1 and "commutator" in err
+    code, out = run_cli(capsys, ["verify", "commutator", "--m", "2"])
+    assert code == 0 and json.loads(out)["params"]["field"] == "gf:3"
+
+
 def test_stdin_and_determinism(capsys, monkeypatch):
     doc = json.dumps({"field": "qq", "rows": [["1", "2"], ["2", "4"]]})
     code, out1 = run_cli(capsys, ["tuplerank", "--in", "-"], stdin=doc, monkeypatch=monkeypatch)

@@ -820,3 +820,55 @@ def test_eigen_data_reach_largest_prime():
     assert eigen_data(Matrix.from_rows(G_BIG, [[0, nonsquare], [1, 0]])) == []
     assert eigen_data(Matrix.from_rows(G_BIG, [[5, 1], [0, 5]])) == [(5, 1)]
     assert time.perf_counter() - t0 < 1
+
+
+_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("field", [G2, G7, QQ_, QQT_], ids=lambda f: f.name)
+def test_slice_accessors_match_entry_definitions(field):
+    # transpose, submatrix, block, from_blocks, diag_blocks and trace read
+    # slices of entries; each against its definition entry by entry
+    rng = random.Random(11)
+    for r, c in _SHAPES:
+        M = random_matrix(r, c, field, rng)
+        assert M.transpose() == Matrix(field, c, r, tuple(
+            M.entry(j, i) for i in range(c) for j in range(r)))
+        if r == c:
+            acc = field.zero
+            for i in range(r):
+                acc = field.add(acc, M.entry(i, i))
+            assert M.trace() == acc
+        for _ in range(4):
+            rows = [rng.randrange(r) for _ in range(rng.randint(0, 3))] if r else []
+            cols = [rng.randrange(c) for _ in range(rng.randint(0, 3))] if c else []
+            assert M.submatrix(rows, cols) == Matrix(field, len(rows), len(cols), tuple(
+                M.entry(i, j) for i in rows for j in cols))
+            r0, r1 = sorted(rng.randint(0, r) for _ in range(2))
+            c0, c1 = sorted(rng.randint(0, c) for _ in range(2))
+            assert M.block(r0, r1, c0, c1) == Matrix(field, r1 - r0, c1 - c0, tuple(
+                M.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)))
+        for bad in ((0, 1, 0, c + 1), (0, r + 1, 0, 1), (-1, 0, 0, 0), (0, 0, -1, 0)):
+            with pytest.raises(MatrixError, match="out of range"):
+                M.block(*bad)
+    heights, widths = [1, 0, 2], [3, 1, 0]
+    grid = [[random_matrix(h, w, field, rng) for w in widths] for h in heights]
+    big = Matrix.from_blocks(grid)
+    assert (big.rows, big.cols) == (3, 4)
+    for bi, h in enumerate(heights):
+        for bj, w in enumerate(widths):
+            r0, c0 = sum(heights[:bi]), sum(widths[:bj])
+            for i in range(h):
+                for j in range(w):
+                    assert big.entry(r0 + i, c0 + j) == grid[bi][bj].entry(i, j)
+    blocks = [random_matrix(h, w, field, rng) for h, w in ((1, 3), (0, 2), (2, 1), (1, 1))]
+    D = Matrix.diag_blocks(blocks)
+    assert (D.rows, D.cols) == (4, 7)
+    want = [[field.zero] * 7 for _ in range(4)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                want[r0 + i][c0 + j] = b.entry(i, j)
+        r0, c0 = r0 + b.rows, c0 + b.cols
+    assert D.to_rows() == want

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -347,3 +348,16 @@ def test_pencil_tuple_validation():
         PencilTuple.make([])
     with pytest.raises(Exception):
         PencilTuple.make([Matrix.identity(G2, 2), Matrix.identity(G3, 2)])
+
+
+def test_offdiag_census_gl4_f2():
+    # the distribution of rk(P, I) over all of gl_4(F_2), and the exhaustive
+    # (k, m) = (1, 2) criterion against it on 25 samples at seed 0
+    counts = Counter(tuple_rank_identity(Matrix(G2, 4, 4, ent))
+                     for ent in itertools.product(range(2), repeat=16))
+    assert counts == {0: 2, 1: 450, 2: 14140, 3: 45120, 4: 5824}
+    rng = random.Random(0)
+    for _ in range(25):
+        P = random_matrix(4, 4, G2, rng)
+        holds, _ = offdiag_criterion_check(P, 1, 2)
+        assert holds == (tuple_rank_identity(P) <= 1)

@@ -4,16 +4,19 @@ import random
 
 import pytest
 
-from conftest import char2a_oracle, commutator_oracle
+from conftest import char2a_oracle, commutator_oracle, first_uncovered_oracle
 from conjlab.chains import ChainSpec, GroupType, form_matrix, random_sym_or_skew
 from conjlab.coordpoly import PolyContext, PolyGrid, symbolic_matrix
 from conjlab.fields import GF, QQ
-from conjlab.matrix import Matrix, inverse, random_matrix, rank
+from conjlab.matrix import Matrix, inverse, random_matrix, rank, rank_and_rref
 from conjlab.pencil import BudgetExceeded
 import conjlab.verify as verify_mod
 from conjlab.verify import (
+    _char2a_reps,
     _char2a_units,
+    _commutator_reps,
     _commutator_units,
+    _digits,
     _first_uncovered,
     _run,
     _shift_matrix,
@@ -112,6 +115,77 @@ def test_first_uncovered_scan():
     plane = [(1, 1, 0), (0, 1, 1)]
     assert _first_uncovered(2, 3, [plane]) == 1        # (1, 0, 0)
     assert _first_uncovered(2, 3, [plane, [(1, 0, 0)]]) == 2
+
+
+def test_first_uncovered_matches_tuple_oracle():
+    # random span lists, mostly of bases that are not reduced
+    rng = random.Random(7)
+    cases = [(2, dim) for dim in range(1, 10)] + [(p, dim) for p in (3, 5, 7) for dim in range(1, 5)]
+    for p, dim in cases:
+        for _ in range(6):
+            bases = [[tuple(rng.randrange(p) for _ in range(dim))
+                      for _ in range(rng.randint(0, dim - 1 if dim > 3 else dim))]
+                     for _ in range(rng.randint(0, 5))]
+            assert _first_uncovered(p, dim, bases) == first_uncovered_oracle(p, dim, bases)
+    # edge inputs: no span, a basis of zero rows, zero and duplicate rows,
+    # entries outside range(p)
+    for p, dim in ((2, 3), (3, 2), (5, 2), (7, 1)):
+        u = tuple(int(k == 0) for k in range(dim))
+        w = tuple(int(k == dim - 1) for k in range(dim))
+        for bases in ([], [[]], [[], []], [[(0,) * dim]], [[u, u]], [[u], [u, u], [w, u, w]],
+                      [[tuple(p + 1 for _ in range(dim))]], [[tuple(-1 for _ in range(dim)), w]]):
+            assert _first_uncovered(p, dim, bases) == first_uncovered_oracle(p, dim, bases)
+
+
+def _unit_rref(units, code, p, n):
+    gens = units(_digits(code, p, n * n), n, p)
+    return rank_and_rref(Matrix(GF(p), len(gens), n * n, sum(gens, ()))).rref
+
+
+def test_orbit_representatives_keep_the_span():
+    # every code has exactly one representative in its orbit (X -> cX + dI
+    # for commutator, A -> cA for char2a), with the same reduced unit images
+    for units, reps, p, n in ((_commutator_units, _commutator_reps, 2, 1),
+                              (_commutator_units, _commutator_reps, 2, 2),
+                              (_commutator_units, _commutator_reps, 2, 3),
+                              (_commutator_units, _commutator_reps, 3, 1),
+                              (_commutator_units, _commutator_reps, 3, 2),
+                              (_char2a_units, _char2a_reps, 3, 1),
+                              (_char2a_units, _char2a_reps, 3, 2)):
+        dim = n * n
+        rep_codes = reps(p, dim)
+        assert len(set(rep_codes)) == len(rep_codes)
+        shifts = range(p) if units is _commutator_units else (0,)
+        for code in range(p ** dim):
+            A = _digits(code, p, dim)
+            orbit = {sum((c * a + d * (k % (n + 1) == 0)) % p * p ** k for k, a in enumerate(A))
+                     for c in range(1, p) for d in shifts}
+            (rep,) = orbit & set(rep_codes)
+            assert _unit_rref(units, code, p, n) == _unit_rref(units, rep, p, n), (p, n, code)
+
+
+def test_coverage_reports_match_the_loop_over_every_code(monkeypatch):
+    # the scan over orbit representatives with packed marking against the
+    # loop over every code with tuple marking: whole reports but ms
+    cases = ([("char2a", p, n) for p in (3, 5, 7) for n in (1, 2)]
+             + [("commutator", 2, m) for m in (1, 2, 3)] + [("commutator", 3, m) for m in (1, 2)]
+             + [("commutator", p, 2) for p in (5, 7)])
+
+    def run(lemma, p, n):
+        f = GF(p)
+        r = verify_char2("a", f, n) if lemma == "char2a" else verify_commutator_scalar(f, n)
+        got = r.to_json()
+        assert got.pop("ms") >= 0
+        return got
+
+    reduced = {case: run(*case) for case in cases}
+    every = lambda p, dim: range(p ** dim)
+    monkeypatch.setattr(verify_mod, "_char2a_reps", every)
+    monkeypatch.setattr(verify_mod, "_commutator_reps", every)
+    monkeypatch.setattr(verify_mod, "_first_uncovered", first_uncovered_oracle)
+    for case in cases:
+        assert run(*case) == reduced[case], case
+    assert reduced[("commutator", 2, 2)]["verdict"] == "fail"
 
 
 def test_char2b_rank_values():
