@@ -206,29 +206,50 @@ def linear_combination(ctx: PolyContext, field, pairs) -> CoordPoly:
 class PolyGrid:
     """A matrix of CoordPoly entries with the block vocabulary of Matrix:
     ``entry``, ``block``, ``transpose``, ``+``, ``-``, ``scale``, and ``@`` by
-    a scalar Matrix on either side, through :func:`linear_combination`."""
+    a scalar Matrix on either side.
 
-    def __init__(self, polys):
+    ``A @ X`` lists the nonzero entries (t, c) of each row of A once, the
+    row-wise sparse product of Gustavson (ACM Trans. Math. Softw. 4(3),
+    1978): a row equal to e_t shares row t of X as it is, and any other row
+    is one :func:`linear_combination` per column over its nonzero entries
+    only.  The shears and diagonal embeddings that conjugate symbolic grids
+    are mostly unit rows.  ``X @ B`` is (B^T X^T)^T.
+
+    A grid without rows has ``cols`` columns, and ``zero``, the zero poly of
+    its context and field, is read off the first entry when there is one, so
+    blocks, transposes and products with a dimension 0 keep their shape."""
+
+    def __init__(self, polys, cols=0, zero=None):
         self.polys = [list(row) for row in polys]
-        self.rows, self.cols = len(self.polys), len(self.polys[0]) if self.polys else 0
+        self.rows = len(self.polys)
+        self.cols = len(self.polys[0]) if self.polys else cols
+        if zero is None and self.rows and self.cols:
+            p = self.polys[0][0]
+            zero = CoordPoly.zero(p.context, p.field)
+        self.zero = zero
+
+    def _like(self, polys, cols) -> "PolyGrid":
+        return PolyGrid(polys, cols, self.zero)
 
     def entry(self, i, j) -> CoordPoly:
         return self.polys[i][j]
 
     def block(self, r0, r1, c0, c1) -> "PolyGrid":
-        return PolyGrid([row[c0:c1] for row in self.polys[r0:r1]])
+        return self._like([row[c0:c1] for row in self.polys[r0:r1]], len(range(self.cols)[c0:c1]))
 
     def transpose(self) -> "PolyGrid":
-        return PolyGrid(zip(*self.polys))
+        return self._like(zip(*self.polys) if self.rows else [()] * self.cols, self.rows)
 
     def __add__(self, other: "PolyGrid") -> "PolyGrid":
-        return PolyGrid([[x + y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)])
+        return self._like([[x + y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)],
+                          self.cols)
 
     def __sub__(self, other: "PolyGrid") -> "PolyGrid":
-        return PolyGrid([[x - y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)])
+        return self._like([[x - y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)],
+                          self.cols)
 
     def scale(self, c) -> "PolyGrid":
-        return PolyGrid([[x.scale(c) for x in row] for row in self.polys])
+        return self._like([[x.scale(c) for x in row] for row in self.polys], self.cols)
 
     def __matmul__(self, B) -> "PolyGrid":
         if not isinstance(B, Matrix):
@@ -240,9 +261,16 @@ class PolyGrid:
             return NotImplemented
         if A.cols != self.rows:
             raise PolyError("shape mismatch in @")
-        p, cols = self.polys[0][0], list(zip(*self.polys))
-        return PolyGrid([[linear_combination(p.context, p.field, zip(A.row_list(i), col))
-                          for col in cols] for i in range(A.rows)])
+        f, k, X, z = A.field, A.cols, self.polys, self.zero
+        out = []
+        for i in range(A.rows):
+            nz = [(t, c) for t, c in enumerate(A.entries[i * k:i * k + k]) if not f.is_zero(c)]
+            if len(nz) == 1 and nz[0][1] == f.one:
+                out.append(X[nz[0][0]])
+            else:
+                out.append([linear_combination(z.context, z.field, [(c, X[t][j]) for t, c in nz])
+                            for j in range(self.cols)])
+        return self._like(out, self.cols)
 
 
 def pos_of_var(ctx: PolyContext, var) -> tuple[int, int]:

@@ -3,16 +3,17 @@
 Everything is immutable and pure.  Matrices store a flat row-major tuple of
 canonical scalars together with the owning field.
 
-``@``, ``rank_and_rref``, ``rank``, ``det``, ``inverse``, ``char_poly`` and
-``Span`` look their field's class up once in ``_KERNELS``, one record of
-private kernels per field: over GF(p) they work on plain int rows with one
-``% p`` per entry of each row operation, over QQ on row-cleared integers
-(Bareiss), over QQ(t) by evaluation at integer points.  A field class
-without a record, and whatever a record leaves out, runs the generic scalar
-loop through the field's own operations (``_GENERIC``), which the tests keep
-as the oracle of the faster kernels.  Every kernel keeps the generic loop's
-pivot rule, so rref, transform and pivots do not depend on the field's
-record.
+``@``, ``rank_and_rref``, ``rref_rows``, ``rank``, ``det``, ``inverse``,
+``char_poly`` and ``Span`` look their field's class up once in ``_KERNELS``,
+one record of private kernels per field: over GF(p) they work on plain int
+rows with one ``% p`` per entry of each row operation, over QQ on
+row-cleared integers (Bareiss), over QQ(t) by evaluation at integer points.
+The GF(p) and QQ products skip the zero entries of rows of the left factor
+that have at most one nonzero entry.  A field class without a record, and
+whatever a record leaves out, runs the generic scalar loop through the
+field's own operations (``_GENERIC``), which the tests keep as the oracle of
+the faster kernels.  Every kernel keeps the generic loop's pivot rule, so
+rref, transform and pivots do not depend on the field's record.
 """
 
 from __future__ import annotations
@@ -234,6 +235,13 @@ def rank_and_rref(M: Matrix) -> RrefResult:
     return _kernels(M.field).rref(M)
 
 
+def rref_rows(M: Matrix) -> tuple[tuple, list]:
+    """(pivots, rows): the pivot columns and the nonzero rows, as lists, of
+    the reduced row echelon form of M, from the elimination of M alone; the
+    rref and pivots of rank_and_rref without the transform of [M | I]."""
+    return _kernels(M.field).rref_rows(M)
+
+
 def rank(M: Matrix) -> int:
     """Rank by forward elimination, without building a transform: over GF(p)
     on residue rows, over QQ by Bareiss on the row-cleared integer matrix,
@@ -271,6 +279,7 @@ def inverse(M: Matrix) -> Matrix:
 class _Kernels:
     matmul: object     # (A, B) -> A @ B
     rref: object       # M -> RrefResult of the Gauss-Jordan elimination of [M | I]
+    rref_rows: object  # M -> (pivots, nonzero rows of rref M), without [M | I]
     rank: object       # M -> rank M
     det: object        # square M -> det M
     inverse: object    # square M -> M^-1; MatrixError "matrix is singular"
@@ -363,6 +372,12 @@ def _generic_rref(M):
     return _rref_result(f, a, m, pivots)
 
 
+def _generic_rref_rows(M):
+    rows = M.to_rows()
+    pivots, _, _ = _eliminate(rows, M.field, M.cols, reduced=True)
+    return tuple(pivots), rows[:len(pivots)]
+
+
 def _generic_rank(M):
     return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
 
@@ -406,13 +421,29 @@ def _generic_span_insert(f, rows, vec, store):
 
 
 def _gf_matmul(A, B):
-    """Each entry from a row of A and a column slice B.entries[j::m] of B."""
+    """Row by row, the row-wise sparse product of Gustavson (ACM Trans. Math.
+    Softw. 4(3), 1978) for the rows of A with at most one nonzero entry,
+    which the shears and diagonal embeddings of the verifiers are mostly
+    made of: a zero row gives zeros, a row whose one nonzero entry, c = the
+    row's sum, sits at t gives c times row t of B, and any other row one dot
+    product per column slice B.entries[j::m].  Entries of A and B may lie
+    outside range(p), so every entry is reduced."""
     p, k, m = A.field.p, A.cols, B.cols
-    a = A.entries
-    rows = [a[i * k : (i + 1) * k] for i in range(A.rows)]
-    cols = [B.entries[j::m] for j in range(m)]
-    return Matrix(A.field, A.rows, m, tuple([sum(map(operator.mul, r, c)) % p
-                                             for r in rows for c in cols]))
+    a, b = A.entries, B.entries
+    cols = [b[j::m] for j in range(m)]
+    out = []
+    for i in range(A.rows):
+        r = a[i * k:i * k + k]
+        zeros = r.count(0)
+        if zeros < k - 1:
+            out += [sum(map(operator.mul, r, col)) % p for col in cols]
+        elif zeros == k:
+            out += [0] * m
+        else:
+            c = sum(r)
+            t = r.index(c) * m
+            out += [c * v % p for v in b[t:t + m]]
+    return Matrix(A.field, A.rows, m, tuple(out))
 
 
 def _gf_rows(M):
@@ -460,6 +491,12 @@ def _gf_rref(M):
         row[m + i] = 1
     pivots, _, _ = _gf_eliminate(a, M.field.p, m, reduced=True)
     return _rref_result(M.field, a, m, pivots)
+
+
+def _gf_rref_rows(M):
+    rows = _gf_rows(M)
+    pivots, _, _ = _gf_eliminate(rows, M.field.p, M.cols, reduced=True)
+    return tuple(pivots), rows[:len(pivots)]
 
 
 def _gf_rank(M):
@@ -556,11 +593,27 @@ def _cleared_rows(M):
 
 
 def _qq_matmul(A, B):
-    """The row-cleared A times the column-cleared B in ints, one Fraction per entry."""
-    a, da = _cleared_rows(A)
-    b, db = _cleared_rows(B.transpose())
-    return Matrix(A.field, A.rows, B.cols, tuple(Fraction(sum(map(operator.mul, r, c)), dr * dc)
-                                                 for r, dr in zip(a, da) for c, dc in zip(b, db)))
+    """Row by row, as over GF(p), on the rows of A cleared to ints: a zero
+    row gives zeros, a row whose one nonzero entry c sits at t gives row t of
+    B, times c unless c = 1, and any other row times the column-cleared B in
+    ints, one Fraction per entry.  B is cleared on the first such row."""
+    k, m = A.cols, B.cols
+    a, b = A.entries, B.entries
+    cols = None
+    out = []
+    for i, (row, d) in enumerate(zip(*_cleared_rows(A))):
+        zeros = row.count(0)
+        if zeros < k - 1:
+            if cols is None:
+                cols = list(zip(*_cleared_rows(B.transpose())))
+            out += [Fraction(sum(map(operator.mul, row, col)), d * dc) for col, dc in cols]
+        elif zeros == k:
+            out += [Fraction(0)] * m
+        else:
+            t = row.index(sum(row))
+            c, brow = a[i * k + t], b[t * m:t * m + m]
+            out += brow if c == 1 else [c * v for v in brow]
+    return Matrix(A.field, A.rows, m, tuple(out))
 
 
 def _qq_rank(M):
@@ -805,21 +858,21 @@ def _hessenberg_char_poly(a, p):
     return chi[n]
 
 
-_GENERIC = _Kernels(matmul=_generic_matmul, rref=_generic_rref, rank=_generic_rank,
-                    det=_generic_det, inverse=_rref_inverse(_generic_rref),
+_GENERIC = _Kernels(matmul=_generic_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
+                    rank=_generic_rank, det=_generic_det, inverse=_rref_inverse(_generic_rref),
                     char_poly=_generic_char_poly, span_insert=_generic_span_insert)
 _KERNELS = {
-    GF: _Kernels(matmul=_gf_matmul, rref=_gf_rref, rank=_gf_rank, det=_gf_det,
-                 inverse=_rref_inverse(_gf_rref), char_poly=_gf_char_poly,
+    GF: _Kernels(matmul=_gf_matmul, rref=_gf_rref, rref_rows=_gf_rref_rows, rank=_gf_rank,
+                 det=_gf_det, inverse=_rref_inverse(_gf_rref), char_poly=_gf_char_poly,
                  span_insert=_gf_span_insert),
     # rref keeps the generic loop over QQ and QQ(t): for singular input the
     # transform is not unique, so another elimination could change it
-    QQ: _Kernels(matmul=_qq_matmul, rref=_generic_rref, rank=_qq_rank, det=_qq_det,
-                 inverse=_qq_inverse, char_poly=_qq_char_poly,
+    QQ: _Kernels(matmul=_qq_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
+                 rank=_qq_rank, det=_qq_det, inverse=_qq_inverse, char_poly=_qq_char_poly,
                  span_insert=_generic_span_insert),
-    QQT: _Kernels(matmul=_generic_matmul, rref=_generic_rref, rank=_qqt_rank, det=_qqt_det,
-                  inverse=_qqt_inverse, char_poly=_generic_char_poly,
-                  span_insert=_generic_span_insert),
+    QQT: _Kernels(matmul=_generic_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
+                  rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse,
+                  char_poly=_generic_char_poly, span_insert=_generic_span_insert),
 }
 
 

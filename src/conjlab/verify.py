@@ -11,6 +11,7 @@ always carries a concrete witness.  Reports are pure functions of
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +37,7 @@ from .coordpoly import CoordPoly, PolyContext, PolyGrid, poly_format, symbolic_m
 from .fields import GF, QQ, field_from_name, integral
 from .graphs import (ReductionCertificate, char2_derivative, char2_gamma, incidence_rank_check,
                      reduce_graph, replay)
-from .matrix import Matrix, inverse, random_matrix, rank, rank_and_rref
+from .matrix import Matrix, inverse, random_matrix, rank, rref_rows
 from .pencil import BudgetExceeded
 
 
@@ -138,10 +139,10 @@ def _coverage_report(lemma, params, field, n, units, reps, t0) -> VerificationRe
     spans = set()
     for code in reps(p, dim):
         gens = units(_digits(code, p, dim), n, p)
-        res = rank_and_rref(Matrix(field, len(gens), dim, sum(gens, ())))
-        if res.rank == dim:
+        pivots, rows = rref_rows(Matrix(field, len(gens), dim, sum(gens, ())))
+        if len(pivots) == dim:
             return _report(lemma, params, "pass", [], t0)
-        spans.add(tuple(res.rref.entries[r * dim:(r + 1) * dim] for r in range(res.rank)))
+        spans.add(tuple(map(tuple, rows)))
     code = _first_uncovered(p, dim, spans)
     wit = [] if code < 0 else [{"missing_target": list(_digits(code, p, dim))}]
     return _report(lemma, params, "fail" if wit else "pass", wit, t0)
@@ -149,8 +150,14 @@ def _coverage_report(lemma, params, field, n, units, reps, t0) -> VerificationRe
 
 def _char2a_units(A, n, p):
     """A E_ij + A^T E_ji: column i of A in column j, plus row j of A in column i."""
-    return [tuple((A[r * n + i] * (c == j) + A[j * n + r] * (c == i)) % p
-                  for r in range(n) for c in range(n)) for i in range(n) for j in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            v = [0] * (n * n)
+            v[j::n] = A[i::n]
+            v[i::n] = map(operator.add, v[i::n], A[j * n:j * n + n])
+            out.append(tuple([x % p for x in v]))
+    return out
 
 
 def _char2a_reps(p, dim):
@@ -161,9 +168,14 @@ def _char2a_reps(p, dim):
 
 def _commutator_units(X, n, p):
     """[X, E_ij]: column i of X in column j, minus row j of X in row i; then I."""
-    return [tuple((X[r * n + i] * (c == j) - X[j * n + c] * (r == i)) % p
-                  for r in range(n) for c in range(n)) for i in range(n) for j in range(n)] + \
-        [tuple(int(r == c) for r in range(n) for c in range(n))]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            v = [0] * (n * n)
+            v[j::n] = X[i::n]
+            v[i * n:i * n + n] = map(operator.sub, v[i * n:i * n + n], X[j * n:j * n + n])
+            out.append(tuple([x % p for x in v]))
+    return out + [tuple(int(r == c) for r in range(n) for c in range(n))]
 
 
 def _commutator_reps(p, dim):

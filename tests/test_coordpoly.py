@@ -375,6 +375,65 @@ def test_polygrid_conjugate_evaluates_to_the_matrix_conjugate(rng):
                     assert evaluate(Y.entry(i, j), point) == want.entry(i, j)
 
 
+def _dense_polys(A, X, left):
+    """A @ X (left) or X @ A as rows of polys, one linear_combination per
+    entry over every entry of a row or column of A."""
+    z = X.entry(0, 0)
+    lc = lambda pairs: linear_combination(z.context, z.field, pairs)
+    if left:
+        return [[lc([(A.entry(i, t), X.entry(t, j)) for t in range(A.cols)])
+                 for j in range(X.cols)] for i in range(A.rows)]
+    return [[lc([(A.entry(t, j), X.entry(i, t)) for t in range(A.rows)])
+             for j in range(A.cols)] for i in range(X.rows)]
+
+
+def test_polygrid_products_match_dense_linear_combinations(rng):
+    # rows (and, for X @ A, columns) of A that are zero, a unit vector, a
+    # single -1 or scalar, or dense; over GF(7) units and scalars outside range(7)
+    for kind, n, fld in (("gl", 3, QQ_), ("C", 2, G7), ("D", 2, QQ_), ("B", 1, G7)):
+        ctx = PolyContext(kind, n)
+        X, N = symbolic_matrix(ctx, fld), ctx.ambient
+        units = [1] if fld is QQ_ else [1, 8, -6]
+        scalar = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))) if fld is QQ_ \
+            else (lambda: rng.randint(-14, 14))
+        for _ in range(8):
+            rows = []
+            for _ in range(N):
+                row = [fld.zero] * N
+                how = rng.choice(["zero", "unit", "minus", "single", "dense"])
+                if how == "dense":
+                    row = [scalar() for _ in range(N)]
+                elif how != "zero":
+                    c = {"unit": rng.choice(units), "minus": -1, "single": scalar()}[how]
+                    row[rng.randrange(N)] = fld.coerce(c) if fld is QQ_ else c
+                rows.append(row)
+            A = Matrix(fld, N, N, tuple(v for r in rows for v in r))
+            for got, left in ((A @ X, True), (X @ A, False)):
+                assert (got.rows, got.cols) == (N, N)
+                assert got.polys == _dense_polys(A, X, left)
+            wide = A.block(0, N - 1, 0, N)
+            assert (wide @ X).polys == _dense_polys(wide, X, True)
+            assert (X @ wide.transpose()).polys == _dense_polys(wide.transpose(), X, False)
+
+
+def test_polygrid_products_with_a_zero_dimension():
+    X = symbolic_matrix(GL2, QQ_)
+    zero = CoordPoly.zero(GL2, QQ_)
+    cases = [
+        (Matrix.identity(QQ_, 2) @ X.block(0, 2, 0, 0), (2, 0)),
+        (X.block(0, 2, 0, 0) @ Matrix.zeros(QQ_, 0, 3), (2, 3)),
+        (Matrix.zeros(QQ_, 3, 0) @ X.block(0, 0, 0, 2), (3, 2)),
+        (X.block(0, 0, 0, 2) @ Matrix.identity(QQ_, 2), (0, 2)),
+        (Matrix.zeros(QQ_, 0, 2) @ X, (0, 2)),
+        (X @ Matrix.zeros(QQ_, 2, 0), (2, 0)),
+        (X.block(0, 0, 0, 2).transpose(), (2, 0)),
+        (X.block(0, 2, 0, 0).transpose(), (0, 2)),
+    ]
+    for Y, shape in cases:
+        assert isinstance(Y, PolyGrid) and (Y.rows, Y.cols) == shape
+        assert Y.polys == [[zero] * shape[1] for _ in range(shape[0])]
+
+
 def test_matrix_times_polygrid_is_a_polygrid():
     X = symbolic_matrix(GL2, QQ_)
     swap = Matrix.from_rows(QQ_, [[0, 1], [1, 0]])

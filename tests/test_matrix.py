@@ -37,6 +37,7 @@ from conjlab.matrix import (
     rank_and_rref,
     random_invertible,
     random_matrix,
+    rref_rows,
     solve_left,
     solve_right,
     transform,
@@ -329,6 +330,15 @@ def kernel_matrices(draw, square=False, fields=KERNEL_FIELDS):
     if n >= 2 and draw(st.booleans()):
         rows[-1] = rows[0]
     return Matrix(f, n, m, tuple(v for r in rows for v in r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+def test_rref_rows_match_rank_and_rref(M):
+    res = rank_and_rref(M)
+    pivots, rows = rref_rows(M)
+    assert pivots == res.pivots
+    assert rows == [res.rref.row_list(i) for i in range(res.rank)]
 
 
 def _assert_matches_gauss_jordan(M):
@@ -756,6 +766,37 @@ def test_gf_matmul_matches_textbook_product(data):
     C = A @ B
     assert C == matmul_oracle(A, B) == matrix._GENERIC.matmul(A, B)
     assert all(type(v) is int and 0 <= v < f.p for v in C.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_row_kinds_match_generic_loop(data):
+    """Left factors whose rows are zero, a unit vector, a single -1 or
+    scalar, or dense, as in shears and diagonal embeddings; over GF(p) the
+    units and scalars may lie outside range(p)."""
+    f = data.draw(st.sampled_from([G2, G7, G_BIG, QQ_]))
+    if f is QQ_:
+        x, units, minus = st.one_of(st.just(Fraction(0)), _scalars(QQ_)), [Fraction(1)], Fraction(-1)
+    else:
+        x, units, minus = _gf_scalars(f), [1, f.p + 1, 1 - f.p], -1
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    zero = f.coerce(0)
+    rows = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["zero", "unit", "minus", "single", "dense"]))
+        row = [data.draw(x) for _ in range(k)] if kind == "dense" else [zero] * k
+        if k and kind in ("unit", "minus", "single"):
+            c = {"unit": st.sampled_from(units), "minus": st.just(minus), "single": x}[kind]
+            row[data.draw(st.integers(0, k - 1))] = data.draw(c)
+        rows.append(row)
+    A = Matrix(f, n, k, tuple(v for r in rows for v in r))
+    B = Matrix(f, k, m, tuple(data.draw(x) for _ in range(k * m)))
+    C = A @ B
+    assert C == matmul_oracle(A, B) == matrix._GENERIC.matmul(A, B)
+    if f is QQ_:
+        assert all(type(v) is Fraction for v in C.entries)
+    else:
+        assert all(type(v) is int and 0 <= v < f.p for v in C.entries)
 
 
 @settings(max_examples=200, deadline=None)

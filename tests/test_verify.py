@@ -39,8 +39,9 @@ def _missing(report):
 
 
 def test_char2a_small():
-    r = verify_char2("a", G3, 2)
-    assert (r.verdict, _missing(r)) == ("pass", char2a_oracle(G3, 2))
+    for f, n in ((G3, 2), (G3, 1), (GF(5), 1), (G7, 1)):
+        r = verify_char2("a", f, n)
+        assert (r.verdict, _missing(r)) == ("pass", char2a_oracle(f, n))
     with pytest.raises(ValueError):
         verify_char2("a", G2, 2)
 
@@ -196,7 +197,8 @@ def test_char2b_rank_values():
 
 
 def test_commutator():
-    for f, m, verdict in ((G3, 2, "pass"), (G2, 2, "fail"), (G2, 3, "pass")):
+    for f, m, verdict in ((G3, 2, "pass"), (G2, 2, "fail"), (G2, 3, "pass"), (G2, 1, "pass"),
+                          (G3, 1, "pass"), (GF(5), 1, "pass")):
         r = verify_commutator_scalar(f, m)
         assert (r.verdict, _missing(r)) == (verdict, commutator_oracle(f, m))
     # over GF(2) at m = 2 every image has trace 2*lambda = 0, so trace-1
