@@ -10,8 +10,8 @@ Forms are the split ones with (anti-)identity blocks:
 
 A dual projection is encoded as a list of signed entry moves
 (sign, (src_row, src_col), (dst_row, dst_col)); the same instruction list
-drives the matrix-level projection, the coordinate-ring pullback and the
-group embedding, whose block layout it states once.
+drives the matrix-level projection and the group embedding, whose block
+layout it states once.
 """
 
 from __future__ import annotations
@@ -194,15 +194,6 @@ class Signature:
         return Signature(self.r, self.l, self.z)
 
 
-def compose_signatures(outer: Signature, inner: Signature) -> Signature:
-    """Signature of the composition 'outer after inner' of diagonal embeddings."""
-    return Signature(
-        outer.l * inner.l + outer.r * inner.r,
-        outer.l * inner.r + outer.r * inner.l,
-        outer.l * inner.z + outer.r * inner.z + outer.z,
-    )
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     letter: str
@@ -279,16 +270,6 @@ class ChainSpec:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-def h_form_permutation(field, n: int, l: int) -> Matrix:
-    """Permutation P with P (H-form gram matrix) P^T equal to the standard odd form."""
-    L = l * (2 * n + 1)
-    sigma = _h_sigma(n, l)
-    ent = [[field.zero] * L for _ in range(L)]
-    for i in range(L):
-        ent[sigma[i]][i] = field.one
-    return Matrix.from_rows(field, ent)
-
-
 def _h_sigma(n: int, l: int) -> list[int]:
     """Index map from H-form coordinates to standard odd-form coordinates."""
     k = (l - 1) // 2
@@ -324,11 +305,6 @@ def h_form_gram(field, n: int, l: int) -> Matrix:
 def h_group_membership(field, n: int, l: int, g: Matrix) -> bool:
     H = h_form_gram(field, n, l)
     return g @ H @ g.transpose() == H
-
-
-def h_algebra_membership(field, n: int, l: int, M: Matrix) -> bool:
-    H = h_form_gram(field, n, l)
-    return (M @ H + H @ M.transpose()).is_zero()
 
 
 def embed_group(chain: ChainSpec, i: int, g: Matrix) -> Matrix:
@@ -455,36 +431,6 @@ def project_dual(chain: ChainSpec, i: int, M: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DualElement:
-    """A dual-space element at one chain level, held by a matrix representative.
-
-    Type A representatives matter only up to adding scalars; the other types
-    carry honest Lie algebra elements and are validated as such.
-    """
-
-    level: int
-    rep: Matrix
-    gtype: GroupType
-
-    @staticmethod
-    def make(chain: ChainSpec, level: int, rep: Matrix) -> "DualElement":
-        gt = chain.group_at(level)
-        if rep.rows != gt.ambient or not rep.is_square:
-            raise MatrixError(f"level {level} representative must be {gt.ambient}x{gt.ambient}")
-        if chain.letter != "A" and not algebra_membership(gt, rep):
-            raise MatrixError(f"representative is not in the type {chain.letter} algebra")
-        return DualElement(level, rep, gt)
-
-    def same_element(self, other: "DualElement") -> bool:
-        if (self.level, self.gtype) != (other.level, other.gtype):
-            return False
-        diff = self.rep - other.rep
-        if self.gtype.letter == "A":
-            return _is_scalar(diff)
-        return diff.is_zero()
-
-
-@dataclass(frozen=True)
 class TruncatedPoint:
     chain: ChainSpec
     reps: tuple  # representative at levels 1..len(reps)
@@ -501,9 +447,6 @@ class TruncatedPoint:
                 raise ChainError(f"level {lvl} representative is over {rep.field.name}, "
                                  f"level 1 over {reps[0].field.name}")
         return TruncatedPoint(chain, reps)
-
-    def element(self, level: int) -> DualElement:
-        return DualElement.make(self.chain, level, self.reps[level - 1])
 
 
 def _is_scalar(M: Matrix) -> bool:

@@ -1,24 +1,21 @@
-"""Sparse polynomials on matrix coordinates, with group action, gradings,
-pullbacks along dual projections, and Vandermonde coefficient extraction.
+"""Sparse polynomials on matrix coordinates, and matrices of them.
 
 Variables come in families p, q, r (matrix entries) and v, w (vector
 entries).  One table per context, :func:`_layout`, states the canonical
 variables and the signed ambient positions each one fills: q[k,l] and
 r[k,l] with k <= l for the symmetric blocks of type C and k < l for the
 skew blocks of types B and D, whose other positions read as +/- the
-canonical variable.  Variable validation, positions, the symbolic matrix
-and the pullbacks are all read off it.  Monomials are sorted variable-power
-tuples; terms are kept in a fixed graded order so printing is canonical.
+canonical variable.  Variable validation and the symbolic matrix are read
+off it.  Monomials are sorted variable-power tuples; terms are kept in a
+fixed graded order so printing is canonical.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache
 
-from .chains import ChainSpec, GroupType, dual_projection_instructions, group_membership
-from .matrix import Matrix, inverse
+from .matrix import Matrix
 
 
 class PolyError(ValueError):
@@ -140,20 +137,6 @@ class CoordPoly:
         f = self.field
         return CoordPoly(self.context, f, tuple((m, f.neg(c)) for m, c in self.terms))
 
-    def __mul__(self, other) -> "CoordPoly":
-        other = self._coerce(other)
-        self._chk(other)
-        f = self.field
-        d: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                exps: dict = {}
-                for var, e in m1 + m2:
-                    exps[var] = exps.get(var, 0) + e
-                mono = tuple(sorted(exps.items()))
-                d[mono] = f.add(d.get(mono, f.zero), f.mul(c1, c2))
-        return CoordPoly._normalize(self.context, f, d)
-
     def _coerce(self, v) -> "CoordPoly":
         if isinstance(v, CoordPoly):
             return v
@@ -164,12 +147,6 @@ class CoordPoly:
         c = f.coerce(c)
         return CoordPoly._normalize(
             self.context, f, {m: f.mul(c, coef) for m, coef in self.terms})
-
-    def power(self, e: int) -> "CoordPoly":
-        out = CoordPoly.constant(self.context, self.field, self.field.one)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -182,14 +159,9 @@ class CoordPoly:
     def variables(self) -> set:
         return {var for mono, _ in self.terms for var, _ in mono}
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m, _ in self.terms)
-
 
 # ---------------------------------------------------------------------------
-# Matrices of polynomials, structured symbolic matrices and evaluation
+# Matrices of polynomials and structured symbolic matrices
 # ---------------------------------------------------------------------------
 
 def linear_combination(ctx: PolyContext, field, pairs) -> CoordPoly:
@@ -235,18 +207,25 @@ class PolyGrid:
         return self.polys[i][j]
 
     def block(self, r0, r1, c0, c1) -> "PolyGrid":
-        return self._like([row[c0:c1] for row in self.polys[r0:r1]], len(range(self.cols)[c0:c1]))
+        """Rows r0..r1-1 and columns c0..c1-1, in range as for Matrix.block."""
+        if r0 < 0 or c0 < 0 or r1 > self.rows or c1 > self.cols:
+            raise PolyError("block out of range")
+        cols = len(range(c0, c1))
+        return self._like([self.polys[i][c0:c0 + cols] for i in range(r0, r1)], cols)
 
     def transpose(self) -> "PolyGrid":
         return self._like(zip(*self.polys) if self.rows else [()] * self.cols, self.rows)
 
+    def _entrywise(self, other: "PolyGrid", op, symbol) -> "PolyGrid":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise PolyError(f"shape mismatch in {symbol}")
+        return self._like([list(map(op, a, b)) for a, b in zip(self.polys, other.polys)], self.cols)
+
     def __add__(self, other: "PolyGrid") -> "PolyGrid":
-        return self._like([[x + y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)],
-                          self.cols)
+        return self._entrywise(other, CoordPoly.__add__, "+")
 
     def __sub__(self, other: "PolyGrid") -> "PolyGrid":
-        return self._like([[x - y for x, y in zip(a, b)] for a, b in zip(self.polys, other.polys)],
-                          self.cols)
+        return self._entrywise(other, CoordPoly.__sub__, "-")
 
     def scale(self, c) -> "PolyGrid":
         return self._like([[x.scale(c) for x in row] for row in self.polys], self.cols)
@@ -273,11 +252,6 @@ class PolyGrid:
         return self._like(out, self.cols)
 
 
-def pos_of_var(ctx: PolyContext, var) -> tuple[int, int]:
-    """Ambient (row, col) of the canonical variable in the structured matrix."""
-    return _layout(ctx)[var][0][1]
-
-
 def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
     """The structured matrix: each canonical variable, signed, at its positions."""
     N = ctx.ambient
@@ -286,201 +260,6 @@ def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
         for sg, (r, c) in places:
             polys[r][c] = CoordPoly(ctx, field, ((((var, 1),), field.coerce(sg)),))
     return PolyGrid(polys)
-
-
-def _check_point_shapes(ctx: PolyContext, point: dict):
-    n = ctx.n
-    for fam in ctx.families:
-        if fam not in point:
-            continue
-        M = point[fam]
-        want = (n, 1) if fam in ("v", "w") else (n, n)
-        if (M.rows, M.cols) != want:
-            raise PolyError(f"{fam} block must be {want}")
-        if fam in ("q", "r"):
-            if ctx.kind == "C" and M != M.transpose():
-                raise PolyError(f"{fam} block must be symmetric")
-            if ctx.kind in ("B", "D") and not (M + M.transpose()).is_zero():
-                raise PolyError(f"{fam} block must be skew")
-
-
-def evaluate(f: CoordPoly, point: dict):
-    """Exact evaluation at matrices {'p': P, 'q': Q, 'r': R, 'v': v, 'w': w}."""
-    ctx, fld = f.context, f.field
-    _check_point_shapes(ctx, point)
-    vals = {}
-    for var in f.variables():
-        fam = var[0]
-        if fam not in point:
-            raise PolyError(f"point is missing the {fam!r} block")
-        M = point[fam]
-        if fam in ("v", "w"):
-            vals[var] = M.entry(var[1] - 1, 0)
-        else:
-            vals[var] = M.entry(var[1] - 1, var[2] - 1)
-    acc = fld.zero
-    for mono, c in f.terms:
-        term = c
-        for var, e in mono:
-            for _ in range(e):
-                term = fld.mul(term, vals[var])
-        acc = fld.add(acc, term)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Group action on polynomials
-# ---------------------------------------------------------------------------
-
-def group_act(f: CoordPoly, g: Matrix) -> CoordPoly:
-    """(g . f)(X) = f(g^{-1} X g), re-expressed in canonical variables.
-
-    For contexts B/C/D the conjugator must preserve the form so the
-    conjugated matrix stays in the algebra shape.
-    """
-    ctx = f.context
-    if g.rows != ctx.ambient or not g.is_square:
-        raise PolyError(f"conjugator must be {ctx.ambient}x{ctx.ambient}")
-    if ctx.kind == "gl":
-        if not (g.field == f.field):
-            raise PolyError("field mismatch")
-    else:
-        gt = GroupType(ctx.kind, ctx.n)
-        if not group_membership(gt, g):
-            raise PolyError(f"conjugator is not in the type {ctx.kind} group")
-    Y = inverse(g) @ symbolic_matrix(ctx, f.field) @ g
-    mapping = {var: Y.entry(*pos_of_var(ctx, var)) for var in f.variables()}
-    return _substitute(f, ctx, mapping)
-
-
-def _substitute(f: CoordPoly, ctx: PolyContext, mapping: dict) -> CoordPoly:
-    """f with each variable replaced by its image in ``mapping``, a polynomial on ``ctx``."""
-    out = CoordPoly.zero(ctx, f.field)
-    for mono, c in f.terms:
-        term = CoordPoly.constant(ctx, f.field, c)
-        for var, e in mono:
-            term = term * mapping[var].power(e)
-        out = out + term
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pullback along a dual projection
-# ---------------------------------------------------------------------------
-
-def level_context(chain: ChainSpec, level: int) -> PolyContext:
-    return PolyContext("gl" if chain.letter == "A" else chain.letter, chain.n_at(level))
-
-
-def pullback_projection(f: CoordPoly, chain: ChainSpec, i: int) -> CoordPoly:
-    """Compose a level-i polynomial with the dual projection from level i+1."""
-    ctx_lo = level_context(chain, i)
-    ctx_hi = level_context(chain, i + 1)
-    if f.context != ctx_lo:
-        raise PolyError(f"polynomial lives on {f.context}, not level {i} of the chain")
-    fld = f.field
-    X = symbolic_matrix(ctx_hi, fld)
-    by_dst: dict = {}
-    for sg, src, dst in dual_projection_instructions(chain, i):
-        by_dst.setdefault(dst, []).append((fld.coerce(sg), X.entry(*src)))
-    mapping = {var: linear_combination(ctx_hi, fld, by_dst.get(pos_of_var(ctx_lo, var), ()))
-               for var in f.variables()}
-    return _substitute(f, ctx_hi, mapping)
-
-
-# ---------------------------------------------------------------------------
-# Gradings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradingWeights:
-    p: int = 1
-    q: int = 1
-    r: int = 1
-    v: int = 1
-    w: int = 1
-
-    def of(self, family: str) -> int:
-        return getattr(self, family)
-
-
-GRAD = GradingWeights(p=1, q=2, r=0, v=1, w=0)
-DEG = GradingWeights()
-
-
-def weighted_degree(mono, weights: GradingWeights) -> int:
-    return sum(weights.of(var[0]) * e for var, e in mono)
-
-
-def graded_part(f: CoordPoly, weights: GradingWeights, which="top") -> CoordPoly:
-    """Sum of terms of maximal (or exactly given) weighted degree."""
-    if f.is_zero():
-        return f
-    if which == "top":
-        k = max(weighted_degree(m, weights) for m, _ in f.terms)
-    else:
-        k = int(which)
-    kept = {m: c for m, c in f.terms if weighted_degree(m, weights) == k}
-    return CoordPoly._normalize(f.context, f.field, kept)
-
-
-# ---------------------------------------------------------------------------
-# Vandermonde coefficient extraction
-# ---------------------------------------------------------------------------
-
-def vandermonde_coefficients(family_fn, degree_bound: int, sample_points) -> list[CoordPoly]:
-    """Recover c_0..c_d with family(lambda) = sum c_j lambda^j from d+1 samples."""
-    pts = list(sample_points)
-    if len(pts) != degree_bound + 1:
-        raise PolyError("need exactly degree_bound + 1 sample points")
-    values = [family_fn(lam) for lam in pts]
-    fld = values[0].field
-    pts = [fld.coerce(lam) for lam in pts]
-    if len(set(pts)) != len(pts):
-        raise PolyError("sample points must be distinct")
-    d = degree_bound
-    V = Matrix.from_rows(fld, [[_pow(fld, lam, j) for j in range(d + 1)] for lam in pts])
-    Vi = inverse(V)
-    return [linear_combination(values[0].context, fld, zip(Vi.row_list(j), values))
-            for j in range(d + 1)]
-
-
-def _pow(fld, x, e):
-    acc = fld.one
-    for _ in range(e):
-        acc = fld.mul(acc, x)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Off-diagonal support detection
-# ---------------------------------------------------------------------------
-
-def off_diagonal_test(f: CoordPoly, m: int | None = None):
-    """Witnessing disjoint row / column index sets covering the support, if any.
-
-    The polynomial must involve only p variables; the returned sets satisfy
-    |K|, |L| <= m (default floor((n-1)/2)) and K disjoint from L.
-    """
-    ctx = f.context
-    if ctx.kind != "gl":
-        raise PolyError("off-diagonal detection applies to gl contexts")
-    bound = (ctx.n - 1) // 2
-    if m is not None:
-        if m > bound:
-            return None
-        bound = m
-    rows, cols = set(), set()
-    for var in f.variables():
-        if var[0] != "p":
-            return None
-        rows.add(var[1])
-        cols.add(var[2])
-    if rows & cols:
-        return None
-    if len(rows) > bound or len(cols) > bound:
-        return None
-    return (tuple(sorted(rows)), tuple(sorted(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,38 +288,3 @@ def poly_format(f: CoordPoly) -> str:
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
-
-
-def poly_parse(text: str, ctx: PolyContext, field) -> CoordPoly:
-    s = text.strip()
-    if s in ("0", ""):
-        return CoordPoly.zero(ctx, field)
-    s = s.replace(" ", "")
-    chunks = re.findall(r"[+-]?[^+-]+(?:\^\d+)?", s)
-    # re-join: exponents never contain signs, so the simple split is safe
-    if "".join(chunks) != s:
-        raise PolyError(f"cannot parse polynomial {text!r}")
-    acc = CoordPoly.zero(ctx, field)
-    var_re = re.compile(r"^([pqrvw])\[(\d+)(?:,(\d+))?\](?:\^(\d+))?$")
-    for chunk in chunks:
-        sign = 1
-        if chunk.startswith("+"):
-            chunk = chunk[1:]
-        elif chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff = field.one
-        mono: dict = {}
-        for fac in chunk.split("*"):
-            m = var_re.match(fac)
-            if m:
-                fam, i, j, e = m.groups()
-                var = canonical_var(ctx, fam, int(i), int(j) if j else None)
-                mono[var] = mono.get(var, 0) + (int(e) if e else 1)
-            else:
-                coeff = field.mul(coeff, field.parse(fac))
-        if sign < 0:
-            coeff = field.neg(coeff)
-        term = CoordPoly._normalize(ctx, field, {tuple(sorted(mono.items())): coeff})
-        acc = acc + term
-    return acc

@@ -55,18 +55,6 @@ class ClosedSetDescriptor:
         return self.k == -1 and not self.exceptional
 
 
-def empty_descriptor(field) -> ClosedSetDescriptor:
-    return ClosedSetDescriptor.make(field, -1)
-
-
-def tuple_rank_stratum(field, k: int) -> ClosedSetDescriptor:
-    return ClosedSetDescriptor.make(field, k)
-
-
-def shift_stratum(field, lam, bound: int) -> ClosedSetDescriptor:
-    return ClosedSetDescriptor.make(field, -1, [(lam, bound)])
-
-
 def descriptor_canonicalize(d: ClosedSetDescriptor) -> ClosedSetDescriptor:
     return ClosedSetDescriptor.make(d.field, d.k, d.exceptional)
 

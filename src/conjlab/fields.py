@@ -476,9 +476,6 @@ class GF:
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
     @_parser
     def parse(self, s: str):
         try:
@@ -551,12 +548,6 @@ class QQ:
     def random(self, rng):
         # bounded height keeps exact arithmetic fast
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    def random_nonzero(self, rng):
-        while True:
-            v = self.random(rng)
-            if v != 0:
-                return v
 
     @_parser
     def parse(self, s: str):
@@ -638,12 +629,6 @@ class QQT:
         # polynomial of degree <= 1: enough variety, never a pole at a sample point
         return RatFunc.make((rng.randint(-9, 9), rng.randint(-9, 9)), (1,))
 
-    def random_nonzero(self, rng):
-        while True:
-            v = self.random(rng)
-            if v.num:
-                return v
-
     def value_at_zero(self, a) -> Fraction:
         """Evaluate at t=0; raises if the entry has a pole there."""
         if not a.den or a.den[0] == 0:
@@ -711,14 +696,6 @@ class UniPoly:
     def constant(field, c) -> "UniPoly":
         return UniPoly.make(field, [c])
 
-    @staticmethod
-    def x(field) -> "UniPoly":
-        return UniPoly.make(field, [field.zero, field.one])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -752,11 +729,3 @@ class UniPoly:
         f = self.field
         c = f.coerce(c)
         return UniPoly.make(f, [f.mul(c, a) for a in self.coeffs])
-
-    def eval(self, x):
-        f = self.field
-        x = f.coerce(x)
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc

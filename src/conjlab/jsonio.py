@@ -1,8 +1,9 @@
-"""JSON readers and writers for matrices, graphs, certificates and points."""
+"""JSON readers and writers for matrices and certificates, and readers for
+graphs and truncated points."""
 
 from __future__ import annotations
 
-from .chains import TruncatedPoint, chain_from_json, chain_to_json
+from .chains import TruncatedPoint, chain_from_json
 from .fields import field_from_name
 from .graphs import (
     MigrateEdge,
@@ -44,10 +45,6 @@ def matrix_from_json(obj, field=None) -> Matrix:
     return Matrix.from_rows(f, [[f.parse(str(v)) for v in row] for row in rows])
 
 
-def graph_to_json(g: Multigraph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [[a, b] for a, b in g.edges]}
-
-
 def graph_from_json(obj) -> Multigraph:
     json_document(obj, "graph", vertices=list, edges=list)
     if not all(isinstance(e, list) for e in obj["edges"]):
@@ -82,13 +79,6 @@ def certificate_from_json(obj) -> ReductionCertificate:
         else:
             raise ValueError(f"unknown rule {rule!r}")
     return ReductionCertificate(tuple(steps))
-
-
-def point_to_json(pt: TruncatedPoint) -> dict:
-    return {
-        "chain": chain_to_json(pt.chain),
-        "levels": [matrix_to_json(M) for M in pt.reps],
-    }
 
 
 def point_from_json(obj) -> TruncatedPoint:

@@ -713,16 +713,16 @@ def _qqt_inverse(M):
 def kernel_basis(M: Matrix) -> list[Matrix]:
     """Canonical right-kernel basis (one column vector per free column)."""
     f = M.field
-    res = rank_and_rref(M)
-    piv = set(res.pivots)
+    pivots, rows = rref_rows(M)
+    piv = set(pivots)
     basis = []
     for free in range(M.cols):
         if free in piv:
             continue
         v = [f.zero] * M.cols
         v[free] = f.one
-        for r, pc in enumerate(res.pivots):
-            v[pc] = f.neg(res.rref.entry(r, free))
+        for row, pc in zip(rows, pivots):
+            v[pc] = f.neg(row[free])
         basis.append(Matrix(f, M.cols, 1, tuple(v)))
     return basis
 

@@ -27,8 +27,8 @@ from .matrix import (
     lift_to_qqt,
     limit_at_zero,
     rank,
-    rank_and_rref,
     random_invertible,
+    rref_rows,
     solve_left,
     solve_right,
 )
@@ -94,8 +94,8 @@ def shape_left(P: Matrix, m: int):
     """
     f = P.field
     n = P.rows
-    res = rank_and_rref(P)
-    k, pivots = res.rank, res.pivots
+    pivots, _ = rref_rows(P)
+    k = len(pivots)
     if not (k <= m and m + k <= n):
         raise ConstructionError(f"shape_left needs rank <= m and m + rank <= n (rank {k}, m {m}, n {n})")
     im_cols = [_col(P, c) for c in pivots]

@@ -135,13 +135,6 @@ def pencil_rank_enumerate(tup: PencilTuple) -> tuple[int, tuple]:
 # GL_n(F_q) enumeration (rows chosen in lexicographic order, skipping spans)
 # ---------------------------------------------------------------------------
 
-def gl_order(n: int, q: int) -> int:
-    total = 1
-    for i in range(n):
-        total *= q**n - q**i
-    return total
-
-
 def enumerate_gl_rows(n: int, p: int):
     """Yield the row tuples of every element of GL_n(F_p), lexicographically."""
     vectors = list(itertools.product(range(p), repeat=n))[1:]  # skip zero; lex order
@@ -322,23 +315,3 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
                 return False, (g, Ks, Ls)
         return True, None
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def projection_stabilization(tup: PencilTuple, n_max: int | None = None) -> list[int]:
-    """Pencil ranks of the leading principal truncations at sizes 1..n_max."""
-    ms = tup.matrices
-    n = ms[0].rows
-    if n_max is None:
-        n_max = n
-    if n_max > n:
-        raise ValueError("n_max exceeds the matrices' size")
-    out = []
-    prev = -1
-    for size in range(1, n_max + 1):
-        trunc = PencilTuple.make([M.block(0, size, 0, size) for M in ms])
-        r, _ = pencil_rank_enumerate(trunc)
-        if r < prev:
-            raise AssertionError("pencil rank of truncations must be nondecreasing")
-        prev = r
-        out.append(r)
-    return out

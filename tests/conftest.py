@@ -89,6 +89,21 @@ def matmul_oracle(A: Matrix, B: Matrix) -> Matrix:
         for i in range(A.rows) for j in range(B.cols)))
 
 
+def coordpoly_value(f, point):
+    """The value of the CoordPoly f at point, a dict from each variable family
+    of f to its block as a Matrix: p[i,j], q[i,j] and r[i,j] read entry
+    (i-1, j-1) of their block, v[i] and w[i] entry (i-1, 0)."""
+    fld = f.field
+    acc = fld.zero
+    for mono, c in f.terms:
+        for (fam, i, *j), e in mono:
+            x = point[fam].entry(i - 1, j[0] - 1 if j else 0)
+            for _ in range(e):
+                c = fld.mul(c, x)
+        acc = fld.add(acc, c)
+    return acc
+
+
 def eigen_scan_oracle(M: Matrix) -> list[tuple]:
     """The eigenvalues of M over GF(p) with geometric multiplicities, by one
     rank per element of the field."""

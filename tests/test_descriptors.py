@@ -13,9 +13,6 @@ from conjlab.descriptors import (
     descriptor_intersect,
     descriptor_to_json,
     descriptor_union,
-    empty_descriptor,
-    shift_stratum,
-    tuple_rank_stratum,
 )
 from conjlab.fields import GF, QQ
 
@@ -35,18 +32,21 @@ def descriptors(draw, field=G7):
 
 
 def test_examples():
-    a = shift_stratum(G7, 0, 1)
-    b = shift_stratum(G7, 0, 2)
+    # make(field, k) is the tuple-rank stratum of bound k, make(field, -1,
+    # [(lam, b)]) the shift stratum of lam and bound b, make(field, -1) empty
+    stratum = ClosedSetDescriptor.make
+    a = stratum(G7, -1, [(0, 1)])
+    b = stratum(G7, -1, [(0, 2)])
     assert descriptor_union(a, b) == b
-    t2 = tuple_rank_stratum(QQ_, 2)
-    s35 = shift_stratum(QQ_, 3, 5)
-    assert descriptor_intersect(t2, s35) == shift_stratum(QQ_, 3, 2)
+    t2 = stratum(QQ_, 2)
+    s35 = stratum(QQ_, -1, [(3, 5)])
+    assert descriptor_intersect(t2, s35) == stratum(QQ_, -1, [(3, 2)])
     for k in range(4):
         for lam in range(5):
-            assert descriptor_contains(tuple_rank_stratum(G7, k), shift_stratum(G7, lam, k))
+            assert descriptor_contains(stratum(G7, k), stratum(G7, -1, [(lam, k)]))
     # distinct finite shifts meet in the empty stratum
-    assert descriptor_intersect(shift_stratum(G7, 1, 4), shift_stratum(G7, 2, 4)) == \
-        empty_descriptor(G7)
+    assert descriptor_intersect(stratum(G7, -1, [(1, 4)]), stratum(G7, -1, [(2, 4)])) == \
+        stratum(G7, -1)
 
 
 def test_canonical_drops_low_bounds():
@@ -132,12 +132,12 @@ def _strict_shrink(d, rng):
 
 
 def test_chain_stabilization_examples():
-    d = tuple_rank_stratum(G7, 2)
+    d = ClosedSetDescriptor.make(G7, 2)
     assert chain_stabilization([d, d, d]) == 0
-    chain = [tuple_rank_stratum(G7, 3), tuple_rank_stratum(G7, 2), tuple_rank_stratum(G7, 2)]
+    chain = [ClosedSetDescriptor.make(G7, k) for k in (3, 2, 2)]
     assert chain_stabilization(chain) == 1
     with pytest.raises(ValueError):
-        chain_stabilization([tuple_rank_stratum(G7, 1), tuple_rank_stratum(G7, 2)])
+        chain_stabilization([ClosedSetDescriptor.make(G7, 1), ClosedSetDescriptor.make(G7, 2)])
 
 
 def test_generated_chains_stabilize_at_strict_step_count():

@@ -1,6 +1,7 @@
 """src/ stays standard-library only: every module of the package imports the
 standard library and conjlab itself, nothing else, and uses what it imports;
-and every private helper it defines is named somewhere in src/."""
+and every name it defines at module level, private or public, is named
+somewhere else in src/, but for the listed public exceptions."""
 
 import ast
 import pathlib
@@ -46,7 +47,7 @@ def test_src_has_no_unused_imports():
     assert not unused
 
 
-def _private_definitions(tree):
+def _definitions(tree):
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -54,7 +55,17 @@ def _private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _unreferenced(which):
+    """(module, name) for each module-level name of the package that ``which``
+    selects and that src/ names nowhere besides its definition."""
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    everything = "\n".join(texts.values())
+    return {(path.name, name) for path, text in texts.items()
+            for name in _definitions(ast.parse(text, str(path)))
+            if which(name) and len(re.findall(rf"\b{re.escape(name)}\b", everything)) < 2}
 
 
 def test_src_has_no_unreferenced_private_helpers():
@@ -62,9 +73,21 @@ def test_src_has_no_unreferenced_private_helpers():
     named somewhere in src/ besides its definition, so a rewrite does not leave
     a helper behind.  Dunders such as __all__ are read by the interpreter and
     are not checked."""
-    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    everything = "\n".join(texts.values())
-    unreferenced = {(path.name, name) for path, text in texts.items()
-                    for name in _private_definitions(ast.parse(text, str(path)))
-                    if len(re.findall(rf"\b{re.escape(name)}\b", everything)) < 2}
-    assert not unreferenced
+    assert not _unreferenced(lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+# Public names that nothing in src/ calls, each with the reason it stays.
+TEST_ONLY_PUBLIC_NAMES = {
+    "chain_stabilization": "acceptance criterion 4 (tests/test_acceptance.py), the "
+                           "paper's Noetherianity statement in the descriptor lattice: "
+                           "a descending chain of closed sets stabilizes",
+}
+
+
+def test_src_has_no_unreferenced_public_names():
+    """Every module-level public function, class or constant of the package is
+    named somewhere in src/ besides its definition, so no public code stays
+    that only its own tests call; TEST_ONLY_PUBLIC_NAMES lists the exceptions,
+    and a name on it that gains a caller in src/ leaves it."""
+    unreferenced = _unreferenced(lambda name: not name.startswith("_"))
+    assert {name for _, name in unreferenced} == set(TEST_ONLY_PUBLIC_NAMES)

@@ -341,6 +341,29 @@ def test_rref_rows_match_rank_and_rref(M):
     assert rows == [res.rref.row_list(i) for i in range(res.rank)]
 
 
+def _kernel_basis_reference(M):
+    """The canonical right-kernel basis read off the rref of rank_and_rref:
+    for each free column c, the vector with 1 at c and minus column c of the
+    rref at the pivot columns."""
+    f, res = M.field, rank_and_rref(M)
+    basis = []
+    for free in (c for c in range(M.cols) if c not in res.pivots):
+        v = [f.zero] * M.cols
+        v[free] = f.one
+        for r, pc in enumerate(res.pivots):
+            v[pc] = f.neg(res.rref.entry(r, free))
+        basis.append(Matrix(f, M.cols, 1, tuple(v)))
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices(fields=(G2, G7, QQ_, QQT_)))
+def test_kernel_basis_matches_rank_and_rref_reference(M):
+    ker = kernel_basis(M)
+    assert ker == _kernel_basis_reference(M)
+    assert all((M @ v).is_zero() for v in ker)
+
+
 def _assert_matches_gauss_jordan(M):
     rk, rref, T, pivots = gauss_jordan_oracle(M)
     res = rank_and_rref(M)
