@@ -4,6 +4,7 @@ from conjlab.chains import (
     ChainError,
     ChainSpec,
     GroupType,
+    Signature,
     TruncatedPoint,
     algebra_membership,
     algebra_project,
@@ -393,6 +394,39 @@ def test_chain_spec_validation():
         ChainSpec.make("C", 1, [], [(1, 1, 0)])  # r != 0
     with pytest.raises(ChainError):
         ChainSpec.make("A", 1, [], [])
+
+
+def test_signature_validation_and_swap():
+    """A signature (l, r, z) needs nonnegative parts and l + r >= 1; swapped
+    exchanges l and r, the signature of the map composed with the transpose
+    inverse."""
+    s = Signature(2, 1, 3)
+    assert s.swapped() == Signature(1, 2, 3)
+    assert s.swapped().swapped() == s
+    assert Signature(1, 1, 0).swapped() == Signature(1, 1, 0)
+    for bad in ((0, 0, 1), (0, 0, 0), (-1, 2, 0), (1, -1, 0), (1, 0, -1)):
+        with pytest.raises(ChainError, match="bad signature"):
+            Signature(*bad)
+        with pytest.raises(ChainError):
+            ChainSpec.make("A", 1, [], [bad])
+    ch = ChainSpec.make("A", 1, [(1, 0, 0)], [(2, 1, 1)])
+    assert ch.signature_at(1) == Signature(1, 0, 0)
+    assert ch.signature_at(2) == ch.signature_at(5) == Signature(2, 1, 1)
+
+
+def test_json_document_checks_the_named_members():
+    from conjlab.jsonio import json_document
+
+    doc = {"chain": {"type": "A"}, "levels": [], "extra": 1}
+    assert json_document(doc, "point", chain=dict, levels=list) is doc
+    assert json_document({}, "descriptor") == {}
+    for bad in ([], "x", None, 3):
+        with pytest.raises(ValueError, match="point JSON must be an object"):
+            json_document(bad, "point")
+    with pytest.raises(ValueError, match="point JSON needs 'levels' as a JSON array"):
+        json_document({"chain": {}}, "point", chain=dict, levels=list)
+    with pytest.raises(ValueError, match="point JSON needs 'chain' as a JSON object"):
+        json_document({"chain": [], "levels": []}, "point", chain=dict, levels=list)
 
 
 def test_chain_json_roundtrip():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from conjlab.descriptors import (
@@ -163,3 +164,28 @@ def test_json_roundtrip():
     d = ClosedSetDescriptor.make(QQ_, 1, [(QQ_.parse("2/3"), 4), (QQ_.parse("-1"), 9)])
     obj = descriptor_to_json(d)
     assert descriptor_from_json(QQ_, json.loads(json.dumps(obj))) == d
+
+
+def test_bound_at_reads_the_exceptional_bound_or_k():
+    """make keeps the largest bound given for each eigenvalue, read mod p, and
+    drops bounds at most k; bound_at gives the kept bound or k elsewhere."""
+    d = ClosedSetDescriptor.make(G7, 1, [(3, 4), (10, 2), (5, 1), (2, 3)])
+    assert d.exceptional == ((2, 3), (3, 4))
+    assert [d.bound_at(lam) for lam in range(7)] == [1, 1, 3, 4, 1, 1, 1]
+    assert d.bound_at(9) == d.bound_at(-5) == 3
+    q = ClosedSetDescriptor.make(QQ_, 0, [("1/2", 2)])
+    assert q.bound_at("1/2") == q.bound_at(Fraction(2, 4)) == 2 and q.bound_at(2) == 0
+    with pytest.raises(ValueError, match="k must be at least -1"):
+        ClosedSetDescriptor.make(G7, -2)
+    # the lattice operations compare bounds eigenvalue by eigenvalue
+    rng = random.Random(41)
+    for _ in range(100):
+        a, b = (ClosedSetDescriptor.make(G7, rng.randint(-1, 4),
+                                         [(rng.randrange(7), rng.randint(0, 7))
+                                          for _ in range(rng.randint(0, 3))]) for _ in range(2))
+        u, i = descriptor_union(a, b), descriptor_intersect(a, b)
+        for lam in range(7):
+            assert u.bound_at(lam) == max(a.bound_at(lam), b.bound_at(lam))
+            assert i.bound_at(lam) == min(a.bound_at(lam), b.bound_at(lam))
+    with pytest.raises(ValueError, match="field mismatch"):
+        descriptor_union(d, q)

@@ -14,6 +14,7 @@ from conjlab.graphs import (
     apply_rule,
     char2_derivative,
     char2_gamma,
+    incidence_matrix,
     incidence_rank_check,
     reduce_graph,
     replay,
@@ -127,6 +128,23 @@ def test_loop_free_components_stay_loop_free():
 def test_incidence_examples():
     assert incidence_rank_check(Multigraph.make(["v"], [("v", "v")]), G2) == (True, 1)
     assert incidence_rank_check(Multigraph.make("vw", [("v", "w")]), G2) == (False, 1)
+
+
+def test_incidence_matrix_columns_are_edge_endpoints():
+    """Column j of the |V| x |E| incidence matrix is e_a + e_b for the edge
+    (a, b) and e_a for a loop at a, rows in the sorted vertex order."""
+    rng = random.Random(17)
+    for _ in range(100):
+        g = _random_graph(rng)
+        for fld in (G2, QQ_):
+            M = incidence_matrix(g, fld)
+            assert (M.rows, M.cols) == (len(g.vertices), len(g.edges))
+            for j, (a, b) in enumerate(g.edges):
+                want = [fld.one if v in (a, b) else fld.zero for v in g.vertices]
+                assert [M.entry(i, j) for i in range(M.rows)] == want
+    g = Multigraph.make("abc", [("a", "b"), ("c", "c"), ("b", "a")])
+    assert incidence_matrix(g, QQ_) == Matrix.from_rows(QQ_, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert incidence_matrix(Multigraph.make("ab", []), G2) == Matrix.zeros(G2, 2, 0)
 
 
 def test_char2_gamma():

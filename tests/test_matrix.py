@@ -936,3 +936,28 @@ def test_slice_accessors_match_entry_definitions(field):
                 want[r0 + i][c0 + j] = b.entry(i, j)
         r0, c0 = r0 + b.rows, c0 + b.cols
     assert D.to_rows() == want
+
+
+def test_map_field_is_the_entrywise_image():
+    """map_field applies convert to every entry and keeps the shape; reducing
+    rationals with denominators prime to 7 into GF(7) is a ring map, so it
+    commutes with products and determinants."""
+    rng = random.Random(31)
+    red = lambda M: M.map_field(G7, G7.coerce)
+
+    def rand(rows, cols):
+        return Matrix(QQ_, rows, cols, tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+                                             for _ in range(rows * cols)))
+
+    for _ in range(40):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        A, B = rand(n, m), rand(m, n)
+        for M in (A, B):
+            R = red(M)
+            assert R.field == G7 and (R.rows, R.cols) == (M.rows, M.cols)
+            assert all(R.entry(i, j) == G7.coerce(M.entry(i, j))
+                       for i in range(M.rows) for j in range(M.cols))
+        assert red(A @ B) == red(A) @ red(B)
+        if n:
+            assert G7.coerce(det(A @ B)) == det(red(A @ B))
+        assert lift_to_qqt(A) == A.map_field(QQT_, QQT_.coerce)

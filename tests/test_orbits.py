@@ -17,10 +17,12 @@ from conjlab.matrix import (
     rank,
     random_matrix,
 )
+from conjlab.matrix import MatrixError
 from conjlab.orbits import (
     OrbitClosure,
     classify_orbit_closure,
     degeneration_witness,
+    is_skew,
     minor_vanishing_test,
     raise_sum_rank,
     shape_left,
@@ -363,3 +365,23 @@ def test_degeneration_random(rng):
         assert not det(G).num == ()
         assert limit_at_zero(G @ lift_to_qqt(R) @ G.transpose()) == Q
         assert limit_at_zero(G @ lift_to_qqt(W)) == V
+
+
+def test_is_skew_and_the_normal_form_refuses_the_rest():
+    """M is skew when M + M^T = 0; in characteristic 2 that is every symmetric
+    matrix, a nonzero diagonal included."""
+    rng = random.Random(23)
+    for fld in (G3, G7, QQ_):
+        for n in range(1, 5):
+            A = random_matrix(n, n, fld, rng)
+            assert is_skew(A - A.transpose())
+            S = A + A.transpose()
+            assert is_skew(S) == S.is_zero()
+        assert is_skew(Matrix.zeros(fld, 3))
+        assert not is_skew(Matrix.identity(fld, 2))
+        assert not is_skew(Matrix.zeros(fld, 2, 3))
+        with pytest.raises(MatrixError, match="expected a skew matrix"):
+            skew_normal_form(Matrix.basis(fld, 2, 0, 1))
+    assert is_skew(Matrix.identity(G2, 3))
+    assert is_skew(Matrix.from_rows(G2, [[1, 1], [1, 0]]))
+    assert not is_skew(Matrix.basis(G2, 2, 0, 1))
