@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError, integral, is_prime
+from .fields import QQT, FieldError, integral, is_prime
 from .matrix import Matrix, MatrixError, det, inverse, random_invertible, random_matrix
 
 
@@ -105,7 +105,7 @@ def random_algebra_element(gtype: GroupType, field, rng) -> Matrix:
 
 def random_group_element(gtype: GroupType, field, rng, word_length: int = 6) -> Matrix:
     """Product of word_length generators drawn from the standard families."""
-    if getattr(field, "kind", None) == "rational_functions":
+    if isinstance(field, QQT):
         raise FieldError("group sampling is supported over finite fields and QQ")
     N = gtype.ambient
     g = Matrix.identity(field, N)

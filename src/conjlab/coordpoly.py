@@ -32,14 +32,6 @@ class PolyContext:
             raise PolyError(f"bad polynomial context {self.kind!r}, n={self.n}")
 
     @property
-    def families(self):
-        if self.kind == "gl":
-            return ("p",)
-        if self.kind == "B":
-            return ("p", "q", "r", "v", "w")
-        return ("p", "q", "r")
-
-    @property
     def ambient(self) -> int:
         if self.kind == "gl":
             return self.n

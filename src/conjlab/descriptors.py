@@ -50,10 +50,6 @@ class ClosedSetDescriptor:
                 return b
         return self.k
 
-    @property
-    def is_empty(self) -> bool:
-        return self.k == -1 and not self.exceptional
-
 
 def descriptor_canonicalize(d: ClosedSetDescriptor) -> ClosedSetDescriptor:
     return ClosedSetDescriptor.make(d.field, d.k, d.exceptional)

@@ -415,8 +415,6 @@ class RatFunc:
 class GF:
     """The prime field GF(p); scalars are residues in range(p)."""
 
-    kind = "finite"
-
     def __init__(self, p: int):
         if not (isinstance(p, int) and p < 2**31 and is_prime(p)):
             raise FieldError(f"GF modulus must be a prime below 2^31, got {p!r}")
@@ -494,8 +492,6 @@ class GF:
 class QQ:
     """The rationals; scalars are fractions.Fraction."""
 
-    kind = "rationals"
-
     def __init__(self):
         self.characteristic = 0
         self.name = "qq"
@@ -559,9 +555,6 @@ class QQ:
 
 class QQT:
     """Rational functions QQ(t); scalars are RatFunc values."""
-
-    kind = "rational_functions"
-    variable = "t"
 
     def __init__(self):
         self.characteristic = 0

@@ -71,11 +71,13 @@ def certificate_from_json(obj) -> ReductionCertificate:
     for item in obj:
         rule = json_document(item, "certificate step")["rule"]
         if rule == "remove_edge":
-            steps.append(RemoveEdge(tuple(item["edge"])))
+            edge = tuple(json_document(item, "certificate step", edge=list)["edge"])
+            steps.append(RemoveEdge(edge))
         elif rule == "remove_looped_vertex":
             steps.append(RemoveLoopedVertex(item["vertex"]))
         elif rule == "migrate_edge":
-            steps.append(MigrateEdge(tuple(item["edge"]), item["looped"]))
+            edge = tuple(json_document(item, "certificate step", edge=list)["edge"])
+            steps.append(MigrateEdge(edge, item["looped"]))
         else:
             raise ValueError(f"unknown rule {rule!r}")
     return ReductionCertificate(tuple(steps))

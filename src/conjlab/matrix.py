@@ -5,21 +5,24 @@ canonical scalars together with the owning field.
 
 ``@``, ``rank_and_rref``, ``rref_rows``, ``rank``, ``det``, ``inverse``,
 ``char_poly`` and ``Span`` look their field's class up once in ``_KERNELS``,
-one record of private kernels per field: over GF(p) they work on plain int
-rows with one ``% p`` per entry of each row operation, over QQ on
-row-cleared integers (Bareiss), over QQ(t) by evaluation at integer points.
-The GF(p) and QQ products skip the zero entries of rows of the left factor
-that have at most one nonzero entry.  A field class without a record, and
-whatever a record leaves out, runs the generic scalar loop through the
-field's own operations (``_GENERIC``), which the tests keep as the oracle of
-the faster kernels.  Every kernel keeps the generic loop's pivot rule, so
-rref, transform and pivots do not depend on the field's record.
+one record of private kernels per field.  ``_GENERIC`` runs the generic
+scalar loop through the field's own operations; it is the record of a field
+class without one, and the tests keep it as the oracle of the faster
+kernels.  Every other record is ``_GENERIC`` with only its own kernels
+replaced.  Each field supplies one elimination loop, and rref, rref_rows,
+rank, det and inverse are read off it by one set of readers: over GF(p) the
+loop works on plain int rows with one ``% p`` per entry of each row
+operation.  QQ replaces rank, det and inverse by the Bareiss elimination of
+row-cleared integers, QQ(t) by evaluation at integer points.  The GF(p) and
+QQ products skip the zero entries of rows of the left factor that have at
+most one nonzero entry.  Every elimination keeps the generic loop's pivot
+rule, so rref, transform and pivots do not depend on the field's record.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
@@ -291,22 +294,48 @@ def _kernels(field) -> _Kernels:
     return _KERNELS.get(type(field), _GENERIC)
 
 
-def _rref_inverse(rref):
-    """The inverse kernel that reads M^-1 off the transform of rref(M)."""
+def _elimination_readers(rows_of, eliminate) -> dict:
+    """The rref, rref_rows, rank, det and inverse kernels of a field, read off
+    its elimination loop: rows_of(M) gives M's rows as fresh lists in the
+    loop's form, and eliminate(rows, field, ncols, reduced=...) runs the loop
+    in place and returns the pivot columns, the pivot entries before scaling
+    and the sign of the row permutation."""
+    def rref(M):
+        f, n, m = M.field, M.rows, M.cols
+        a = rows_of(M)
+        for i, row in enumerate(a):
+            row += [f.zero] * n
+            row[m + i] = f.one
+        pivots, _, _ = eliminate(a, f, m, reduced=True)
+        return RrefResult(len(pivots), Matrix(f, n, m, tuple([v for row in a for v in row[:m]])),
+                          Matrix(f, n, n, tuple([v for row in a for v in row[m:]])),
+                          tuple(pivots))
+
+    def rref_rows(M):
+        rows = rows_of(M)
+        pivots, _, _ = eliminate(rows, M.field, M.cols, reduced=True)
+        return tuple(pivots), rows[:len(pivots)]
+
+    def rank(M):
+        return len(eliminate(rows_of(M), M.field, M.cols, reduced=False)[0])
+
+    def det(M):
+        """The signed product of the elimination's pivot entries."""
+        f = M.field
+        pivots, entries, sign = eliminate(rows_of(M), f, M.cols, reduced=False)
+        if len(pivots) < M.rows:
+            return f.zero
+        acc = reduce(f.mul, entries, f.one)
+        return acc if sign == 1 else f.neg(acc)
+
     def inverse(M):
+        """The transform of rref(M)."""
         res = rref(M)
         if res.rank != M.rows:
             raise MatrixError("matrix is singular")
         return res.transform
-    return inverse
 
-
-def _rref_result(field, a, ncols, pivots):
-    """The RrefResult of the reduced rows a of [M | I], M having ncols columns."""
-    n = len(a)
-    rref = Matrix(field, n, ncols, tuple([v for row in a for v in row[:ncols]]))
-    transform = Matrix(field, n, n, tuple([v for row in a for v in row[ncols:]]))
-    return RrefResult(len(pivots), rref, transform, tuple(pivots))
+    return dict(rref=rref, rref_rows=rref_rows, rank=rank, det=det, inverse=inverse)
 
 
 # -- the generic scalar loop, through the field's operations -------------------
@@ -362,36 +391,6 @@ def _eliminate(rows, field, ncols, *, reduced):
         pivots.append(c)
         entries.append(piv)
     return pivots, entries, sign
-
-
-def _generic_rref(M):
-    f = M.field
-    n, m = M.rows, M.cols
-    a = [M.row_list(i) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)]
-    pivots, _, _ = _eliminate(a, f, m, reduced=True)
-    return _rref_result(f, a, m, pivots)
-
-
-def _generic_rref_rows(M):
-    rows = M.to_rows()
-    pivots, _, _ = _eliminate(rows, M.field, M.cols, reduced=True)
-    return tuple(pivots), rows[:len(pivots)]
-
-
-def _generic_rank(M):
-    return len(_eliminate(M.to_rows(), M.field, M.cols, reduced=False)[0])
-
-
-def _generic_det(M):
-    """The signed product of the elimination's pivot entries."""
-    f = M.field
-    pivots, entries, sign = _eliminate(M.to_rows(), f, M.cols, reduced=False)
-    if len(pivots) < M.rows:
-        return f.zero
-    acc = f.one
-    for piv in entries:
-        acc = f.mul(acc, piv)
-    return acc if sign == 1 else f.neg(acc)
 
 
 def _generic_span_insert(f, rows, vec, store):
@@ -451,10 +450,10 @@ def _gf_rows(M):
     return [[v % p for v in e[i * m : (i + 1) * m]] for i in range(M.rows)]
 
 
-def _gf_eliminate(rows, p, ncols, *, reduced):
+def _gf_eliminate(rows, field, ncols, *, reduced):
     """_eliminate over GF(p), in place, on rows of residues in range(p):
     the same pivots, swaps and row operations, and the same return value."""
-    n = len(rows)
+    p, n = field.p, len(rows)
     pivots, entries, sign = [], [], 1
     for c in range(ncols):
         r = len(pivots)
@@ -481,32 +480,6 @@ def _gf_eliminate(rows, p, ncols, *, reduced):
         pivots.append(c)
         entries.append(piv)
     return pivots, entries, sign
-
-
-def _gf_rref(M):
-    n, m = M.rows, M.cols
-    a = _gf_rows(M)
-    for i, row in enumerate(a):
-        row += [0] * n
-        row[m + i] = 1
-    pivots, _, _ = _gf_eliminate(a, M.field.p, m, reduced=True)
-    return _rref_result(M.field, a, m, pivots)
-
-
-def _gf_rref_rows(M):
-    rows = _gf_rows(M)
-    pivots, _, _ = _gf_eliminate(rows, M.field.p, M.cols, reduced=True)
-    return tuple(pivots), rows[:len(pivots)]
-
-
-def _gf_rank(M):
-    return len(_gf_eliminate(_gf_rows(M), M.field.p, M.cols, reduced=False)[0])
-
-
-def _gf_det(M):
-    p = M.field.p
-    pivots, entries, sign = _gf_eliminate(_gf_rows(M), p, M.cols, reduced=False)
-    return sign * prod(entries) % p if len(pivots) == M.rows else 0
 
 
 def _gf_span_insert(f, rows, vec, store):
@@ -712,18 +685,23 @@ def _qqt_inverse(M):
 
 def kernel_basis(M: Matrix) -> list[Matrix]:
     """Canonical right-kernel basis (one column vector per free column)."""
-    f = M.field
-    pivots, rows = rref_rows(M)
+    return [Matrix(M.field, M.cols, 1, tuple(v))
+            for v in _kernel_vectors(M.field, M.cols, *rref_rows(M))]
+
+
+def _kernel_vectors(f, ncols, pivots, rows) -> list:
+    """The vectors of kernel_basis, as lists, read off the pivots and the
+    nonzero rows of an rref with ncols columns (as rref_rows gives them)."""
     piv = set(pivots)
     basis = []
-    for free in range(M.cols):
+    for free in range(ncols):
         if free in piv:
             continue
-        v = [f.zero] * M.cols
+        v = [f.zero] * ncols
         v[free] = f.one
         for row, pc in zip(rows, pivots):
             v[pc] = f.neg(row[free])
-        basis.append(Matrix(f, M.cols, 1, tuple(v)))
+        basis.append(v)
     return basis
 
 
@@ -858,21 +836,16 @@ def _hessenberg_char_poly(a, p):
     return chi[n]
 
 
-_GENERIC = _Kernels(matmul=_generic_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
-                    rank=_generic_rank, det=_generic_det, inverse=_rref_inverse(_generic_rref),
+_GENERIC = _Kernels(matmul=_generic_matmul, **_elimination_readers(Matrix.to_rows, _eliminate),
                     char_poly=_generic_char_poly, span_insert=_generic_span_insert)
+# Over QQ and QQ(t) the transform of singular input is not unique, so rref
+# stays on the generic loop there
 _KERNELS = {
-    GF: _Kernels(matmul=_gf_matmul, rref=_gf_rref, rref_rows=_gf_rref_rows, rank=_gf_rank,
-                 det=_gf_det, inverse=_rref_inverse(_gf_rref), char_poly=_gf_char_poly,
-                 span_insert=_gf_span_insert),
-    # rref keeps the generic loop over QQ and QQ(t): for singular input the
-    # transform is not unique, so another elimination could change it
-    QQ: _Kernels(matmul=_qq_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
-                 rank=_qq_rank, det=_qq_det, inverse=_qq_inverse, char_poly=_qq_char_poly,
-                 span_insert=_generic_span_insert),
-    QQT: _Kernels(matmul=_generic_matmul, rref=_generic_rref, rref_rows=_generic_rref_rows,
-                  rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse,
-                  char_poly=_generic_char_poly, span_insert=_generic_span_insert),
+    GF: replace(_GENERIC, matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
+                char_poly=_gf_char_poly, span_insert=_gf_span_insert),
+    QQ: replace(_GENERIC, matmul=_qq_matmul, rank=_qq_rank, det=_qq_det, inverse=_qq_inverse,
+                char_poly=_qq_char_poly),
+    QQT: replace(_GENERIC, rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse),
 }
 
 
@@ -896,17 +869,6 @@ def eigen_data(M: Matrix) -> list[tuple]:
             out.append((lam, n - r))
     out.sort(key=lambda t: f.sort_key(t[0]))
     return out
-
-
-def transform(M: Matrix, g: Matrix, mode: str) -> Matrix:
-    """Similarity g M g^{-1} or congruence g M g^T, exactly."""
-    if mode not in ("similarity", "congruence"):
-        raise MatrixError(f"unknown transform mode {mode!r}")
-    if not (M.is_square and g.is_square and g.rows == M.rows):
-        raise MatrixError("shape mismatch in transform")
-    if mode == "similarity":
-        return g @ M @ inverse(g)
-    return g @ M @ g.transpose()
 
 
 def limit_at_zero(M: Matrix) -> Matrix:

@@ -21,6 +21,7 @@ from .matrix import (
     Matrix,
     MatrixError,
     Span,
+    _kernel_vectors,
     det,
     inverse,
     kernel_basis,
@@ -94,12 +95,12 @@ def shape_left(P: Matrix, m: int):
     """
     f = P.field
     n = P.rows
-    pivots, _ = rref_rows(P)
+    pivots, rows = rref_rows(P)
     k = len(pivots)
     if not (k <= m and m + k <= n):
         raise ConstructionError(f"shape_left needs rank <= m and m + rank <= n (rank {k}, m {m}, n {n})")
     im_cols = [_col(P, c) for c in pivots]
-    ker = [_col(K, 0) for K in kernel_basis(P)]
+    ker = _kernel_vectors(f, n, pivots, rows)
     failed = ConstructionError("shape_left search failed")
     span = Span(f, n, im_cols)
     W: list = []

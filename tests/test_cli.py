@@ -161,6 +161,9 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "contains"], '{"k":1,"exceptional":[]}'),
+    # a certificate step's edge is a JSON array
+    (["graph", "replay"], '{"graph":{"vertices":["a"],"edges":[["a","a"]]},'
+                          '"certificate":[{"rule":"remove_edge","edge":5}]}'),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     if verb[0] == "descriptor":

@@ -40,7 +40,6 @@ from conjlab.matrix import (
     rref_rows,
     solve_left,
     solve_right,
-    transform,
 )
 
 G2, G3, G5, G7, QQ_, QQT_ = GF(2), GF(3), GF(5), GF(7), QQ(), QQT()
@@ -157,21 +156,11 @@ def test_eigen_sampled_gf7_n3(rng):
             assert r == 3 - eig.get(lam, 0)
 
 
-def test_transform_examples():
-    swap = Matrix.from_rows(QQ_, [[0, 1], [1, 0]])
-    assert transform(Matrix.basis(QQ_, 2, 0, 0), swap, "similarity") == Matrix.basis(QQ_, 2, 1, 1)
-    g = Matrix.from_rows(G3, [[1, 1], [0, 1]])
-    got = transform(Matrix.from_rows(G3, [[1, 0], [0, 2]]), g, "similarity")
-    assert got == Matrix.from_rows(G3, [[1, 1], [0, 2]])
-    with pytest.raises(MatrixError):
-        transform(Matrix.identity(QQ_, 2), Matrix.zeros(QQ_, 2), "similarity")
-
-
 def test_congruence_preserves_skew(rng):
     J = Matrix.from_rows(QQ_, [[0, 1], [-1, 0]])
     for _ in range(20):
         g = random_invertible(2, QQ_, rng)
-        S = transform(J, g, "congruence")
+        S = g @ J @ g.transpose()
         assert (S + S.transpose()).is_zero()
 
 
@@ -828,6 +817,7 @@ def test_gf_elimination_matches_generic_loop(M):
     generic = matrix._GENERIC
     res = rank_and_rref(M)
     assert res == generic.rref(M)
+    assert rref_rows(M) == generic.rref_rows(M)
     assert rank(M) == generic.rank(M) == res.rank
     if not M.is_square:
         return

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from fractions import Fraction
@@ -31,7 +32,7 @@ from conjlab.orbits import (
     topleft_realization,
     tuple_rank_lift,
 )
-from conjlab import orbits
+from conjlab import matrix, orbits
 from conjlab.pencil import BudgetExceeded, shift_rank, tuple_rank_identity
 
 G2, G3, G5, G7, QQ_ = GF(2), GF(3), GF(5), GF(7), QQ()
@@ -80,6 +81,24 @@ def test_shape_left_pinned():
     F = Fraction
     assert h == Matrix.from_rows(QQ_, [[1, 0, F(1, 2), -1], [0, 1, F(1, 4), 0],
                                        [-1, 0, F(1, 2), 1], [0, -1, F(-1, 4), 1]])
+
+
+def test_shape_left_eliminates_p_once(monkeypatch):
+    # the pivots and the kernel vectors are read off one rref of P
+    kernels, eliminated = matrix._KERNELS[GF], []
+
+    def counting(kernel):
+        def run(M):
+            eliminated.append(M)
+            return kernel(M)
+        return run
+
+    monkeypatch.setitem(matrix._KERNELS, GF, replace(kernels, rref=counting(kernels.rref),
+                                                      rref_rows=counting(kernels.rref_rows)))
+    P = Matrix.from_rows(G2, [[0, 1, 0, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 1, 1],
+                              [0, 1, 0, 0, 1], [0, 1, 0, 1, 1]])
+    shape_left(P, 2)
+    assert eliminated.count(P) == 1
 
 
 def test_topleft_examples():

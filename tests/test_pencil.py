@@ -181,6 +181,21 @@ def test_offdiag_matches_gl_oracle_gf2_n4():
             assert offdiag_criterion_check(P, k, m) == offdiag_gl_oracle(P, k, m), (P.to_rows(), k, m)
 
 
+def test_offdiag_matches_gl_oracle_gf2_n5():
+    # past n = 2m the rows in L must be independent modulo ann(C), a condition
+    # of the witness walk that cannot bind at n = 4.  Each input fails
+    # (rk(P, I) > k), so the oracle's scan stops at its first certifying
+    # g: the 1st, 5th or 9th element of GL_5(F_2) here.  A first hit that
+    # changes a K row lies past element 10752, too far for a test.
+    ins = [random_matrix(5, 5, G2, random.Random(s)) for s in (0, 8)]
+    ins += [matrix_of_rank(G2, 5, 2, random.Random(s)) for s in (0, 3)]
+    rng = random.Random(14)
+    ins.append(_transvection(G2, 5, rng) @ _transvection(G2, 5, rng))
+    for P in ins:
+        assert tuple_rank_identity(P) > 1
+        assert offdiag_criterion_check(P, 1, 2) == offdiag_gl_oracle(P, 1, 2), P.to_rows()
+
+
 def test_offdiag_gf3_n4():
     # |GL_4(F_3)| ~ 2.4e7 is over the budget; the 130 subspace pairs are not
     rng = random.Random(4)
