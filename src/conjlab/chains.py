@@ -103,7 +103,7 @@ def random_algebra_element(gtype: GroupType, field, rng) -> Matrix:
     return algebra_project(gtype, random_matrix(gtype.ambient, gtype.ambient, field, rng))
 
 
-def random_group_element(gtype: GroupType, field, rng, word_length: int = 6) -> Matrix:
+def random_group_element(gtype: GroupType, field, rng, word_length: int) -> Matrix:
     """Product of word_length generators drawn from the standard families."""
     if isinstance(field, QQT):
         raise FieldError("group sampling is supported over finite fields and QQ")

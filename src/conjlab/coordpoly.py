@@ -1,13 +1,15 @@
-"""Sparse polynomials on matrix coordinates, and matrices of them.
+"""Linear forms on matrix coordinates, and matrices of them.
 
 Variables come in families p, q, r (matrix entries) and v, w (vector
 entries).  One table per context, :func:`_layout`, states the canonical
-variables and the signed ambient positions each one fills: q[k,l] and
-r[k,l] with k <= l for the symmetric blocks of type C and k < l for the
-skew blocks of types B and D, whose other positions read as +/- the
-canonical variable.  Variable validation and the symbolic matrix are read
-off it.  Monomials are sorted variable-power tuples; terms are kept in a
-fixed graded order so printing is canonical.
+variables and the signed ambient positions each one fills.  For types B,
+C and D it is read off the form of ``chains.form_matrix`` by
+:func:`form_layout`, which derives the generic element of {X : X J + J X^T
+= 0} from the form J; so q[k,l] and r[k,l] come with k <= l for the
+symmetric blocks of type C and k < l for the skew blocks of types B and D,
+whose other positions read as +/- the canonical variable.  Variable
+validation and the symbolic matrix are read off it.  An entry is a linear
+form, its terms sorted by variable so printing is canonical.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .chains import GroupType, form_matrix
+from .fields import QQ
 from .matrix import Matrix
 
 
@@ -40,28 +44,57 @@ class PolyContext:
         return 2 * self.n
 
 
+def form_layout(J: Matrix, top: int, low: int) -> dict:
+    """The generic element of the algebra {X : X J + J X^T = 0} of a form J
+    with one entry s_i = +/-1 in each row i, at column sigma(i): each
+    canonical position -> the signed positions its entry fills, its own
+    first; every other entry is zero.
+
+    The algebra ties X[i][a] to its partner X[sigma(a)][sigma(i)] =
+    -s_a s_i X[i][a].  A pair's canonical position is the smaller of the two
+    under (row block, row, column), where the rows < top come first, then the
+    rows >= low, then the rows between.  A position that is its own partner
+    is free when its sign is +1 and zero otherwise."""
+    f = J.field
+    sigma, s = [], []
+    for row in J.to_rows():
+        (j, v), = [(j, v) for j, v in enumerate(row) if not f.is_zero(v)]
+        sigma.append(j)
+        s.append(1 if v == f.one else -1)
+    key = lambda i, a: (0 if i < top else 1 if i >= low else 2, i, a)
+    out = {}
+    for i in range(J.rows):
+        for a in range(J.cols):
+            partner, sign = (sigma[a], sigma[i]), -s[a] * s[i]
+            if partner == (i, a):
+                if sign == 1:
+                    out[i, a] = ((1, (i, a)),)
+            elif key(i, a) < key(*partner):
+                out[i, a] = ((1, (i, a)), (sign, partner))
+    return out
+
+
 @cache
 def _layout(ctx: PolyContext) -> dict:
     """Each canonical variable of ``ctx`` -> the signed ambient positions it
-    fills, its own position first; every other ambient entry is zero."""
+    fills, its own position first; every other ambient entry is zero.  For
+    B, C and D this is :func:`form_layout` of ``chains.form_matrix``, each
+    canonical position named by its block: p top-left, q top-right, r
+    bottom-left, and v, w the middle column of B in the top and bottom rows."""
     n, idx = ctx.n, range(1, ctx.n + 1)
     if ctx.kind == "gl":
         return {("p", i, j): ((1, (i - 1, j - 1)),) for i in idx for j in idx}
-    o = n + 1 if ctx.kind == "B" else n  # first row and column of the lower blocks
-    s = 1 if ctx.kind == "C" else -1  # the q and r blocks are symmetric or skew
-    out = {}
-    for i in idx:
-        for j in idx:
-            out["p", i, j] = ((1, (i - 1, j - 1)), (-1, (o + j - 1, o + i - 1)))
-            if i < j or i == j and ctx.kind == "C":
-                k = 2 if i < j else 1  # a diagonal entry has no mirror
-                out["q", i, j] = ((1, (i - 1, o + j - 1)), (s, (j - 1, o + i - 1)))[:k]
-                out["r", i, j] = ((1, (o + i - 1, j - 1)), (s, (o + j - 1, i - 1)))[:k]
-    if ctx.kind == "B":
-        for i in idx:
-            out["v", i] = ((1, (i - 1, n)), (-1, (n, o + i - 1)))
-            out["w", i] = ((1, (o + i - 1, n)), (-1, (n, i - 1)))
-    return out
+    o = ctx.ambient - n  # first row and column of the lower blocks
+
+    def name(r, c):
+        i = r + 1 if r < n else r - o + 1
+        if c == n < o:
+            return ("v" if r < n else "w", i)
+        fam = ("q" if c >= o else "p") if r < n else "r"
+        return (fam, i, c + 1 if c < n else c - o + 1)
+
+    J = form_matrix(QQ(), GroupType(ctx.kind, n))
+    return {name(*pos): places for pos, places in form_layout(J, n, o).items()}
 
 
 def canonical_var(ctx: PolyContext, family: str, i: int, j: int | None = None):
@@ -75,70 +108,49 @@ def canonical_var(ctx: PolyContext, family: str, i: int, j: int | None = None):
 
 @dataclass(frozen=True)
 class CoordPoly:
+    """A linear form: the sum of coeff * var over its terms."""
+
     context: PolyContext
     field: object
-    terms: tuple  # sorted ((monomial, coeff), ...); monomial = sorted ((var, exp), ...)
-
-    # -- construction ---------------------------------------------------------
+    terms: tuple  # ((var, coeff), ...), sorted by var, every coeff nonzero
 
     @staticmethod
     def _normalize(ctx, field, d: dict) -> "CoordPoly":
-        items = []
-        for mono, c in d.items():
-            if field.is_zero(c):
-                continue
-            items.append((tuple(sorted(mono)), c))
-        items.sort(key=lambda t: (-sum(e for _, e in t[0]), t[0]))
-        return CoordPoly(ctx, field, tuple(items))
+        return CoordPoly(ctx, field, tuple(sorted(
+            (var, c) for var, c in d.items() if not field.is_zero(c))))
 
     @staticmethod
     def zero(ctx, field) -> "CoordPoly":
         return CoordPoly(ctx, field, ())
 
     @staticmethod
-    def constant(ctx, field, c) -> "CoordPoly":
-        return CoordPoly._normalize(ctx, field, {(): field.coerce(c)})
-
-    @staticmethod
     def variable(ctx, field, family, i, j=None) -> "CoordPoly":
-        var = canonical_var(ctx, family, i, j)
-        return CoordPoly(ctx, field, ((((var, 1),), field.one),))
-
-    # -- ring operations ------------------------------------------------------
-
-    def _dict(self) -> dict:
-        return {mono: c for mono, c in self.terms}
+        return CoordPoly(ctx, field, ((canonical_var(ctx, family, i, j), field.one),))
 
     def _chk(self, other):
         if self.context != other.context or self.field != other.field:
             raise PolyError("context or field mismatch")
 
-    def __add__(self, other) -> "CoordPoly":
-        other = self._coerce(other)
+    def __add__(self, other: "CoordPoly") -> "CoordPoly":
         self._chk(other)
         f = self.field
-        d = self._dict()
-        for mono, c in other.terms:
-            d[mono] = f.add(d.get(mono, f.zero), c)
+        d = dict(self.terms)
+        for var, c in other.terms:
+            d[var] = f.add(d.get(var, f.zero), c)
         return CoordPoly._normalize(self.context, f, d)
 
-    def __sub__(self, other) -> "CoordPoly":
-        return self + (-self._coerce(other))
+    def __sub__(self, other: "CoordPoly") -> "CoordPoly":
+        return self + (-other)
 
     def __neg__(self) -> "CoordPoly":
         f = self.field
-        return CoordPoly(self.context, f, tuple((m, f.neg(c)) for m, c in self.terms))
-
-    def _coerce(self, v) -> "CoordPoly":
-        if isinstance(v, CoordPoly):
-            return v
-        return CoordPoly.constant(self.context, self.field, v)
+        return CoordPoly(self.context, f, tuple((var, f.neg(c)) for var, c in self.terms))
 
     def scale(self, c) -> "CoordPoly":
         f = self.field
         c = f.coerce(c)
         return CoordPoly._normalize(
-            self.context, f, {m: f.mul(c, coef) for m, coef in self.terms})
+            self.context, f, {var: f.mul(c, coef) for var, coef in self.terms})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -146,10 +158,8 @@ class CoordPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- structure ------------------------------------------------------------
-
     def variables(self) -> set:
-        return {var for mono, _ in self.terms for var, _ in mono}
+        return {var for var, _ in self.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +172,8 @@ def linear_combination(ctx: PolyContext, field, pairs) -> CoordPoly:
     d: dict = {}
     for c, p in pairs:
         if not field.is_zero(c):
-            for mono, coef in p.terms:
-                d[mono] = field.add(d.get(mono, field.zero), field.mul(c, coef))
+            for var, coef in p.terms:
+                d[var] = field.add(d.get(var, field.zero), field.mul(c, coef))
     return CoordPoly._normalize(ctx, field, d)
 
 
@@ -244,39 +254,34 @@ class PolyGrid:
         return self._like(out, self.cols)
 
 
-def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
-    """The structured matrix: each canonical variable, signed, at its positions."""
+def layout_grid(ctx: PolyContext, field, layout: dict) -> PolyGrid:
+    """The ambient grid of ``layout``: each variable, signed, at its positions."""
     N = ctx.ambient
     polys = [[CoordPoly.zero(ctx, field)] * N for _ in range(N)]
-    for var, places in _layout(ctx).items():
+    for var, places in layout.items():
         for sg, (r, c) in places:
-            polys[r][c] = CoordPoly(ctx, field, ((((var, 1),), field.coerce(sg)),))
+            polys[r][c] = CoordPoly(ctx, field, ((var, field.coerce(sg)),))
     return PolyGrid(polys)
 
 
+def symbolic_matrix(ctx: PolyContext, field) -> PolyGrid:
+    """The structured matrix: each canonical variable, signed, at its positions."""
+    return layout_grid(ctx, field, _layout(ctx))
+
+
 # ---------------------------------------------------------------------------
-# Text format: "3*p[1,2]*q[2,3] - 1/2*w[4]"
+# Text format: "p[1,2] - 1/2*w[4]"
 # ---------------------------------------------------------------------------
 
 def poly_format(f: CoordPoly) -> str:
     if f.is_zero():
         return "0"
-    fld = f.field
     parts = []
-    for mono, c in f.terms:
-        cs = fld.format(c)
+    for (fam, *idx), c in f.terms:
+        cs = f.field.format(c)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
-        factors = []
-        if not mono or mag != "1":
-            factors.append(mag)
-        for var, e in mono:
-            fam = var[0]
-            idx = ",".join(str(x) for x in var[1:])
-            factors.append(f"{fam}[{idx}]" + (f"^{e}" if e > 1 else ""))
-        body = "*".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
+        body = ("" if mag == "1" else f"{mag}*") + f"{fam}[{','.join(map(str, idx))}]"
+        sign = ("-" if neg else "") if not parts else ("- " if neg else "+ ")
+        parts.append(sign + body)
     return " ".join(parts)

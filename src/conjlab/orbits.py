@@ -36,6 +36,7 @@ from .matrix import (
 from .pencil import (
     BudgetExceeded,
     ENUMERATION_BUDGET,
+    _sampled_conjugates,
     enumerate_subspaces,
     gaussian_binomial,
     shift_rank,
@@ -276,16 +277,8 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
             raise ConstructionError("minor criterion disagrees with the rank oracle")
         return verdict
     if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        if trials < 1:
-            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
-        for _ in range(trials):
-            g = random_invertible(n, f, rng)
-            Qc = g @ P @ inverse(g)
-            if not f.is_zero(det(Qc.block(0, k, 0, k))):
-                return False
-        return True
+        return all(f.is_zero(det(Q.block(0, k, 0, k)))
+                   for _, Q in _sampled_conjugates(P, trials, rng))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -261,6 +261,18 @@ def _first_bad_conjugator(P: Matrix, m: int, bad: list) -> list:
     return rows
 
 
+def _sampled_conjugates(P: Matrix, trials: int, rng):
+    """Yield (g, g P g^{-1}) for ``trials`` random invertible g drawn from rng,
+    one draw per pair, the sampled mode of both conjugation criteria."""
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    if trials < 1:
+        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
+    for _ in range(trials):
+        g = random_invertible(P.rows, P.field, rng)
+        yield g, g @ P @ inverse(g)
+
+
 def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
                             trials: int = 200, rng=None):
     """Decide whether every conjugate Q of P has rank(Q_[K,L]) <= k.
@@ -301,13 +313,7 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
             raise AssertionError("the witness walk returned a conjugator that does not certify")
         return False, (g, K, L)
     if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        if trials < 1:
-            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
-        for _ in range(trials):
-            g = random_invertible(n, f, rng)
-            Q = g @ P @ inverse(g)
+        for g, Q in _sampled_conjugates(P, trials, rng):
             idx = list(range(n))
             rng.shuffle(idx)
             Ks, Ls = tuple(sorted(idx[:m])), tuple(sorted(idx[m : 2 * m]))

@@ -33,7 +33,7 @@ from .chains import (
     random_group_element,
     random_sym_or_skew,
 )
-from .coordpoly import CoordPoly, PolyContext, PolyGrid, poly_format, symbolic_matrix
+from .coordpoly import PolyContext, PolyGrid, form_layout, layout_grid, poly_format, symbolic_matrix
 from .fields import GF, QQ, field_from_name, integral
 from .graphs import (ReductionCertificate, char2_derivative, char2_gamma, incidence_rank_check,
                      reduce_graph, replay)
@@ -378,48 +378,13 @@ def _check_cd(kind: str, l, m, tamper, rng):
 # -- symbolic H-form matrices (independent coordinates of the odd H-form) ---
 
 def h_symbolic(n: int, l: int) -> PolyGrid:
-    """Grid of the H-form algebra with independent entries as p-variables of a
-    gl context of the ambient size; dependent entries are signed copies."""
-    L = l * (2 * n + 1)
+    """Grid of the H-form algebra, read off the H-form by form_layout: each
+    canonical position (i, j) is the variable p[i+1, j+1] of a gl context of
+    the ambient size, and every other entry a signed copy of one or zero."""
     ln = l * n
-    ctx = PolyContext("gl", L)
-    var = lambda i, j: CoordPoly.variable(ctx, _QQ, "p", i + 1, j + 1)
-    zero = CoordPoly.zero(ctx, _QQ)
-    grid = [[zero for _ in range(L)] for _ in range(L)]
-    # P free; S = -P^T
-    for a in range(ln):
-        for b in range(ln):
-            grid[a][b] = var(a, b)
-            grid[ln + l + a][ln + l + b] = -var(b, a)
-    # Q, R skew
-    for a in range(ln):
-        for b in range(ln):
-            if a < b:
-                grid[a][ln + l + b] = var(a, ln + l + b)
-                grid[ln + l + a][b] = var(ln + l + a, b)
-            elif a > b:
-                grid[a][ln + l + b] = -var(b, ln + l + a)
-                grid[ln + l + a][b] = -var(ln + l + b, a)
-    # V, W free; Psi = -J V^T, Phi = -J W^T
-    for a in range(ln):
-        for c in range(l):
-            grid[a][ln + c] = var(a, ln + c)                  # V
-            grid[ln + l + a][ln + c] = var(ln + l + a, ln + c)  # W
-    for a in range(l):
-        for b in range(ln):
-            grid[ln + a][ln + l + b] = -grid[b][ln + (l - 1 - a)]   # Psi
-            grid[ln + a][b] = -grid[ln + l + b][ln + (l - 1 - a)]   # Phi
-    # U: anti-transpose skew
-    for a in range(l):
-        for c in range(l):
-            pa, pc = l - 1 - c, l - 1 - a
-            if a + c == l - 1:
-                continue  # forced zero
-            if (a, c) < (pa, pc):
-                grid[ln + a][ln + c] = var(ln + a, ln + c)
-            else:
-                grid[ln + a][ln + c] = -var(ln + pa, ln + pc)
-    return PolyGrid(grid)
+    layout = form_layout(h_form_gram(_QQ, n, l), ln, ln + l)
+    return layout_grid(PolyContext("gl", l * (2 * n + 1)), _QQ,
+                       {("p", i + 1, j + 1): places for (i, j), places in layout.items()})
 
 
 def _h_check_algebra(n, l, X: PolyGrid):

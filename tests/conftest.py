@@ -90,17 +90,14 @@ def matmul_oracle(A: Matrix, B: Matrix) -> Matrix:
 
 
 def coordpoly_value(f, point):
-    """The value of the CoordPoly f at point, a dict from each variable family
-    of f to its block as a Matrix: p[i,j], q[i,j] and r[i,j] read entry
+    """The value of the linear form f at point, a dict from each variable
+    family of f to its block as a Matrix: p[i,j], q[i,j] and r[i,j] read entry
     (i-1, j-1) of their block, v[i] and w[i] entry (i-1, 0)."""
     fld = f.field
     acc = fld.zero
-    for mono, c in f.terms:
-        for (fam, i, *j), e in mono:
-            x = point[fam].entry(i - 1, j[0] - 1 if j else 0)
-            for _ in range(e):
-                c = fld.mul(c, x)
-        acc = fld.add(acc, c)
+    for (fam, i, *j), c in f.terms:
+        x = point[fam].entry(i - 1, j[0] - 1 if j else 0)
+        acc = fld.add(acc, fld.mul(c, x))
     return acc
 
 

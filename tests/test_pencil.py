@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from fractions import Fraction
 
-from conftest import matrix_of_rank, offdiag_gl_oracle
+from conftest import gauss_jordan_oracle, matmul_oracle, matrix_of_rank, offdiag_gl_oracle
 from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
 from conjlab.matrix import Matrix, inverse, rank, random_invertible, random_matrix
@@ -152,6 +152,29 @@ def test_offdiag_sampled_witness_certifies(rng):
     g, K, L = wit
     Q = g @ P @ inverse(g)
     assert rank(Q.submatrix(K, L)) > 0
+
+
+def test_offdiag_sampled_results_pinned():
+    """Seeded sampled runs: a fail's block rank, recomputed by the conftest
+    oracles, exceeds k; a pass (rk(P, I) <= k) is (True, None); the witness
+    and the next draw of the rng are as pinned, so the draws keep their order
+    (one random_invertible, then one shuffle, per trial)."""
+    P = Matrix.from_rows(G5, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    assert tuple_rank_identity(P) == 3
+    rng = random.Random(7)
+    holds, (g, K, L) = offdiag_criterion_check(P, 1, 2, mode="sampled", trials=20, rng=rng)
+    assert not holds
+    assert g.to_rows() == [[2, 1, 3, 0], [0, 4, 0, 2], [4, 0, 4, 1], [0, 0, 3, 3]]
+    assert (K, L) == ((1, 2), (0, 3))
+    g_rank, _, g_inv, _ = gauss_jordan_oracle(g)
+    assert g_rank == 4
+    Q = matmul_oracle(matmul_oracle(g, P), g_inv)
+    assert gauss_jordan_oracle(Q.submatrix(K, L))[0] > 1
+    P = Matrix.from_rows(G5, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    assert tuple_rank_identity(P) == 1
+    rng = random.Random(7)
+    assert offdiag_criterion_check(P, 1, 2, mode="sampled", trials=30, rng=rng) == (True, None)
+    assert rng.random() == 0.17076280319827852
 
 
 def test_offdiag_matches_gl_oracle_small():

@@ -319,8 +319,14 @@ def test_false_identity_fails_in_both_runs():
 
 
 def test_h_symbolic_satisfies_algebra():
+    """The H-form grid lies in the algebra and has L(L-1)/2 = dim o_L
+    distinct variables, L = l(2n + 1) its size."""
     from conjlab.verify import _h_check_algebra
-    assert _h_check_algebra(1, 3, h_symbolic(1, 3)) == []
+    for n, l in ((1, 3), (2, 3), (1, 5)):
+        X, L = h_symbolic(n, l), l * (2 * n + 1)
+        assert (X.rows, X.cols) == (L, L)
+        assert _h_check_algebra(n, l, X) == []
+        assert len(set().union(*(e.variables() for row in X.polys for e in row))) == L * (L - 1) // 2
 
 
 def test_h_check_algebra_reports_a_perturbed_entry():
