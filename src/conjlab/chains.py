@@ -290,16 +290,10 @@ def _h_sigma(n: int, l: int) -> list[int]:
 
 
 def h_form_gram(field, n: int, l: int) -> Matrix:
-    """The H-form gram matrix: [[0,0,I_ln],[0,J_l,0],[I_ln,0,0]]."""
-    ln = l * n
-    L = l * (2 * n + 1)
-    ent = [[field.zero] * L for _ in range(L)]
-    for i in range(ln):
-        ent[i][ln + l + i] = field.one
-        ent[ln + l + i][i] = field.one
-    for a in range(l):
-        ent[ln + a][ln + (l - 1 - a)] = field.one
-    return Matrix.from_rows(field, ent)
+    """The H-form gram matrix [[0,0,I_ln],[0,J_l,0],[I_ln,0,0]] for odd l: the
+    odd form of rank (L - 1)/2, L = l(2n + 1), read in H-form coordinates."""
+    sigma = _h_sigma(n, l)
+    return form_matrix(field, GroupType("B", (l * (2 * n + 1) - 1) // 2)).submatrix(sigma, sigma)
 
 
 def h_group_membership(field, n: int, l: int, g: Matrix) -> bool:

@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     common.add_argument("--out", choices=("json", "csv"), default="json")
     common.add_argument("--in", dest="infile", default="-", help="input path or - for stdin")
 
-    ap = argparse.ArgumentParser(prog="conjlab", parents=[common])
+    ap = argparse.ArgumentParser(prog="conjlab")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 

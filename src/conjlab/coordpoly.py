@@ -7,9 +7,9 @@ C and D it is read off the form of ``chains.form_matrix`` by
 :func:`form_layout`, which derives the generic element of {X : X J + J X^T
 = 0} from the form J; so q[k,l] and r[k,l] come with k <= l for the
 symmetric blocks of type C and k < l for the skew blocks of types B and D,
-whose other positions read as +/- the canonical variable.  Variable
-validation and the symbolic matrix are read off it.  An entry is a linear
-form, its terms sorted by variable so printing is canonical.
+whose other positions read as +/- the canonical variable.  The symbolic
+matrix is read off it.  An entry is a linear form, its terms sorted by
+variable so printing is canonical.
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ def _layout(ctx: PolyContext) -> dict:
     return {name(*pos): places for pos, places in form_layout(J, n, o).items()}
 
 
-def canonical_var(ctx: PolyContext, family: str, i: int, j: int | None = None):
-    """Validate and return a canonical variable key."""
-    var = (family, i) if j is None else (family, i, j)
-    if var not in _layout(ctx):
-        idx = i if j is None else f"{i},{j}"
-        raise PolyError(f"{family}[{idx}] is not a canonical variable of {ctx.kind}, n={ctx.n}")
-    return var
-
-
 @dataclass(frozen=True)
 class CoordPoly:
     """A linear form: the sum of coeff * var over its terms."""
@@ -122,10 +113,6 @@ class CoordPoly:
     @staticmethod
     def zero(ctx, field) -> "CoordPoly":
         return CoordPoly(ctx, field, ())
-
-    @staticmethod
-    def variable(ctx, field, family, i, j=None) -> "CoordPoly":
-        return CoordPoly(ctx, field, ((canonical_var(ctx, family, i, j), field.one),))
 
     def _chk(self, other):
         if self.context != other.context or self.field != other.field:

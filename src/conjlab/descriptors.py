@@ -6,10 +6,16 @@ identity-pencil stratum of bound k with finitely many larger shift strata:
 
     {P : rk(P, I) <= k}  union over lambda  {P : rk(P - lambda I) <= f(lambda)}.
 
-k = -1 with no exceptional entries encodes the empty set.  Union, intersection
-and containment are the pointwise max / min / product-order maps; distinct
-finite-shift strata intersect trivially because a matrix has at most one shift
-of small corank.
+k = -1 with no exceptional entries encodes the empty set.  Over GF(p) the
+stratum {rk(P, I) <= k'} is the union over all p scalars lambda of
+{rk(P - lambda I) <= k'}, so a descriptor that lists every scalar folds
+into k: k rises to the least listed bound, and the bounds at most k are
+dropped.  Unfolded, two descriptors of the same set would differ, and
+containment of descriptors would miss containment of the sets.
+
+Union, intersection and containment are the pointwise max / min /
+product-order maps; distinct finite-shift strata intersect trivially because
+a matrix has at most one shift of small corank.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ class ClosedSetDescriptor:
                 merged[lam] = max(merged[lam], bound)
             else:
                 merged[lam] = bound
+        if field.characteristic and len(merged) == field.characteristic:
+            k = max(k, min(merged.values()))  # every scalar of GF(p) listed
         kept = tuple(sorted(
             ((lam, b) for lam, b in merged.items() if b > k),
             key=lambda t: field.sort_key(t[0]),

@@ -668,12 +668,13 @@ def field_from_name(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over a field (used for characteristic polynomials)
+# Dense univariate polynomials over a field (characteristic polynomials)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial with ascending coefficients; () is the zero polynomial."""
+    """A univariate polynomial as its ascending coefficients, trimmed so the
+    last is nonzero; () is the zero polynomial.  ``char_poly`` returns one."""
 
     field: object
     coeffs: tuple
@@ -684,41 +685,3 @@ class UniPoly:
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         return UniPoly(field, tuple(cs))
-
-    @staticmethod
-    def constant(field, c) -> "UniPoly":
-        return UniPoly.make(field, [c])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
-
-    def add(self, other: "UniPoly") -> "UniPoly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.make(f, [f.add(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def sub(self, other: "UniPoly") -> "UniPoly":
-        return self.add(other.neg())
-
-    def neg(self) -> "UniPoly":
-        return UniPoly(self.field, tuple(self.field.neg(c) for c in self.coeffs))
-
-    def mul(self, other: "UniPoly") -> "UniPoly":
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return UniPoly(f, ())
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return UniPoly.make(f, out)
-
-    def scale(self, c) -> "UniPoly":
-        f = self.field
-        c = f.coerce(c)
-        return UniPoly.make(f, [f.mul(c, a) for a in self.coeffs])

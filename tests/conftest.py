@@ -13,18 +13,35 @@ from conjlab.matrix import Matrix, det, inverse, random_matrix, rank
 from conjlab.pencil import enumerate_gl_rows
 
 
+def _poly_add(f, a, b):
+    """The sum of two ascending coefficient lists over the field f."""
+    n = max(len(a), len(b))
+    a, b = a + [f.zero] * (n - len(a)), b + [f.zero] * (n - len(b))
+    return [f.add(x, y) for x, y in zip(a, b)]
+
+
+def _poly_mul(f, a, b):
+    """The product of two ascending coefficient lists over the field f."""
+    out = [f.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
 def cofactor_det(field, grid):
-    """Recursive Laplace expansion; entries support add/sub/mul."""
+    """Recursive Laplace expansion of a grid of ascending coefficient lists,
+    through the field's add, neg and mul only."""
     n = len(grid)
     if n == 0:
-        return UniPoly.make(field, [field.one])
-    if n == 1:
-        return grid[0][0]
-    acc = UniPoly.make(field, [])
+        return [field.one]
+    acc = []
     for j in range(n):
         minor = [[grid[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = grid[0][j].mul(cofactor_det(field, minor))
-        acc = acc.add(term) if j % 2 == 0 else acc.sub(term)
+        term = _poly_mul(field, grid[0][j], cofactor_det(field, minor))
+        if j % 2:
+            term = [field.neg(c) for c in term]
+        acc = _poly_add(field, acc, term)
     return acc
 
 
@@ -33,13 +50,10 @@ def charpoly_oracle(M: Matrix) -> UniPoly:
     f = M.field
     n = M.rows
     grid = [
-        [
-            UniPoly.make(f, [f.neg(M.entry(i, j))] + ([f.one] if i == j else []))
-            for j in range(n)
-        ]
+        [[f.neg(M.entry(i, j))] + ([f.one] if i == j else []) for j in range(n)]
         for i in range(n)
     ]
-    return cofactor_det(f, grid)
+    return UniPoly.make(f, cofactor_det(f, grid))
 
 
 def berkowitz_oracle(M: Matrix) -> UniPoly:

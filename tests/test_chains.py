@@ -299,6 +299,21 @@ def test_h_form_conversion(rng):
         assert h_group_membership(f, n, l, P.transpose() @ g @ P)
 
 
+def test_h_form_gram_is_the_explicit_block_form():
+    """h_form_gram against [[0,0,I_ln],[0,J_l,0],[I_ln,0,0]] built block by
+    block, J_l the l x l anti-diagonal of ones."""
+    for f in (G2, G7, QQ_):
+        for n, l in ((1, 1), (1, 3), (2, 1), (2, 3), (1, 5), (3, 5), (2, 7)):
+            ln = l * n
+            Z = lambda r, c: Matrix.zeros(f, r, c)
+            J = Matrix.from_rows(f, [[int(i + j == l - 1) for j in range(l)] for i in range(l)])
+            I = Matrix.identity(f, ln)
+            want = Matrix.from_blocks([[Z(ln, ln), Z(ln, l), I],
+                                       [Z(l, ln), J, Z(l, ln)],
+                                       [I, Z(ln, l), Z(ln, ln)]])
+            assert h_form_gram(f, n, l) == want, (f, n, l)
+
+
 def test_classify_cases():
     assert classify_case(ChainSpec.make("A", 1, [], [(1, 0, 1)]), 0).tag == "1"
     t = classify_case(ChainSpec.make("A", 1, [], [(2, 0, 1)]), 0)

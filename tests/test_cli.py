@@ -29,6 +29,17 @@ def test_rank_identity(tmp_path, capsys):
     assert json.loads(out) == {"rank": 3}
 
 
+def test_options_before_the_verb_exit_2(capsys):
+    """The common options belong to each verb: given before it, they are a
+    usage error, not silently replaced by the verb's defaults (which answered
+    the QQ rank over GF(7), and JSON for --out csv)."""
+    for argv in (["--field", "gf:7", "rank"], ["--out", "csv", "rank"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: conjlab" in capsys.readouterr().err
+
+
 def test_descriptor_intersect(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

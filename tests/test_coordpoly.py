@@ -12,6 +12,7 @@ from conjlab.coordpoly import (
     PolyContext,
     PolyError,
     PolyGrid,
+    _layout,
     linear_combination,
     poly_format,
     symbolic_matrix,
@@ -22,7 +23,13 @@ from conjlab.matrix import Matrix, MatrixError, inverse, random_invertible, rand
 QQ_, G7 = QQ(), GF(7)
 GL2 = PolyContext("gl", 2)
 GL3 = PolyContext("gl", 3)
-V = CoordPoly.variable
+
+
+def V(ctx, fld, family, i, j=None):
+    """The canonical variable family[i,j] (or family[i]) of ctx as a form."""
+    var = (family, i) if j is None else (family, i, j)
+    assert var in _layout(ctx)
+    return CoordPoly(ctx, fld, ((var, fld.one),))
 
 
 def term(ctx, fld, c, family, i, j=None):
@@ -43,20 +50,15 @@ def rand_gl_poly(ctx, fld, rng, terms=3):
 
 
 def test_canonical_vars():
-    C2 = PolyContext("C", 2)
-    D2 = PolyContext("D", 2)
-    V(C2, QQ_, "q", 1, 1)
-    V(C2, QQ_, "q", 1, 2)
-    with pytest.raises(PolyError):
-        V(C2, QQ_, "q", 2, 1)
-    with pytest.raises(PolyError):
-        V(D2, QQ_, "q", 1, 1)  # skew diagonal absent
-    with pytest.raises(PolyError):
-        V(GL2, QQ_, "q", 1, 2)  # gl has only p
-    B2 = PolyContext("B", 2)
-    V(B2, QQ_, "v", 2)
-    with pytest.raises(PolyError):
-        V(B2, QQ_, "v", 3)
+    """Which keys name a variable: q[k,l] with k <= l for the symmetric
+    block of C, k < l for the skew block of D, only p for gl, and the
+    middle column v[1..n] for B."""
+    C2, D2, B2 = PolyContext("C", 2), PolyContext("D", 2), PolyContext("B", 2)
+    assert ("q", 1, 1) in _layout(C2) and ("q", 1, 2) in _layout(C2)
+    assert ("q", 2, 1) not in _layout(C2)
+    assert ("q", 1, 1) not in _layout(D2)  # skew diagonal absent
+    assert ("q", 1, 2) not in _layout(GL2)  # gl has only p
+    assert ("v", 2) in _layout(B2) and ("v", 3) not in _layout(B2)
 
 
 def test_symbolic_matrix_lies_in_the_algebra():

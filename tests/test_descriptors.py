@@ -56,6 +56,21 @@ def test_canonical_drops_low_bounds():
     assert descriptor_canonicalize(d) == d
 
 
+def test_gf_descriptor_listing_every_scalar_folds_into_k():
+    """Over GF(2), {rk(P, I) <= 0} (the scalar matrices 0 and I) lies in
+    {rk P <= 2} union {rk(P - I) <= 0}: listing both scalars raises k to the
+    least bound.  QQ has infinitely many scalars and never folds."""
+    G2 = GF(2)
+    a = ClosedSetDescriptor.make(G2, -1, [(0, 2), (1, 0)])
+    assert (a.k, a.exceptional) == (0, ((0, 2),))
+    b = ClosedSetDescriptor.make(G2, 0)
+    assert descriptor_contains(a, b) and descriptor_union(a, b) == a
+    c = ClosedSetDescriptor.make(G7, 1, [(lam, 3 + lam % 2) for lam in range(7)])
+    assert (c.k, c.exceptional) == (3, ((1, 4), (3, 4), (5, 4)))
+    q = ClosedSetDescriptor.make(QQ_, -1, [(0, 2), (1, 0)])
+    assert (q.k, q.exceptional) == (-1, ((0, 2), (1, 0)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(descriptors(), descriptors())
 def test_union_intersect_commutative(a, b):

@@ -10,7 +10,6 @@ from conjlab.fields import (
     QQT,
     FieldError,
     RatFunc,
-    UniPoly,
     field_from_name,
     gfpoly_roots,
     ipoly_add,
@@ -153,16 +152,6 @@ def test_qqt_parse_variants():
     for s in ("(1)/(t+1)", "-2/3", "t^2+1", "0", "(t)/(t^2+1)"):
         v = f.parse(s)
         assert f.parse(f.format(v)) == v
-
-
-def test_unipoly_ops():
-    f = QQ()
-    x = UniPoly.make(f, [0, 1])
-    p = x.mul(x).sub(UniPoly.constant(f, 1))  # x^2 - 1
-    assert p == UniPoly.make(f, [-1, 0, 1])
-    q = p.add(UniPoly.constant(f, 1))
-    assert q.coeffs == (Fraction(0), Fraction(0), Fraction(1))
-    assert UniPoly.make(f, [0, 0]).is_zero()
 
 
 def test_is_prime_matches_a_sieve():
@@ -343,13 +332,3 @@ def test_sort_keys_order_distinct_scalars_distinctly():
     assert sorted([q.t, q.one, q.zero], key=q.sort_key) == [q.zero, q.one, q.t]
 
 
-def test_unipoly_coeff_neg_and_sub():
-    f = GF(5)
-    p = UniPoly.make(f, [1, 2, 3])
-    assert [p.coeff(i) for i in range(5)] == [1, 2, 3, 0, 0]
-    assert p.neg() == UniPoly.make(f, [4, 3, 2])
-    assert p.add(p.neg()).is_zero() and p.sub(p).is_zero()
-    assert p.sub(UniPoly.make(f, [0, 0, 3])) == UniPoly.make(f, [1, 2])
-    # the zero polynomial: every coefficient is the field's zero
-    z = UniPoly.make(QQ(), [])
-    assert z.coeff(0) == Fraction(0) and z.neg() == z

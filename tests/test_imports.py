@@ -1,9 +1,11 @@
 """src/ stays standard-library only: every module of the package imports the
 standard library and conjlab itself, nothing else, and uses what it imports;
-and every name it defines at module level, private or public, is read by
-some module of src/, but for the listed public exceptions."""
+every name it defines at module level, private or public, is read by some
+module of src/, but for the listed public exceptions; and every method of
+its classes is read as an attribute somewhere in src/."""
 
 import ast
+import collections
 import os
 import pathlib
 import pkgutil
@@ -103,6 +105,29 @@ def test_src_has_no_unreferenced_public_names():
     gains a caller in src/ leaves it."""
     unreferenced = _unreferenced(lambda name: not name.startswith("_"))
     assert {name for _, name in unreferenced} == set(TEST_ONLY_PUBLIC_NAMES)
+
+
+def _attribute_loads(node):
+    """How often each attribute name is read under ``node``."""
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_src_has_no_unread_methods():
+    """Every non-dunder method, property or staticmethod of a class of the
+    package is read by some attribute load in src/ outside its own def, so no
+    method stays that only tests call.  The check goes by name, so a method
+    named like a field op or a Matrix method that src/ reads elsewhere (say
+    ``add``, ``mul`` or ``scale``) passes it whoever calls it: it cannot be
+    caught this way."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    read = sum(map(_attribute_loads, trees), collections.Counter())
+    unread = {f"{cls.name}.{d.name}" for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for d in cls.body
+              if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (d.name.startswith("__") and d.name.endswith("__"))
+              and read[d.name] == _attribute_loads(d)[d.name]}
+    assert not unread
 
 
 def test_cli_import_loads_every_module():
