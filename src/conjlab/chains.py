@@ -271,7 +271,10 @@ class ChainSpec:
 # ---------------------------------------------------------------------------
 
 def _h_sigma(n: int, l: int) -> list[int]:
-    """Index map from H-form coordinates to standard odd-form coordinates."""
+    """Index map from H-form coordinates to standard odd-form coordinates; the
+    middle block J_l of the H-form needs l odd."""
+    if l < 1 or l % 2 == 0:
+        raise ChainError(f"the H-form needs an odd l >= 1, got {l}")
     k = (l - 1) // 2
     ln = l * n
     L = l * (2 * n + 1)

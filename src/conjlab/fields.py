@@ -673,15 +673,9 @@ def field_from_name(name: str):
 
 @dataclass(frozen=True)
 class UniPoly:
-    """A univariate polynomial as its ascending coefficients, trimmed so the
-    last is nonzero; () is the zero polynomial.  ``char_poly`` returns one."""
+    """A univariate polynomial as the tuple of its ascending coefficients,
+    elements of the field with the last nonzero.  ``char_poly`` returns one,
+    monic."""
 
     field: object
     coeffs: tuple
-
-    @staticmethod
-    def make(field, coeffs) -> "UniPoly":
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        return UniPoly(field, tuple(cs))

@@ -762,18 +762,18 @@ def char_poly(M: Matrix) -> UniPoly:
 
 
 def _generic_char_poly(M):
-    return UniPoly.make(M.field, _berkowitz(M.to_rows(), M.field)[::-1])
+    return UniPoly(M.field, tuple(_berkowitz(M.to_rows(), M.field)[::-1]))
 
 
 def _gf_char_poly(M):
-    return UniPoly.make(M.field, _hessenberg_char_poly(M.to_rows(), M.field.p))
+    return UniPoly(M.field, tuple(_hessenberg_char_poly(M.to_rows(), M.field.p)))
 
 
 def _qq_char_poly(M):
     rows, ds = _cleared_rows(M)
     d = lcm(*ds)
     c = _berkowitz([[v * (d // di) for v in row] for row, di in zip(rows, ds)], _ZZ)
-    return UniPoly.make(M.field, [Fraction(ci, d ** i) for i, ci in enumerate(c)][::-1])
+    return UniPoly(M.field, tuple(Fraction(ci, d ** i) for i, ci in enumerate(c))[::-1])
 
 
 def _berkowitz(a, R):

@@ -53,7 +53,7 @@ def charpoly_oracle(M: Matrix) -> UniPoly:
         [[f.neg(M.entry(i, j))] + ([f.one] if i == j else []) for j in range(n)]
         for i in range(n)
     ]
-    return UniPoly.make(f, cofactor_det(f, grid))
+    return UniPoly(f, tuple(cofactor_det(f, grid)))
 
 
 def berkowitz_oracle(M: Matrix) -> UniPoly:
@@ -63,7 +63,7 @@ def berkowitz_oracle(M: Matrix) -> UniPoly:
     f = M.field
     n = M.rows
     if n == 0:
-        return UniPoly.make(f, [f.one])
+        return UniPoly(f, (f.one,))
     p = [f.one, f.neg(M.entry(0, 0))]
     for k in range(1, n):
         a = M.entry(k, k)
@@ -85,7 +85,7 @@ def berkowitz_oracle(M: Matrix) -> UniPoly:
                     acc = f.add(acc, f.mul(first_col[d], p[j]))
             newp.append(acc)
         p = newp
-    return UniPoly.make(f, list(reversed(p)))
+    return UniPoly(f, tuple(reversed(p)))
 
 
 def _field_dot(f, xs, ys):

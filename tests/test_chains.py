@@ -314,6 +314,14 @@ def test_h_form_gram_is_the_explicit_block_form():
             assert h_form_gram(f, n, l) == want, (f, n, l)
 
 
+def test_h_form_gram_needs_an_odd_l():
+    """An even l has no middle J_l block of an odd form: it raises rather than
+    give a singular gram matrix."""
+    for l in (2, 4, 0, -1):
+        with pytest.raises(ChainError, match="odd l"):
+            h_form_gram(QQ_, 1, l)
+
+
 def test_classify_cases():
     assert classify_case(ChainSpec.make("A", 1, [], [(1, 0, 1)]), 0).tag == "1"
     t = classify_case(ChainSpec.make("A", 1, [], [(2, 0, 1)]), 0)

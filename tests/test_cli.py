@@ -40,6 +40,18 @@ def test_options_before_the_verb_exit_2(capsys):
         assert "usage: conjlab" in capsys.readouterr().err
 
 
+def test_verbs_reject_options_they_do_not_read(capsys):
+    """A verb takes only the options its handler reads: any other is a usage
+    error, not silently dropped."""
+    for argv in (["rank", "--seed", "1"], ["suite", "--trials", "3"], ["suite", "--field", "gf:5"],
+                 ["descriptor", "canon", "a.json", "--in", "b.json"],
+                 ["verify", "char2b", "--in", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage: conjlab" in capsys.readouterr().err
+
+
 def test_descriptor_intersect(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -286,11 +298,12 @@ def test_verify_over_budget_exits_2(capsys):
 
 
 def test_verify_commutator_needs_a_finite_field(capsys):
-    # qq_t exits 2, as for char2a, with one line naming the lemma; the
-    # default field qq still means GF(3)
-    code = main(["verify", "commutator", "--field", "qq_t"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == "" and err.count("\n") == 1 and "commutator" in err
+    # an explicit qq or qq_t exits 2, as for char2a, with one line naming the
+    # lemma; with no --field the lemma runs over GF(3)
+    for field in ("qq", "qq_t"):
+        code = main(["verify", "commutator", "--field", field])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1 and "commutator" in err
     code, out = run_cli(capsys, ["verify", "commutator", "--m", "2"])
     assert code == 0 and json.loads(out)["params"]["field"] == "gf:3"
 
@@ -544,7 +557,7 @@ def test_cli_fuzz_exits_0_or_2(tmp_path_factory, case, field, data):
     and 2 with exactly one line on stderr."""
     verb, docs = case
     doc = data.draw(st.one_of(docs, docs, _JSON))
-    argv = verb + ["--field", field]
+    argv = verb + ([] if verb[0] == "suite" else ["--field", field])  # suite reads no --field
     if verb[0] == "descriptor":  # the second operand is a fixed valid document
         other = tmp_path_factory.getbasetemp() / "fuzz-descriptor.json"
         other.write_text('{"k": 1, "exceptional": [{"lambda": "1", "bound": 0}]}')

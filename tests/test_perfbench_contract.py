@@ -1,17 +1,23 @@
 """The benchmark's tracer finds conjlab's kernels and verifiers by name, so a
 rename in src/ must turn this test red rather than silently empty a traced
-run.  The test reads perfbench/ and changes nothing there."""
+run; and its cli workload calls the CLI with fixed argv, so a change to the
+verbs or their options that the benchmark would refuse turns it red too.  The
+tests read perfbench/ and change nothing there."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
+import conjlab.cli
 import conjlab.matrix as matrix
 import conjlab.pencil as pencil
 import conjlab.verify as verify
 from conjlab.chains import ChainSpec
 from conjlab.fields import GF, QQ, QQT
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -67,3 +73,22 @@ def test_tracer_records_qqt_kernels_and_qq_eigenvalues():
         assert name in recorded
     assert "matrix.rank_and_rref.qqt" not in recorded
     assert restored
+
+
+def test_cli_workload_passes_in_process(tmp_path, monkeypatch):
+    """Every task of the cli workload passes its check on seeds 0-9, run in
+    process, and seed 0's canonical outputs hash to the digest that
+    `perfbench/run.py --workload cli --seed 0` prints."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for seed in range(10):
+        tasks = workloads.cli(seed, {"workdir": tmp_path, "inprocess": True,
+                                     "cli_module": conjlab.cli})
+        results = [task.call() for task in tasks]
+        assert [task.check(r) for task, r in zip(tasks, results)] == [None] * len(tasks), seed
+        if seed == 0:
+            canon = [task.canon(r) for task, r in zip(tasks, results)]
+            blob = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
+            assert hashlib.sha256(blob).hexdigest() == \
+                "585e24c3207e119b684ef976d6ba5a8aaec62a44b275e99d4e4aa96dd3acdce3"
