@@ -23,7 +23,7 @@ from .orbits import (classify_orbit_closure, degeneration_witness, minor_vanishi
                      raise_sum_rank, topleft_realization, tuple_rank_lift)
 from .pencil import (PencilTuple, offdiag_criterion_check, pencil_rank_enumerate, shift_rank,
                      tuple_rank_identity)
-from .verify import default_suite_config, run_one, run_suite
+from .verify import run_one, run_suite
 
 
 def _csv(prefix, v):
@@ -182,7 +182,6 @@ def _chain(args):
 
 
 def _graph(args):
-    field = field_from_name(args.field)
     obj = _load(args.infile)
     if args.op == "reduce":
         res = reduce_graph(graph_from_json(obj))
@@ -194,24 +193,14 @@ def _graph(args):
         g = graph_from_json(json_document(obj, "replay")["graph"])
         _emit(args, {"ok": replay(g, certificate_from_json(obj["certificate"]))})
     else:
-        surj, r = incidence_rank_check(graph_from_json(obj), field)
+        surj, r = incidence_rank_check(graph_from_json(obj), field_from_name(args.field))
         _emit(args, {"surjective": surj, "rank": r})
 
 
 def _verify(args):
-    field = args.field
-    if field is None:  # the lemma's own field
-        field = "gf:3" if args.lemma == "commutator" else "gf:7"
-    field_from_name(field)  # a malformed --field exits 2 whichever lemma runs
-    entry = {"lemma": args.lemma, "n": args.n, "m": args.m, "field": field,
-             "trials": args.trials}
-    if args.lemma.startswith("equivariance"):
-        name = "equivariance-A" if args.lemma == "equivariance" else args.lemma
-        chains = [e["chain"] for e in default_suite_config() if e["lemma"] == name]
-        if not chains:
-            raise ValueError(f"unknown lemma id {args.lemma!r}")
-        entry["chain"] = chains[0]
-    report = run_one(entry, args.seed)
+    given = {k: v for k, v in vars(args).items()
+             if k in ("field", "n", "m", "trials") and v is not None}
+    report = run_one({"lemma": args.lemma, **given}, args.seed)
     _emit(args, report.to_json())
     return 0 if report.ok else 1
 
@@ -260,13 +249,18 @@ _VERBS = {
     "chain": (_chain, "field in out",
               ("op", {"choices": ("classify", "normalize", "project", "embed",
                                   "check-point", "trace")}),
-              ("--char", {"type": int, "default": 0}), ("--level", {"type": int, "default": 1})),
-    "graph": (_graph, "field in out", ("op", {"choices": ("reduce", "replay", "incidence")})),
-    "verify": (_verify, "seed trials out", ("lemma", {}),
-               ("--field", {"default": None, "help": "default gf:3 for commutator, else gf:7"}),
-               ("--n", {"type": int, "default": 2}), ("--m", {"type": int, "default": 1})),
+              ("--char", {"type": int}), ("--level", {"type": int})),
+    "graph": (_graph, "in out", ("op", {"choices": ("reduce", "replay", "incidence")}),
+              ("--field", {"help": "gf:<p>, qq or qq_t"})),
+    "verify": (_verify, "seed out", ("lemma", {}), ("--field", {"help": "default: the lemma's"}),
+               ("--n", {"type": int}), ("--m", {"type": int}), ("--trials", {"type": int})),
     "suite": (_suite, "seed out", ("--config", {"default": None})),
 }
+
+# The options of chain and graph that only some ops read: (verb, option) ->
+# (those ops, its default).  Any other op given one is a usage error.
+_OP_OPTIONS = {("chain", "char"): ("classify", 0), ("chain", "level"): ("project embed", 1),
+               ("graph", "field"): ("incidence", "qq")}
 
 
 def main(argv=None) -> int:
@@ -279,6 +273,11 @@ def main(argv=None) -> int:
             p.add_argument(name, **kwargs)
         p.set_defaults(handler=handler)
     args = ap.parse_args(argv)
+    for (verb, dest), (ops, default) in _OP_OPTIONS.items():
+        if verb == args.verb and getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif verb == args.verb and args.op not in ops.split():
+            sub.choices[verb].error(f"{args.op} reads no --{dest}")
     try:
         return args.handler(args) or 0
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -14,8 +14,13 @@ dropped.  Unfolded, two descriptors of the same set would differ, and
 containment of descriptors would miss containment of the sets.
 
 Union, intersection and containment are the pointwise max / min /
-product-order maps; distinct finite-shift strata intersect trivially because
-a matrix has at most one shift of small corank.
+product-order maps.  Distinct finite-shift strata of bounds a and b
+intersect trivially at level n only when n > a + b: a matrix with
+rk(P - lambda I) <= a and rk(P - mu I) <= b, lambda != mu, gives
+(mu - lambda) I rank at most a + b.  Otherwise the pointwise min is smaller
+than the intersection of the sets: at n = 6, diag(0,0,0,1,1,1) lies in both
+{rk(P) <= 3} and {rk(P - I) <= 3}, yet their pointwise min is the empty
+descriptor.
 """
 
 from __future__ import annotations

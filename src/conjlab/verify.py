@@ -692,41 +692,57 @@ def default_suite_config() -> list[dict]:
     ]
 
 
+# The entry keys each lemma family reads besides "lemma"; run_one rejects any other.
+_READS = {"char2a": "field n mode trials", "char2b": "n", "commutator": "field m", "conj": "tamper",
+          "equivariance": "chain trials field", "rankbound": "n m trials field"}
+
+
 def run_one(entry: dict, seed: int = 0) -> VerificationReport:
-    """The report of one suite entry: a JSON object with a string "lemma";
-    its sizes "n" and "m" and its "trials" are integers (see
-    :func:`fields.integral`) and its "tamper" is a boolean.  Any other entry
-    is a ValueError."""
+    """The report of one suite entry: a JSON object with a string "lemma" and
+    only keys its family reads (``_READS``), a missing key taking the lemma's
+    default.  "n", "m" and "trials" are integers (:func:`fields.integral`),
+    "tamper" a boolean, "chain" of the lemma's type; else a ValueError."""
     if not isinstance(entry, dict) or not isinstance(entry.get("lemma"), str):
         raise ValueError("a suite entry must be a JSON object with 'lemma' as a string")
     lemma = entry["lemma"]
+    family, _, case = lemma.partition("-")
+    if family not in _READS:
+        raise ValueError(f"unknown lemma id {lemma!r}")
+    unread = sorted(set(entry) - {"lemma", *_READS[family].split()}, key=str)
+    if unread:
+        raise ValueError(f"lemma {lemma!r} reads no {unread[0]!r}, only: {_READS[family]}")
 
-    def num(key, least, default=None):
+    def num(key, least, default):
         v = integral(entry.get(key, default))
         if v is None or v < least:
             raise ValueError(f"suite entry {lemma!r} needs {key!r} as an integer >= {least}")
         return v
 
+    field = field_from_name(entry.get("field", "gf:3" if lemma == "commutator" else "gf:7"))
     if lemma == "char2a":
-        return verify_char2("a", field_from_name(entry.get("field")), num("n", 1),
-                            entry.get("mode", "enumerate"), num("trials", 0, 0), seed)
+        return verify_char2("a", field, num("n", 1, 2), entry.get("mode", "enumerate"),
+                            num("trials", 0, 0), seed)
     if lemma == "char2b":
-        return verify_char2("b", GF(2), num("n", 1), seed=seed)
+        return verify_char2("b", GF(2), num("n", 1, 2), seed=seed)
     if lemma == "commutator":
-        return verify_commutator_scalar(field_from_name(entry.get("field")), num("m", 1))
-    if lemma.startswith("conj-"):
+        return verify_commutator_scalar(field, num("m", 1, 1))
+    if family == "conj":
         tamper = entry.get("tamper", False)
         if not isinstance(tamper, bool):
             raise ValueError(f"suite entry {lemma!r} needs 'tamper' as true or false")
-        return verify_conjugation_identity(lemma[5:], tamper=tamper)
-    if lemma.startswith("equivariance"):
-        ch = chain_from_json(entry.get("chain"))
-        return verify_equivariance(ch, num("trials", 1, 50), seed,
-                                   field_from_name(entry.get("field", "gf:7")))
-    if lemma.startswith("rankbound-"):
-        return verify_rank_bound_samples(lemma[10:], num("n", 1), num("m", 0),
-                                         num("trials", 1, 20), seed,
-                                         field_from_name(entry.get("field", "gf:7")))
+        return verify_conjugation_identity(case, tamper=tamper)
+    if family == "equivariance":
+        name = "equivariance-A" if lemma == "equivariance" else lemma
+        chains = [e["chain"] for e in default_suite_config() if e["lemma"] == name]
+        if "chain" not in entry and not chains:
+            raise ValueError(f"unknown lemma id {lemma!r}")
+        ch = chain_from_json(entry["chain"] if "chain" in entry else chains[0])
+        if lemma not in ("equivariance", f"equivariance-{ch.letter}"):
+            raise ValueError(f"lemma {lemma!r} does not match its type {ch.letter} chain")
+        return verify_equivariance(ch, num("trials", 1, 200), seed, field)
+    if family == "rankbound":
+        return verify_rank_bound_samples(case, num("n", 1, 2), num("m", 0, 1),
+                                         num("trials", 1, 200), seed, field)
     raise ValueError(f"unknown lemma id {lemma!r}")
 
 

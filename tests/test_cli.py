@@ -45,7 +45,11 @@ def test_verbs_reject_options_they_do_not_read(capsys):
     error, not silently dropped."""
     for argv in (["rank", "--seed", "1"], ["suite", "--trials", "3"], ["suite", "--field", "gf:5"],
                  ["descriptor", "canon", "a.json", "--in", "b.json"],
-                 ["verify", "char2b", "--in", "x.json"]):
+                 ["verify", "char2b", "--in", "x.json"],
+                 # an option that only other ops of the verb read
+                 ["chain", "classify", "--level", "9"], ["chain", "normalize", "--char", "2"],
+                 ["chain", "project", "--char", "2"], ["graph", "reduce", "--field", "gf:2"],
+                 ["graph", "replay", "--field", "qq"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -180,6 +184,11 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     # equivariance of a chain type the default suite does not name
     (["verify", "equivariance-E"], ""),
     (["verify", "equivariance-A-B"], ""),
+    # an equivariance lemma whose chain is of another type
+    (["suite", "--config", "-"], '[{"lemma":"equivariance-B","chain":{"type":"A","n1":2,'
+                                 '"prefix":[[1,1,1]],"repeat":[[1,1,1]]},"trials":1}]'),
+    # a key the lemma does not read
+    (["suite", "--config", "-"], '[{"lemma":"char2b","n":2,"field":"qq"}]'),
     # the binary operations given one path
     (["descriptor", "union"], '{"k":1,"exceptional":[]}'),
     (["descriptor", "intersect"], '{"k":1,"exceptional":[]}'),
@@ -285,11 +294,23 @@ def test_chain_normalize_integral_floats(capsys, monkeypatch):
 def test_verify_equivariance_default_chains(capsys, lemma, chain):
     # verify runs each equivariance lemma on these chains
     code, out = run_cli(capsys, ["verify", lemma, "--trials", "3", "--seed", "4"])
-    entry = {"lemma": lemma, "n": 2, "m": 1, "field": "gf:7", "trials": 3, "chain": chain}
+    entry = {"lemma": lemma, "field": "gf:7", "trials": 3, "chain": chain}
     want = run_one(entry, 4).to_json()
     got = json.loads(out)
     assert code == 0 and got.pop("ms") >= 0 and want.pop("ms") >= 0
     assert got == want
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["char2b", "--field", "gf:5"], "field"), (["char2b", "--m", "9"], "m"),
+    (["conj-2", "--n", "7"], "n"), (["commutator", "--trials", "3"], "trials"),
+    (["equivariance-C", "--n", "2"], "n"),
+])
+def test_verify_rejects_options_its_lemma_does_not_read(capsys, argv, key):
+    code = main(["verify"] + argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert f"reads no {key!r}" in err and argv[0] in err
 
 
 def test_verify_over_budget_exits_2(capsys):
@@ -541,10 +562,12 @@ _VERB_DOCS = [(verb, _MATRIX) for verb in _MATRIX_VERBS] + [
     *[(["descriptor", op, "-"], st.fixed_dictionaries({"k": _INT, "exceptional": st.lists(
         st.fixed_dictionaries({"lambda": _ENTRY, "bound": _INT}), max_size=2)}))
       for op in ("union", "intersect", "contains", "canon")],
-    # lemmas that pass at every small size they accept, so a run exits 0 or 2
+    # lemmas that pass at every small size they accept, so a run exits 0 or 2;
+    # none of them reads "m"
     (["suite", "--config", "-"], st.lists(st.one_of(_SCALAR, st.fixed_dictionaries(
         {"lemma": st.one_of(st.sampled_from(["char2a", "char2b", "conj-2", "x"]), _SCALAR)},
-        optional={"n": _INT, "trials": _INT, "field": st.sampled_from(["gf:3", "gf:5", 5])})),
+        optional={"n": _INT, "trials": _INT, "field": st.sampled_from(["gf:3", "gf:5", 5]),
+                  "m": _INT})),
         max_size=2)),
 ]
 
@@ -557,7 +580,8 @@ def test_cli_fuzz_exits_0_or_2(tmp_path_factory, case, field, data):
     and 2 with exactly one line on stderr."""
     verb, docs = case
     doc = data.draw(st.one_of(docs, docs, _JSON))
-    argv = verb + ([] if verb[0] == "suite" else ["--field", field])  # suite reads no --field
+    reads_field = verb[0] != "suite" and verb[:2] not in (["graph", "reduce"], ["graph", "replay"])
+    argv = verb + (["--field", field] if reads_field else [])
     if verb[0] == "descriptor":  # the second operand is a fixed valid document
         other = tmp_path_factory.getbasetemp() / "fuzz-descriptor.json"
         other.write_text('{"k": 1, "exceptional": [{"lambda": "1", "bound": 0}]}')

@@ -52,6 +52,24 @@ def test_tracer_records_matrix_and_verify_spans():
     assert restored
 
 
+def test_tracer_records_a_span_per_lemma_family_through_run_one():
+    """run_one calls each verifier by its module name at call time, so the
+    tracer's rebinding reaches every lemma family of a traced suite run."""
+    families = ("char2a", "char2b", "commutator", "conj", "equivariance", "rankbound")
+    entries = {}
+    for entry in verify.default_suite_config():
+        entries.setdefault(next(f for f in families if entry["lemma"].startswith(f)), entry)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert all(verify.run_one(entries[f], seed=0).ok for f in families)
+    finally:
+        restored = tracer.restore()
+    recorded = {tracer.names[i] for i in tracer.span_name}
+    assert {f"verify.{f}" for f in families} <= recorded
+    assert restored
+
+
 def test_tracer_records_qqt_kernels_and_qq_eigenvalues():
     """The QQ(t) evaluation paths and the Sturm roots stay behind the traced
     public names."""
