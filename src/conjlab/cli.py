@@ -246,10 +246,11 @@ _VERBS = {
     "descriptor": (_descriptor, "field out",
                    ("op", {"choices": ("union", "intersect", "contains", "canon")}),
                    ("paths", {"nargs": "+"})),
-    "chain": (_chain, "field in out",
+    "chain": (_chain, "in out",
               ("op", {"choices": ("classify", "normalize", "project", "embed",
                                   "check-point", "trace")}),
-              ("--char", {"type": int}), ("--level", {"type": int})),
+              ("--char", {"type": int}), ("--level", {"type": int}),
+              ("--field", {"help": "gf:<p>, qq or qq_t"})),
     "graph": (_graph, "in out", ("op", {"choices": ("reduce", "replay", "incidence")}),
               ("--field", {"help": "gf:<p>, qq or qq_t"})),
     "verify": (_verify, "seed out", ("lemma", {}), ("--field", {"help": "default: the lemma's"}),
@@ -260,7 +261,7 @@ _VERBS = {
 # The options of chain and graph that only some ops read: (verb, option) ->
 # (those ops, its default).  Any other op given one is a usage error.
 _OP_OPTIONS = {("chain", "char"): ("classify", 0), ("chain", "level"): ("project embed", 1),
-               ("graph", "field"): ("incidence", "qq")}
+               ("chain", "field"): ("project embed", "qq"), ("graph", "field"): ("incidence", "qq")}
 
 
 def main(argv=None) -> int:

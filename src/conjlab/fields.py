@@ -65,7 +65,8 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Integer polynomials in t, as trimmed ascending coefficient tuples.
-# () is the zero polynomial; the last coefficient is never 0.
+# () is the zero polynomial; the last coefficient is never 0.  Division, gcd
+# and Sturm chains stay in ZZ[t]: exact quotients and pseudo-remainders.
 # ---------------------------------------------------------------------------
 
 def ipoly_trim(cs) -> tuple[int, ...]:
@@ -109,27 +110,6 @@ def ipoly_primitive(a):
     return tuple(c // g for c in a)
 
 
-def _qpoly_divmod(a, b):
-    """Division with remainder in QQ[t]; a, b are Fraction lists, b nonzero."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        coef = a[-1] / b[-1]
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, bi in enumerate(b):
-            a[deg + i] -= coef * bi
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def _qpoly_primitive(r):
     """The primitive integer polynomial that is a positive multiple of the
     Fraction polynomial r."""
@@ -139,25 +119,65 @@ def _qpoly_primitive(r):
     return ipoly_primitive(ipoly_trim([int(c * lcm_den) for c in r]))
 
 
+def _ipoly_prem(a, b):
+    """The remainder of |lc b|^k a by nonzero b in ZZ[t], k <= deg a - deg b + 1:
+    a positive multiple of the remainder of a by b in QQ[t], without fractions."""
+    if b[-1] < 0:
+        b = ipoly_neg(b)
+    r, db, lc = list(a), len(b) - 1, b[-1]
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()
+        if c:
+            r = [x * lc for x in r]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return ipoly_trim(r)
+
+
+_BROWN_PRIME = 2**31 - 1  # the p of Brown's criterion in ipoly_gcd
+
+
 def ipoly_gcd(a, b):
-    """Primitive gcd in ZZ[t] with positive leading coefficient."""
+    """Primitive gcd in ZZ[t] with positive leading coefficient.
+
+    For nonzero primitive a and b whose leading coefficients p does not
+    divide, gcd(a mod p, b mod p) = 1 gives gcd(a, b) = 1 (Brown, JACM 18(4),
+    1971), the common case.  Otherwise the primitive remainder sequence runs
+    on integer pseudo-remainders (Collins, JACM 14(1), 1967): each is a
+    positive multiple of the remainder in QQ[t], so the primitive parts are
+    those of Euclid over QQ.
+    """
     a = ipoly_primitive(ipoly_trim(a))
     b = ipoly_primitive(ipoly_trim(b))
+    if a and b:
+        p = _BROWN_PRIME
+        ap, bp = ipoly_trim([v % p for v in a]), ipoly_trim([v % p for v in b])
+        if len(ap) == len(a) and len(bp) == len(b) and len(_gfpoly_gcd(ap, bp, p)) == 1:
+            return (1,)
     while b:
-        _, r = _qpoly_divmod(a, b)
+        r = _ipoly_prem(a, b)
         if not r:
             a = b
             break
-        a, b = b, _qpoly_primitive(r)
-    a = ipoly_primitive(a)
+        a, b = b, ipoly_primitive(r)
     if a and a[-1] < 0:
         a = ipoly_neg(a)
-    return a if a else ()
+    return a
 
 
 def ipoly_exquo(a, b):
-    """a / b in ZZ[t], for b dividing a there."""
-    return ipoly_trim([int(c) for c in _qpoly_divmod(a, b)[0]])
+    """a / b in ZZ[t] by long division; FieldError unless b divides a there."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], m = divmod(r[k + db], b[-1])
+        if m:  # r[k + db] stays nonzero
+            break
+        for i, bi in enumerate(b):
+            r[k + i] -= q[k] * bi
+    if any(r):
+        raise FieldError(f"{ipoly_format(b)} does not divide {ipoly_format(a)} in ZZ[t]")
+    return ipoly_trim(q)
 
 
 def ipoly_lcm(a, b):
@@ -231,7 +251,7 @@ def qpoly_rational_roots(coeffs) -> list[Fraction]:
     s = ipoly_exquo(q, ipoly_gcd(q, _ipoly_derivative(q)))
     chain = [s, _ipoly_derivative(s)]
     while len(chain[-1]) > 1:
-        chain.append(ipoly_neg(_qpoly_primitive(_qpoly_divmod(chain[-2], chain[-1])[1])))
+        chain.append(ipoly_neg(ipoly_primitive(_ipoly_prem(chain[-2], chain[-1]))))
     bound = an + max(map(abs, p[:-1]))
     roots = []
     todo = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
@@ -274,7 +294,7 @@ def _gfpoly_powmod(a, e, m, p):
 
 
 def _gfpoly_gcd(a, b, p):
-    """The monic gcd of a and b (any integer coefficients), for nonzero a."""
+    """The monic gcd of a and b, for nonzero a reduced mod p and any integer b."""
     b = ipoly_trim([v % p for v in b])
     while b:
         a, b = b, _gfpoly_divmod(a, b, p)[1]

@@ -533,12 +533,10 @@ def verify_conjugation_identity(case: str, tamper: bool = False) -> Verification
 # Equivariance
 # ---------------------------------------------------------------------------
 
-def verify_equivariance(chain: ChainSpec, trials: int = 100, seed: int = 0,
-                        field=None) -> VerificationReport:
+def verify_equivariance(chain: ChainSpec, trials: int, field, seed: int = 0) -> VerificationReport:
     if trials < 1:
         raise ValueError("equivariance needs trials >= 1")
     t0 = time.monotonic()
-    field = field or GF(7)
     params = {"chain": chain.letter, "n1": chain.n1,
               "sig": [chain.signature_at(1).l, chain.signature_at(1).r, chain.signature_at(1).z],
               "trials": trials, "seed": seed, "field": field.name}
@@ -627,8 +625,8 @@ def _h_form_exposes(field, n: int, bound: int, rng) -> bool:
     return False
 
 
-def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
-                              seed: int = 0, field=None) -> VerificationReport:
+def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int, field,
+                              seed: int = 0) -> VerificationReport:
     """Contrapositive searches: a sample whose off-diagonal block already
     exceeds the bound must admit a conjugate exposing that excess in the
     hypothesis block (or, for the H-form, independent outer W columns).
@@ -639,7 +637,6 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int = 20,
     if trials < 1:
         raise ValueError(f"rankbound-{lemma} needs trials >= 1")
     t0 = time.monotonic()
-    field = field or GF(7)
     params = {"lemma": lemma, "n": n, "m": m, "trials": trials, "seed": seed,
               "field": field.name}
     # the sampled block is symmetric n x n (sp), skew n x n (od) or skew
@@ -739,10 +736,10 @@ def run_one(entry: dict, seed: int = 0) -> VerificationReport:
         ch = chain_from_json(entry["chain"] if "chain" in entry else chains[0])
         if lemma not in ("equivariance", f"equivariance-{ch.letter}"):
             raise ValueError(f"lemma {lemma!r} does not match its type {ch.letter} chain")
-        return verify_equivariance(ch, num("trials", 1, 200), seed, field)
+        return verify_equivariance(ch, num("trials", 1, 200), field, seed)
     if family == "rankbound":
         return verify_rank_bound_samples(case, num("n", 1, 2), num("m", 0, 1),
-                                         num("trials", 1, 200), seed, field)
+                                         num("trials", 1, 200), field, seed)
     raise ValueError(f"unknown lemma id {lemma!r}")
 
 

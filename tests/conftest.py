@@ -188,6 +188,38 @@ def rational_roots_oracle(coeffs) -> list[Fraction]:
     return sorted(roots)
 
 
+def ipoly_gcd_oracle(a, b):
+    """Primitive gcd in ZZ[t] with positive leading coefficient, by Euclid
+    over QQ: Fraction division with remainder, each remainder scaled back to
+    a primitive integer polynomial."""
+
+    def divmod_qq(a, b):
+        a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+        while len(a) >= len(b):
+            coef = a[-1] / b[-1]
+            deg = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[deg + i] -= coef * bi
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    def primitive(r):
+        r = [Fraction(c) for c in r]
+        while r and r[-1] == 0:
+            r.pop()
+        den = math.lcm(*(c.denominator for c in r))
+        ints = [int(c * den) for c in r]
+        return [c // math.gcd(*ints) for c in ints]
+
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(divmod_qq(a, b))
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return tuple(a)
+
+
 def minor_rank_oracle(M: Matrix) -> int:
     """Largest k with a nonzero k x k minor (scalar cofactor determinants)."""
     f = M.field

@@ -48,7 +48,8 @@ def test_verbs_reject_options_they_do_not_read(capsys):
                  ["verify", "char2b", "--in", "x.json"],
                  # an option that only other ops of the verb read
                  ["chain", "classify", "--level", "9"], ["chain", "normalize", "--char", "2"],
-                 ["chain", "project", "--char", "2"], ["graph", "reduce", "--field", "gf:2"],
+                 ["chain", "project", "--char", "2"], ["chain", "classify", "--field", "gf:5"],
+                 ["chain", "normalize", "--field", "qq_t"], ["graph", "reduce", "--field", "gf:2"],
                  ["graph", "replay", "--field", "qq"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -580,7 +581,8 @@ def test_cli_fuzz_exits_0_or_2(tmp_path_factory, case, field, data):
     and 2 with exactly one line on stderr."""
     verb, docs = case
     doc = data.draw(st.one_of(docs, docs, _JSON))
-    reads_field = verb[0] != "suite" and verb[:2] not in (["graph", "reduce"], ["graph", "replay"])
+    reads_field = (verb[0] not in ("suite", "chain", "graph")
+                   or verb[1] in ("project", "embed", "incidence"))
     argv = verb + (["--field", field] if reads_field else [])
     if verb[0] == "descriptor":  # the second operand is a fixed valid document
         other = tmp_path_factory.getbasetemp() / "fuzz-descriptor.json"

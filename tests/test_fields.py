@@ -4,6 +4,8 @@ import random
 import pytest
 from fractions import Fraction
 
+from conftest import ipoly_gcd_oracle, rational_roots_oracle
+
 from conjlab.fields import (
     GF,
     QQ,
@@ -27,6 +29,7 @@ from conjlab.fields import (
     integral,
     ipoly_parse,
     is_prime,
+    qpoly_rational_roots,
 )
 
 
@@ -136,6 +139,48 @@ def test_ipoly_gcd():
     assert ipoly_gcd((2, 2), (4,)) == (1,)
 
 
+def test_ipoly_gcd_matches_euclid_over_qq_on_planted_factors():
+    """Products that share a planted factor, and some that do not, give the
+    gcd of Euclid over QQ; most pairs take the mod-p coprimality exit."""
+    rng = random.Random(29)
+    for _ in range(400):
+        common = rand_ipoly(rng, max_deg=3) if rng.random() < 0.6 else (1,)
+        a = ipoly_mul(rand_ipoly(rng, max_deg=4, height=30), common)
+        b = ipoly_mul(rand_ipoly(rng, max_deg=4, height=30), common)
+        assert ipoly_gcd(a, b) == ipoly_gcd_oracle(a, b), (a, b)
+
+
+P = 2**31 - 1
+
+
+@pytest.mark.parametrize("a, b", [
+    # a leading coefficient divisible by p: the reduction drops a degree, and
+    # the common factor 1 + pt of the last pair becomes a unit mod p
+    ((1, P), (1, 1)), ((-1, 0, 2 * P), (1, P)), ((2, 2 * P + 1, P), (3, 3 * P + 1, P)),
+    # unlucky p: t and t + p are coprime over QQ but equal mod p
+    ((0, 1), (P, 1)), ((0, 0, 1), (P, 2 * P + 1, 1)),
+    # a constant operand
+    ((6,), (2, 4)), ((-5,), (0, 1)), ((1, 2, 1), (7,)),
+    # a zero operand
+    ((), (2, 4)), ((0, -3, -6), ()), ((), ()), ((), (-7,)),
+    # negative leading coefficients
+    ((1, 0, -1), (-1, -1)), ((2, -3, -1), (4, 0, -2)), ((1, -1), (-1, 1)),
+    # nontrivial content
+    ((6, 6), (4, 4)), ((-10, 0, 10), (15, 15)), ((4, 8, 4), (6, 6)),
+], ids=str)
+def test_ipoly_gcd_matches_euclid_over_qq_on_each_fallback(a, b):
+    assert ipoly_gcd(a, b) == ipoly_gcd_oracle(a, b)
+    assert ipoly_gcd(b, a) == ipoly_gcd_oracle(b, a)
+
+
+def test_sturm_chain_divides_by_a_negative_leading_coefficient():
+    # the squarefree part -2 - 3t + 6t^2 - 4t^3 + t^4 has the Sturm chain
+    # S, S', 11 - 3t, -1: dividing S' by 11 - 3t needs a pseudo-remainder
+    # that keeps the sign of the remainder over QQ, or the root 2 is lost
+    coeffs = [4, 4, -15, 14, -6, 1]
+    assert qpoly_rational_roots(coeffs) == rational_roots_oracle(coeffs) == [Fraction(2)]
+
+
 def test_qqt_parse_variants():
     f = QQT()
     assert f.parse("(1)/(t+1)") == RatFunc((1,), (1, 1))
@@ -221,6 +266,15 @@ def test_ipoly_exquo_undoes_mul():
         assert ipoly_exquo(ipoly_mul(a, b), b) == a
     # (t^2 - 1) / (t + 1) = t - 1
     assert ipoly_exquo((-1, 0, 1), (1, 1)) == (-1, 1)
+
+
+def test_ipoly_exquo_refuses_what_does_not_divide_in_zz():
+    # a non-integral quotient coefficient: (1 + t) / 2
+    with pytest.raises(FieldError, match="does not divide"):
+        ipoly_exquo((1, 1), (2,))
+    # a nonzero remainder: t^2 + 1 = (t - 1)(t + 1) + 2
+    with pytest.raises(FieldError, match="does not divide"):
+        ipoly_exquo((1, 0, 1), (1, 1))
 
 
 def test_ipoly_lcm_is_the_least_common_multiple():

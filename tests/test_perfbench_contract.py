@@ -41,7 +41,7 @@ def test_tracer_records_matrix_and_verify_spans():
         assert matrix.char_poly(B).coeffs == (1, 1, 0, 1)
         assert [m for _, m in matrix.eigen_data(M)] == [1, 1]
         chain = ChainSpec.make("A", 1, [], [(1, 1, 1)])
-        assert verify.verify_equivariance(chain, trials=2).verdict == "pass"
+        assert verify.verify_equivariance(chain, trials=2, field=GF(7)).verdict == "pass"
     finally:
         restored = tracer.restore()
     recorded = {tracer.names[i] for i in tracer.span_name}

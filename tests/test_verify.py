@@ -64,15 +64,15 @@ def test_sampled_verifiers_need_trials():
     # zero samples would report a pass that nothing was checked for
     ch = ChainSpec.make("A", 2, [(1, 1, 1)], [(1, 1, 1)])
     with pytest.raises(ValueError, match="trials"):
-        verify_equivariance(ch, trials=0)
+        verify_equivariance(ch, trials=0, field=G7)
     with pytest.raises(ValueError, match="trials"):
-        verify_rank_bound_samples("sp", 4, 1, trials=0)
+        verify_rank_bound_samples("sp", 4, 1, trials=0, field=G7)
 
 
 def test_rankbound_b_needs_odd_characteristic():
     # the samples are halved, and 2 has no inverse in characteristic 2
     with pytest.raises(ValueError, match="characteristic"):
-        verify_rank_bound_samples("b", 1, 0, field=G2)
+        verify_rank_bound_samples("b", 1, 0, trials=20, field=G2)
 
 
 def test_char2a_rejects_unknown_mode():
@@ -341,9 +341,9 @@ def test_h_check_algebra_reports_a_perturbed_entry():
 
 def test_equivariance():
     ch = ChainSpec.make("A", 2, [(1, 1, 1)], [(1, 1, 1)])
-    assert verify_equivariance(ch, trials=30, seed=0).verdict == "pass"
+    assert verify_equivariance(ch, trials=30, field=G7, seed=0).verdict == "pass"
     chb = ChainSpec.make("B", 1, [(3, 0, 2)], [(3, 0, 2)])
-    assert verify_equivariance(chb, trials=10, seed=0).verdict == "pass"
+    assert verify_equivariance(chb, trials=10, field=G7, seed=0).verdict == "pass"
 
 
 def test_rank_bound_spec_example():
@@ -366,7 +366,7 @@ def test_rank_bound_spec_example():
 
 def test_rank_bound_verifiers():
     for lemma, n in (("sp", 8), ("od", 8), ("b", 2)):
-        r = verify_rank_bound_samples(lemma, n, 1, trials=8, seed=0)
+        r = verify_rank_bound_samples(lemma, n, 1, trials=8, field=G7, seed=0)
         assert r.verdict == "statistical-pass"
         assert r.witnesses[0]["witness_rate"] >= 0.95
 
@@ -424,12 +424,13 @@ def test_rank_bound_that_no_sample_exceeds_is_refused(lemma, n, m):
     # (od: rank <= 2 floor(n/2) against the bound 2m) or skew 3n x 3n
     # (b: rank <= 2 floor(3n/2)); the search would redraw forever
     with pytest.raises(ValueError, match="never exceeds the bound"):
-        verify_rank_bound_samples(lemma, n, m, trials=1)
+        verify_rank_bound_samples(lemma, n, m, trials=1, field=G7)
 
 
 @pytest.mark.parametrize("lemma, n, m", [("sp", 3, 2), ("od", 5, 1), ("b", 1, 1)])
 def test_rank_bound_just_below_the_largest_rank_runs(lemma, n, m):
-    assert verify_rank_bound_samples(lemma, n, m, trials=2, seed=0).verdict == "statistical-pass"
+    r = verify_rank_bound_samples(lemma, n, m, trials=2, field=G7, seed=0)
+    assert r.verdict == "statistical-pass"
 
 
 def test_od_zero_is_vacuous():
@@ -442,8 +443,8 @@ def test_od_zero_is_vacuous():
 
 
 def test_reports_are_deterministic():
-    a = verify_rank_bound_samples("sp", 8, 1, trials=5, seed=3)
-    b = verify_rank_bound_samples("sp", 8, 1, trials=5, seed=3)
+    a = verify_rank_bound_samples("sp", 8, 1, trials=5, field=G7, seed=3)
+    b = verify_rank_bound_samples("sp", 8, 1, trials=5, field=G7, seed=3)
     assert (a.lemma, a.params, a.verdict, a.witnesses) == \
         (b.lemma, b.params, b.verdict, b.witnesses)
     c = verify_char2("b", G2, 4)
