@@ -223,10 +223,12 @@ _OPTIONS = {
     "in": ("--in", {"dest": "infile", "default": "-", "help": "input path or - for stdin"}),
     "out": ("--out", {"choices": ("json", "csv"), "default": "json"}),
     "seed": ("--seed", {"type": int, "default": 0}),
-    "trials": ("--trials", {"type": int, "default": 200}),
     "k": ("--k", {"type": int, "required": True}),
     "mode": ("--mode", {"choices": ("exhaustive", "sampled"), "default": "exhaustive"}),
 }
+
+# The options that only --mode sampled reads; their defaults are in _OP_OPTIONS.
+_SAMPLED = (("--seed", {"type": int}), ("--trials", {"type": int}))
 
 # verb -> (handler, the shared options it reads, its own arguments as (name, kwargs))
 _VERBS = {
@@ -240,9 +242,9 @@ _VERBS = {
     "raise-rank": (_raise_rank, "field in out"),
     "lift-tuple-rank": (_lift_tuple_rank, "field in out"),
     "degenerate": (_degenerate, "field in out"),
-    "offdiag-check": (_offdiag_check, "field in out seed trials k mode",
-                      ("--m", {"type": int, "required": True})),
-    "minor-vanishing": (_minor_vanishing, "field in out seed trials k mode"),
+    "offdiag-check": (_offdiag_check, "field in out k mode",
+                      ("--m", {"type": int, "required": True}), *_SAMPLED),
+    "minor-vanishing": (_minor_vanishing, "field in out k mode", *_SAMPLED),
     "descriptor": (_descriptor, "field out",
                    ("op", {"choices": ("union", "intersect", "contains", "canon")}),
                    ("paths", {"nargs": "+"})),
@@ -258,10 +260,17 @@ _VERBS = {
     "suite": (_suite, "seed out", ("--config", {"default": None})),
 }
 
-# The options of chain and graph that only some ops read: (verb, option) ->
-# (those ops, its default).  Any other op given one is a usage error.
-_OP_OPTIONS = {("chain", "char"): ("classify", 0), ("chain", "level"): ("project embed", 1),
-               ("chain", "field"): ("project embed", "qq"), ("graph", "field"): ("incidence", "qq")}
+# The options that only some ops (or modes) of a verb read: (verb, option) ->
+# (the argument that picks the op, those ops, its default).  Any other op
+# given one is a usage error.
+_OP_OPTIONS = {("chain", "char"): ("op", "classify", 0),
+               ("chain", "level"): ("op", "project embed", 1),
+               ("chain", "field"): ("op", "project embed", "qq"),
+               ("graph", "field"): ("op", "incidence", "qq"),
+               ("offdiag-check", "seed"): ("mode", "sampled", 0),
+               ("offdiag-check", "trials"): ("mode", "sampled", 200),
+               ("minor-vanishing", "seed"): ("mode", "sampled", 0),
+               ("minor-vanishing", "trials"): ("mode", "sampled", 200)}
 
 
 def main(argv=None) -> int:
@@ -274,11 +283,11 @@ def main(argv=None) -> int:
             p.add_argument(name, **kwargs)
         p.set_defaults(handler=handler)
     args = ap.parse_args(argv)
-    for (verb, dest), (ops, default) in _OP_OPTIONS.items():
+    for (verb, dest), (pick, ops, default) in _OP_OPTIONS.items():
         if verb == args.verb and getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif verb == args.verb and args.op not in ops.split():
-            sub.choices[verb].error(f"{args.op} reads no --{dest}")
+        elif verb == args.verb and getattr(args, pick) not in ops.split():
+            sub.choices[verb].error(f"{getattr(args, pick)} reads no --{dest}")
     try:
         return args.handler(args) or 0
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -37,7 +37,7 @@ from .pencil import (
     BudgetExceeded,
     ENUMERATION_BUDGET,
     _sampled_conjugates,
-    enumerate_subspaces,
+    _subspace_table,
     gaussian_binomial,
     shift_rank,
     tuple_rank_identity,
@@ -263,14 +263,13 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
         if gaussian_binomial(n, k, f.p) ** 2 > ENUMERATION_BUDGET:
             raise BudgetExceeded("Gr(k, n)^2 exceeds the enumeration budget")
-        subs = [Matrix.from_rows(f, rows) for rows in enumerate_subspaces(k, n, f.p)]
-        cols = [S.transpose() for S in subs]
+        table = _subspace_table(k, n, f.p)
         verdict = True
-        for R in subs:
+        for R in table.rs:
             RP = R @ P
             if rank(RP) < k:
                 continue
-            if any(not f.is_zero(det(RP @ C)) and not f.is_zero(det(R @ C)) for C in cols):
+            if any(not f.is_zero(det(RP @ C)) and not f.is_zero(det(R @ C)) for C in table.rts):
                 verdict = False
                 break
         if verdict != (rank(P) < k):

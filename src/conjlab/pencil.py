@@ -9,8 +9,13 @@ over any field with decidable eigenvalues.
 The off-diagonal criterion asks whether every conjugate g P g^{-1} has a
 small block in rows K and columns L.  That block's rank depends only on a
 pair of subspaces (the row space of g[K,:] and the column space of
-g^{-1}[:,L]), so the exhaustive check scans Grassmannian pairs in RREF order,
-35 for n = 4, m = 2 over GF(2) instead of the 20160 elements of GL_4(F_2).
+g^{-1}[:,L]), so the exhaustive check works over Grassmannian pairs in RREF
+order, 35 for n = 4, m = 2 over GF(2) instead of the 20160 elements of
+GL_4(F_2).  What does not depend on P (each subspace as a matrix, a basis of
+its kernel, and which subspaces hold each vector) is built once per
+(m, n, p), on first use, and cached.  A walk picks the witness's rows one at
+a time and finds the pairs of a subspace that fail only when it first
+reaches that subspace; a P that passes is one whose walk finds no first row.
 The order of GL_n(F_q) in :func:`enumerate_gl_rows` still fixes which
 conjugator a failed check reports.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .fields import GF, UnsupportedFieldOperation
 from .matrix import (
@@ -193,66 +199,129 @@ def _kernel_rows(S: Matrix) -> Matrix:
     return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
 
 
-def _offdiag_bad_pairs(P: Matrix, k: int, m: int) -> list:
-    """Every pair (R, C) with rank(R P C) > k: R runs over Gr(m, n) and C over
-    the m-dimensional subspaces of ker R, both in the order of
-    :func:`enumerate_subspaces`.  R is a Matrix of basis rows, C one of basis
-    columns.
+class _SubspaceTable:
+    """What the exhaustive checks over Gr(m, n) at GF(p) read that does not
+    depend on P.  For each R, in the order of :func:`enumerate_subspaces`:
+    its Matrix of RREF rows and B^T for the canonical basis rows B of ker R.
+    For each X of Gr(m, n - m), in that order: X^T, so that the candidate
+    C = (X B)^T in ker R is B^T X^T; a check forms C only for a pair it finds
+    bad.  The transposes of the R's and the vector index are built on first
+    use, so the minor test never indexes vectors and the off-diagonal check
+    never transposes an R.  Only values are held."""
 
-    With B the basis rows of ker R, each C is (X B)^T for an RREF X, so
-    R P C = W X^T with W = R P B^T: an R with rank W <= k has no bad C and
-    is skipped, and the rank of each pair is read off the m x m product
-    W X^T."""
-    f, n = P.field, P.rows
-    bad = []
-    for r_rows in enumerate_subspaces(m, n, f.p):
-        R = Matrix.from_rows(f, r_rows)
-        B = _kernel_rows(R)
-        W = R @ P @ B.transpose()
-        if rank(W) <= k:
-            continue  # rank(R P C) = rank(W X^T) <= rank W
-        for x_rows in enumerate_subspaces(m, n - m, f.p):
-            X = Matrix.from_rows(f, x_rows)
-            if rank(W @ X.transpose()) > k:
-                bad.append((R, (X @ B).transpose()))
-    return bad
+    def __init__(self, m: int, n: int, p: int):
+        f = GF(p)
+        self.rs = tuple(Matrix.from_rows(f, rows) for rows in enumerate_subspaces(m, n, p))
+        self.bts = tuple(_kernel_rows(R).transpose() for R in self.rs)
+        self.xts = tuple(Matrix.from_rows(f, rows).transpose()
+                         for rows in enumerate_subspaces(m, n - m, p))
+
+    @cached_property
+    def rts(self) -> tuple:
+        return tuple(R.transpose() for R in self.rs)
+
+    @cached_property
+    def containing(self) -> dict:
+        """Each nonzero vector whose first nonzero entry is 1, in lexicographic
+        order -> the indices, ascending, of the R's that contain it.  Built by
+        listing each R's (p^m - 1)/(p - 1) such vectors: row j of the RREF plus
+        each vector of the span of the rows below it, whose entries are 0 at
+        row j's pivot and before it."""
+        p = self.rs[0].field.p
+        index = {}
+        for i, R in enumerate(self.rs):
+            below = [(0,) * R.cols]  # the span of the rows after the current one
+            for row in reversed(R.to_rows()):
+                lead_one = [tuple((a + b) % p for a, b in zip(row, v)) for v in below]
+                for v in lead_one:
+                    index.setdefault(v, []).append(i)
+                below += lead_one + [tuple(c * x % p for x in v)
+                                     for c in range(2, p) for v in lead_one]
+        return {v: tuple(index[v]) for v in sorted(index)}
 
 
-def _first_bad_conjugator(P: Matrix, m: int, bad: list) -> list:
+@cache
+def _subspace_table(m: int, n: int, p: int) -> _SubspaceTable:
+    """The table of Gr(m, n) over GF(p), built on its first use."""
+    return _SubspaceTable(m, n, p)
+
+
+def _bad_columns(P: Matrix, k: int, table: _SubspaceTable, i: int) -> list:
+    """Every C in ker R, R = table.rs[i], with rank(R P C) > k, as a Matrix of
+    basis columns, in the order of the X's.
+
+    R P C = W X^T with W = R P B^T, so an R with rank W <= k has no bad C
+    and costs one rank; otherwise each X costs the rank of the m x m
+    product W X^T."""
+    Bt = table.bts[i]
+    W = table.rs[i] @ P @ Bt
+    if rank(W) <= k:
+        return []  # rank(R P C) = rank(W X^T) <= rank W
+    return [Bt @ Xt for Xt in table.xts if rank(W @ Xt) > k]
+
+
+def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
     """Rows of the first g in :func:`enumerate_gl_rows` order whose key
-    (row space of g[K], kernel of the rows of g outside L) is a pair in bad.
+    (R, C), R the row space of g[K] and C the kernel of the rows of g outside
+    L, has rank(R P C) > k; None when no pair (R, C) has, so P passes.
 
     The rows are chosen one at a time, each the least vector outside the span
-    of the rows before it that keeps some pair (R, C) of bad reachable: a row
+    of the rows before it that keeps some bad pair (R, C) reachable: a row
     in K must lie in R, a row after L in A = ann(C), and the rows in L must be
     independent modulo A.  Exactly the prefixes that meet these conditions
     extend to an invertible g with key (R, C), so the walk never backtracks.
-    Each candidate row tested counts against the enumeration budget; a tested
-    row that fails stands for at least one g the full enumeration visits
-    before the witness, so wherever |GL_n| fits the budget, the walk does.
+    The bad C's of an R (:func:`_bad_columns`) are found only when the walk
+    first asks for that R, and once the K rows span an R only its pairs are
+    live.  Each candidate row tested counts against the enumeration budget;
+    a tested row that fails stands for at least one g the full enumeration
+    visits before the witness, so wherever |GL_n| fits the budget, the walk
+    does.  The scan for a first row counts only when it finds one: a P that
+    passes is decided by the subspace pairs alone.
     """
-    f, n = P.field, P.rows
-    live = [(Span(f, n, R.to_rows()), C) for R, C in bad]
-    prefix, rows, tested = Span(f, n), [], 0
-    for d in range(n):
-        if d == m:  # the K rows span R; now each pair is (A, A + span of the L rows)
+    f, n, p = P.field, P.rows, P.field.p
+    table = _subspace_table(m, n, p)
+    index, memo = table.containing, {}
+
+    def bad(i):
+        if i not in memo:
+            memo[i] = _bad_columns(P, k, table, i)
+        return memo[i]
+
+    # The first row: a multiple c v of a vector v with first entry 1 lies in
+    # the same R's and comes after v, so the least row kept has first nonzero
+    # entry 1, and the rows tested up to it are the nonzero vectors <= it.
+    first = next((v for v, held_by in index.items() if any(map(bad, held_by))), None)
+    if first is None:
+        return None
+    tested = sum(x * p ** (n - 1 - j) for j, x in enumerate(first))
+    if tested > ENUMERATION_BUDGET:
+        raise BudgetExceeded("the witness walk exceeds the enumeration budget")
+    prefix, rows, reach = Span(f, n, [first]), [first], set(index[first])
+    for d in range(1, n):
+        if d == m:  # the K rows span one R; now each pair is (A, A + span of the L rows)
+            (r,) = reach
             live = [(Span(f, n, A), Span(f, n, A))
-                    for A in (_kernel_rows(C.transpose()).to_rows() for _, C in live)]
-        for v in itertools.product(range(f.p), repeat=n):
+                    for A in (_kernel_rows(C.transpose()).to_rows() for C in bad(r))]
+        for v in itertools.product(range(p), repeat=n):
             if prefix.contains(v):
                 continue
             tested += 1
             if tested > ENUMERATION_BUDGET:
                 raise BudgetExceeded("the witness walk exceeds the enumeration budget")
             if d < m:
-                keep = [(R, C) for R, C in live if R.contains(v)]
-            elif d < 2 * m:
+                inv = pow(next(x for x in v if x), -1, p)
+                keep = [i for i in index[tuple(x * inv % p for x in v)] if i in reach]
+                if any(map(bad, keep)):
+                    reach = set(keep)
+                    break
+                continue
+            if d < 2 * m:
                 keep = [(A, AL) for A, AL in live if not AL.contains(v)]
             else:
                 keep = [(A, AL) for A, AL in live if A.contains(v)]
             if keep:
+                live = keep
                 break
-        live = keep
         if m <= d < 2 * m:
             for _, AL in live:
                 AL.add(v)
@@ -286,8 +355,9 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     n >= 2m every such pair comes from some g.  A False verdict carries a
     certified witness (g, K, L): g is the first element of GL_n(F_q) in
     :func:`enumerate_gl_rows` order whose block has rank > k, found by a walk
-    that skips every row prefix that cannot reach such a pair.  The
-    enumeration budget bounds the number of pairs and the rows the walk tests.
+    that skips every row prefix that cannot reach such a pair and ranks the
+    pairs of a subspace only when it reaches it.  The enumeration budget
+    bounds the number of pairs and the rows the walk tests.
 
     Sampled mode draws random conjugators and random disjoint index pairs; a
     pass is statistical.
@@ -305,10 +375,10 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
         if gaussian_binomial(n, m, f.p) * gaussian_binomial(n - m, m, f.p) > ENUMERATION_BUDGET:
             raise BudgetExceeded("the subspace pairs exceed the enumeration budget")
-        bad = _offdiag_bad_pairs(P, k, m)
-        if not bad:
+        rows = _witness_walk(P, k, m)
+        if rows is None:
             return True, None
-        g = Matrix.from_rows(f, _first_bad_conjugator(P, m, bad))
+        g = Matrix.from_rows(f, rows)
         if rank((g @ P @ inverse(g)).submatrix(K, L)) <= k:
             raise AssertionError("the witness walk returned a conjugator that does not certify")
         return False, (g, K, L)

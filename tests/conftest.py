@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conjlab.fields import UniPoly
-from conjlab.matrix import Matrix, det, inverse, random_matrix, rank
-from conjlab.pencil import enumerate_gl_rows
+from conjlab.matrix import Matrix, Span, det, inverse, kernel_basis, random_matrix, rank
+from conjlab.pencil import enumerate_gl_rows, enumerate_subspaces
 
 
 def _poly_add(f, a, b):
@@ -359,6 +359,72 @@ def offdiag_gl_oracle(P: Matrix, k: int, m: int):
         if rank(Q.submatrix(K, L)) > k:
             return False, (g, K, L)
     return True, None
+
+
+def _kernel_rows(S: Matrix) -> Matrix:
+    ker = kernel_basis(S)
+    return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
+
+
+def offdiag_bad_pairs_oracle(P: Matrix, k: int, m: int) -> list:
+    """Every pair (R, C) with rank(R P C) > k, listed before any walk: R runs
+    over Gr(m, n) and C = (X B)^T over the m-dimensional subspaces of ker R
+    (B the basis rows of ker R), both in enumerate_subspaces order; an R with
+    rank(R P B^T) <= k is skipped, as it has no bad C."""
+    f, n = P.field, P.rows
+    bad = []
+    for r_rows in enumerate_subspaces(m, n, f.p):
+        R = Matrix.from_rows(f, r_rows)
+        B = _kernel_rows(R)
+        W = R @ P @ B.transpose()
+        if rank(W) <= k:
+            continue
+        for x_rows in enumerate_subspaces(m, n - m, f.p):
+            X = Matrix.from_rows(f, x_rows)
+            if rank(W @ X.transpose()) > k:
+                bad.append((R, (X @ B).transpose()))
+    return bad
+
+
+def offdiag_pairs_oracle(P: Matrix, k: int, m: int):
+    """The exhaustive off-diagonal check with its bad pairs listed eagerly,
+    and the witness walk over that list without a budget: ((True, None), 0)
+    or ((False, (g, K, L)), T), T the rows the walk tested.
+
+    Each row is the least vector outside the span of the rows before it that
+    keeps some bad (R, C) reachable: a row in K lies in R, a row in L is
+    independent modulo A = ann(C) together with the L rows before it, and a
+    row after L lies in A."""
+    f, n = P.field, P.rows
+    K, L = tuple(range(m)), tuple(range(m, 2 * m))
+    bad = offdiag_bad_pairs_oracle(P, k, m)
+    if not bad:
+        return (True, None), 0
+    live = [(Span(f, n, R.to_rows()), C) for R, C in bad]
+    prefix, rows, tested = Span(f, n), [], 0
+    for d in range(n):
+        if d == m:
+            live = [(Span(f, n, A), Span(f, n, A))
+                    for A in (_kernel_rows(C.transpose()).to_rows() for _, C in live)]
+        for v in itertools.product(range(f.p), repeat=n):
+            if prefix.contains(v):
+                continue
+            tested += 1
+            if d < m:
+                keep = [(R, C) for R, C in live if R.contains(v)]
+            elif d < 2 * m:
+                keep = [(A, AL) for A, AL in live if not AL.contains(v)]
+            else:
+                keep = [(A, AL) for A, AL in live if A.contains(v)]
+            if keep:
+                break
+        live = keep
+        if m <= d < 2 * m:
+            for _, AL in live:
+                AL.add(v)
+        prefix.add(v)
+        rows.append(v)
+    return (False, (Matrix.from_rows(f, rows), K, L)), tested
 
 
 def minor_gl_oracle(P: Matrix, k: int) -> bool:

@@ -57,6 +57,23 @@ def test_verbs_reject_options_they_do_not_read(capsys):
         assert "usage: conjlab" in capsys.readouterr().err
 
 
+def test_sampled_options_need_sampled_mode(tmp_path, capsys):
+    """--seed and --trials steer only --mode sampled of offdiag-check and
+    minor-vanishing: in exhaustive mode, the default, either is a usage
+    error, not silently dropped."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"field": "gf:2", "rows": [["1", "0"], ["0", "0"]]}))
+    for verb in (["offdiag-check", "--k", "0", "--m", "1"], ["minor-vanishing", "--k", "1"]):
+        argv = verb + ["--field", "gf:2", "--in", str(m)]
+        for extra in (["--trials", "5"], ["--seed", "3"], ["--mode", "exhaustive", "--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2, argv + extra
+            assert "exhaustive reads no --" in capsys.readouterr().err
+        code, _ = run_cli(capsys, argv + ["--mode", "sampled", "--trials", "5", "--seed", "3"])
+        assert code == 0
+
+
 def test_descriptor_intersect(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,15 +1,21 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from fractions import Fraction
 
-from conftest import gauss_jordan_oracle, matmul_oracle, matrix_of_rank, offdiag_gl_oracle
+from conftest import (gauss_jordan_oracle, matmul_oracle, matrix_of_rank, offdiag_bad_pairs_oracle,
+                      offdiag_gl_oracle, offdiag_pairs_oracle)
 from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
 from conjlab.matrix import Matrix, inverse, rank, random_invertible, random_matrix
+from conjlab.orbits import minor_vanishing_test
 from conjlab.pencil import (
     ENUMERATION_BUDGET,
     BudgetExceeded,
@@ -26,6 +32,7 @@ from conjlab.pencil import (
 )
 
 G2, G3, G5, QQ_ = GF(2), GF(3), GF(5), QQ()
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _all_sq(fld, n):
@@ -248,7 +255,8 @@ def _bad_pairs_full_scan(P, k, m):
 
 
 def test_offdiag_bad_pairs_match_full_scan():
-    # the skip of an R with rank(R P B^T) <= k drops no bad pair and keeps their order
+    # the skip of an R with rank(R P B^T) <= k drops no bad pair and keeps their
+    # order, both in the per-R lists of the walk and in the eager oracle list
     rng = random.Random(23)
     for fld in (G2, G3):
         ins = [random_matrix(4, 4, fld, rng) for _ in range(3)]
@@ -256,7 +264,35 @@ def test_offdiag_bad_pairs_match_full_scan():
                 Matrix.scalar(fld, 4, 1) + matrix_of_rank(fld, 4, 2, rng)]
         for P in ins:
             for k, m in ((0, 1), (0, 2), (1, 2)):
-                assert pencil._offdiag_bad_pairs(P, k, m) == _bad_pairs_full_scan(P, k, m)
+                table = pencil._subspace_table(m, 4, fld.p)
+                pairs = [(R, C) for i, R in enumerate(table.rs)
+                         for C in pencil._bad_columns(P, k, table, i)]
+                assert pairs == _bad_pairs_full_scan(P, k, m)
+                assert pairs == offdiag_bad_pairs_oracle(P, k, m)
+
+
+def _differential_input(fld, n, rng):
+    """A random n x n matrix, or with probability 0.3 a scalar plus rank one."""
+    if rng.random() < 0.3:
+        return Matrix.scalar(fld, n, rng.randrange(fld.p)) + matrix_of_rank(fld, n, 1, rng)
+    return random_matrix(n, n, fld, rng)
+
+
+def test_offdiag_matches_pairs_oracle():
+    # 1046 checks (P, k, m): the lazy walk over the cached table gives the
+    # verdict and witness of the eager pair list and its walk
+    checks = Counter()
+    rng = random.Random(30)
+    for p, n, m, ks, count in ((2, 4, 2, (0, 1), 440), (2, 5, 2, (0, 1), 12),
+                               (2, 6, 2, (1,), 1), (2, 6, 3, (0, 1, 2), 3),
+                               (3, 4, 2, (0, 1), 60), (5, 4, 2, (0, 1), 6)):
+        for _ in range(count):
+            P = _differential_input(GF(p), n, rng)
+            for k in ks:
+                verdict, _ = offdiag_pairs_oracle(P, k, m)
+                assert offdiag_criterion_check(P, k, m) == verdict, (P.to_rows(), k, m)
+                checks[verdict[0]] += 1
+    assert sum(checks.values()) >= 1000 and min(checks.values()) >= 100, checks
 
 
 def test_offdiag_gf2_n6_follows_the_theorem():
@@ -269,6 +305,18 @@ def test_offdiag_gf2_n6_follows_the_theorem():
     assert tuple_rank_identity(P2) == 2
     holds, (g, K, L) = offdiag_criterion_check(P2, 1, 2)
     assert not holds and rank((g @ P2 @ inverse(g)).submatrix(K, L)) > 1
+
+
+def test_subspace_tables_are_built_on_first_use():
+    # importing the package builds no table; the minor test reads its
+    # matrices off the shared table but never indexes its 101^4 vectors
+    code = ("import conjlab.cli; from conjlab import pencil; "
+            "print(pencil._subspace_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.split() == ["0"]
+    assert minor_vanishing_test(Matrix.identity(GF(101), 4), 4) is False
+    assert "containing" not in vars(pencil._subspace_table(4, 4, 101))
 
 
 def test_offdiag_budget():
@@ -295,6 +343,36 @@ def test_offdiag_witness_walk_budget(monkeypatch):
     monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 4)
     with pytest.raises(BudgetExceeded):
         offdiag_criterion_check(P, 0, 1)
+
+
+def test_offdiag_walk_budget_matches_pairs_oracle(monkeypatch):
+    # T = the rows the oracle walk tests on a failing input: the check returns
+    # the oracle's witness at a budget of T and raises at T - 1.  Only at n = 2
+    # does a walk test more rows than there are subspace pairs (p + 1), so
+    # that a budget of T - 1 is passed by the walk, not by the pair count.
+    rng = random.Random(12)
+    cases = 0
+    for p in (5, 7, 11, 13):
+        fld = GF(p)
+        # diag(a, b), a != b: every row before (1, 1) spans an eigenline, so p + 1 are tested
+        ins = [Matrix.from_rows(fld, [[a, 0], [0, b]])
+               for a, b in (rng.sample(range(p), 2) for _ in range(3))]
+        ins += [random_matrix(2, 2, fld, rng) for _ in range(30)]
+        for P in ins:
+            verdict, T = offdiag_pairs_oracle(P, 0, 1)
+            if verdict[0] or T <= p + 1:
+                continue
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T)
+            assert offdiag_criterion_check(P, 0, 1) == verdict, P.to_rows()
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T - 1)
+            with pytest.raises(BudgetExceeded, match="witness walk"):
+                offdiag_criterion_check(P, 0, 1)
+            cases += 1
+    assert cases >= 10
+    # a passing input's search for a first row counts for nothing: over GF(7)
+    # none of the 48 nonzero vectors is kept, against a budget of the 8 pairs
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 8)
+    assert offdiag_criterion_check(Matrix.scalar(GF(7), 2, 3), 0, 1) == (True, None)
 
 
 def test_budget_refuses_no_input_that_fit_the_gl_scan():
