@@ -683,10 +683,11 @@ def _qqt_inverse(M):
     return Matrix(M.field, n, n, ent)
 
 
-def kernel_basis(M: Matrix) -> list[Matrix]:
-    """Canonical right-kernel basis (one column vector per free column)."""
-    return [Matrix(M.field, M.cols, 1, tuple(v))
-            for v in _kernel_vectors(M.field, M.cols, *rref_rows(M))]
+def kernel_basis(M: Matrix) -> Matrix:
+    """The canonical basis of {v : M v = 0}, one vector per row, one row per
+    free column of the rref in column order; (M.cols - rank) x M.cols."""
+    ker = _kernel_vectors(M.field, M.cols, *rref_rows(M))
+    return Matrix(M.field, len(ker), M.cols, tuple(x for v in ker for x in v))
 
 
 def _kernel_vectors(f, ncols, pivots, rows) -> list:

@@ -166,11 +166,9 @@ def topleft_realization(P: Matrix, Q: Matrix) -> Matrix:
     h1, B = shape_left(P, n)
     R = B.block(n, 2 * n, 0, n)
     # kernel alignment: h . ker(R) inside ker(Q)
-    kR = kernel_basis(R)
-    kQ = kernel_basis(Q)
-    src = _complete_basis(f, [_col(v, 0) for v in kR], n)
-    tgt_seed = [_col(v, 0) for v in kQ[: len(kR)]]
-    tgt = _complete_basis(f, tgt_seed, n)
+    kR = kernel_basis(R).to_rows()
+    src = _complete_basis(f, kR, n)
+    tgt = _complete_basis(f, kernel_basis(Q).to_rows()[: len(kR)], n)
     Msrc = Matrix.from_rows(f, src).transpose()
     Mtgt = Matrix.from_rows(f, tgt).transpose()
     h = Mtgt @ inverse(Msrc)
@@ -243,7 +241,7 @@ def raise_sum_rank(mats) -> list[Matrix]:
 # ---------------------------------------------------------------------------
 
 def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
-                         trials: int = 300, rng=None) -> bool:
+                         trials: int | None = None, rng=None) -> bool:
     """Whether det((g P g^{-1})_[k],[k]) = 0 for all conjugates.
 
     Exhaustive mode scans pairs of subspaces, not the finite group: with
@@ -253,6 +251,9 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     det(R C^T) != 0.  So the minor vanishes for every g unless some pair has
     det(R C^T) != 0 and det(R P C^T) != 0.  The verdict is cross-checked
     against rank(P) < k; the enumeration budget bounds |Gr(k, n)|^2.
+
+    Sampled mode checks the minor of ``trials`` random conjugates drawn from
+    rng; both have no default.
     """
     f = P.field
     n = P.rows

@@ -16,8 +16,8 @@ its kernel, and which subspaces hold each vector) is built once per
 (m, n, p), on first use, and cached.  A walk picks the witness's rows one at
 a time and finds the pairs of a subspace that fail only when it first
 reaches that subspace; a P that passes is one whose walk finds no first row.
-The order of GL_n(F_q) in :func:`enumerate_gl_rows` still fixes which
-conjugator a failed check reports.
+A failed check reports the first conjugator g of GL_n(F_q) in the
+lexicographic order of (row 0, ..., row n-1), each row a tuple of residues.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .matrix import (
     Matrix,
     MatrixError,
     Span,
+    _kernel_vectors,
     eigen_data,
     inverse,
     kernel_basis,
@@ -138,33 +139,6 @@ def pencil_rank_enumerate(tup: PencilTuple) -> tuple[int, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# GL_n(F_q) enumeration (rows chosen in lexicographic order, skipping spans)
-# ---------------------------------------------------------------------------
-
-def enumerate_gl_rows(n: int, p: int):
-    """Yield the row tuples of every element of GL_n(F_p), lexicographically."""
-    vectors = list(itertools.product(range(p), repeat=n))[1:]  # skip zero; lex order
-
-    def extend(rows, span):
-        if len(rows) == n:
-            yield tuple(rows)
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            new_span = set()
-            for s in span | {(0,) * n}:
-                for c in range(p):
-                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
-            new_span.discard((0,) * n)
-            rows.append(v)
-            yield from extend(rows, new_span)
-            rows.pop()
-
-    yield from extend([], set())
-
-
-# ---------------------------------------------------------------------------
 # Subspaces of F_q^n (Grassmannians in reduced row echelon form)
 # ---------------------------------------------------------------------------
 
@@ -193,16 +167,11 @@ def enumerate_subspaces(k: int, n: int, p: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _kernel_rows(S: Matrix) -> Matrix:
-    """The canonical basis of {v : S v = 0}, one vector per row."""
-    ker = kernel_basis(S)
-    return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
-
-
 class _SubspaceTable:
     """What the exhaustive checks over Gr(m, n) at GF(p) read that does not
     depend on P.  For each R, in the order of :func:`enumerate_subspaces`:
-    its Matrix of RREF rows and B^T for the canonical basis rows B of ker R.
+    its Matrix of RREF rows and B^T for the canonical basis rows B of ker R,
+    read off those rows (each pivot is the row's first 1) with no elimination.
     For each X of Gr(m, n - m), in that order: X^T, so that the candidate
     C = (X B)^T in ker R is B^T X^T; a check forms C only for a pair it finds
     bad.  The transposes of the R's and the vector index are built on first
@@ -211,8 +180,12 @@ class _SubspaceTable:
 
     def __init__(self, m: int, n: int, p: int):
         f = GF(p)
-        self.rs = tuple(Matrix.from_rows(f, rows) for rows in enumerate_subspaces(m, n, p))
-        self.bts = tuple(_kernel_rows(R).transpose() for R in self.rs)
+        rs, bts = [], []
+        for rows in enumerate_subspaces(m, n, p):
+            ker = _kernel_vectors(f, n, [row.index(1) for row in rows], rows)
+            rs.append(Matrix.from_rows(f, rows))
+            bts.append(Matrix(f, n, n - m, tuple(v[i] for i in range(n) for v in ker)))
+        self.rs, self.bts = tuple(rs), tuple(bts)
         self.xts = tuple(Matrix.from_rows(f, rows).transpose()
                          for rows in enumerate_subspaces(m, n - m, p))
 
@@ -261,9 +234,10 @@ def _bad_columns(P: Matrix, k: int, table: _SubspaceTable, i: int) -> list:
 
 
 def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
-    """Rows of the first g in :func:`enumerate_gl_rows` order whose key
-    (R, C), R the row space of g[K] and C the kernel of the rows of g outside
-    L, has rank(R P C) > k; None when no pair (R, C) has, so P passes.
+    """Rows of the first g of GL_n(F_p), in the lexicographic order of its
+    rows, whose key (R, C), R the row space of g[K] and C the kernel of the
+    rows of g outside L, has rank(R P C) > k; None when no pair (R, C) has,
+    so P passes.
 
     The rows are chosen one at a time, each the least vector outside the span
     of the rows before it that keeps some bad pair (R, C) reachable: a row
@@ -301,7 +275,7 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
         if d == m:  # the K rows span one R; now each pair is (A, A + span of the L rows)
             (r,) = reach
             live = [(Span(f, n, A), Span(f, n, A))
-                    for A in (_kernel_rows(C.transpose()).to_rows() for C in bad(r))]
+                    for A in (kernel_basis(C.transpose()).to_rows() for C in bad(r))]
         for v in itertools.product(range(p), repeat=n):
             if prefix.contains(v):
                 continue
@@ -335,15 +309,15 @@ def _sampled_conjugates(P: Matrix, trials: int, rng):
     one draw per pair, the sampled mode of both conjugation criteria."""
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    if trials < 1:
-        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"sampled mode needs an int trials >= 1, got {trials!r}")
     for _ in range(trials):
         g = random_invertible(P.rows, P.field, rng)
         yield g, g @ P @ inverse(g)
 
 
 def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
-                            trials: int = 200, rng=None):
+                            trials: int | None = None, rng=None):
     """Decide whether every conjugate Q of P has rank(Q_[K,L]) <= k.
 
     K = the first m indices and L = the next m indices.  In exhaustive mode the
@@ -353,14 +327,14 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     V = g^{-1}[:,L], Q_[K,L] = U P V and U V = 0, so the rank depends only on
     R = row space of U and C = column space of V, with C inside ker R; since
     n >= 2m every such pair comes from some g.  A False verdict carries a
-    certified witness (g, K, L): g is the first element of GL_n(F_q) in
-    :func:`enumerate_gl_rows` order whose block has rank > k, found by a walk
+    certified witness (g, K, L): g is the first element of GL_n(F_q), in the
+    lexicographic order of its rows, whose block has rank > k, found by a walk
     that skips every row prefix that cannot reach such a pair and ranks the
     pairs of a subspace only when it reaches it.  The enumeration budget
     bounds the number of pairs and the rows the walk tests.
 
-    Sampled mode draws random conjugators and random disjoint index pairs; a
-    pass is statistical.
+    Sampled mode draws ``trials`` random conjugators and random disjoint index
+    pairs from rng; both have no default, and a pass is statistical.
     """
     f = P.field
     n = P.rows

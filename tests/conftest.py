@@ -10,7 +10,7 @@ import pytest
 
 from conjlab.fields import UniPoly
 from conjlab.matrix import Matrix, Span, det, inverse, kernel_basis, random_matrix, rank
-from conjlab.pencil import enumerate_gl_rows, enumerate_subspaces
+from conjlab.pencil import enumerate_subspaces
 
 
 def _poly_add(f, a, b):
@@ -344,6 +344,29 @@ def _with_inverse(field, rows):
     return g, inverse(g)
 
 
+def enumerate_gl_rows(n: int, p: int):
+    """Yield the row tuples of every element of GL_n(F_p), lexicographically."""
+    vectors = list(itertools.product(range(p), repeat=n))[1:]  # skip zero; lex order
+
+    def extend(rows, span):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for v in vectors:
+            if v in span:
+                continue
+            new_span = set()
+            for s in span | {(0,) * n}:
+                for c in range(p):
+                    new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
+            new_span.discard((0,) * n)
+            rows.append(v)
+            yield from extend(rows, new_span)
+            rows.pop()
+
+    yield from extend([], set())
+
+
 def _conjugates(P: Matrix):
     """(g, g P g^-1) for every g of GL_n(F_p), in enumerate_gl_rows order."""
     for rows in enumerate_gl_rows(P.rows, P.field.p):
@@ -361,11 +384,6 @@ def offdiag_gl_oracle(P: Matrix, k: int, m: int):
     return True, None
 
 
-def _kernel_rows(S: Matrix) -> Matrix:
-    ker = kernel_basis(S)
-    return Matrix(S.field, len(ker), S.cols, sum((v.entries for v in ker), ()))
-
-
 def offdiag_bad_pairs_oracle(P: Matrix, k: int, m: int) -> list:
     """Every pair (R, C) with rank(R P C) > k, listed before any walk: R runs
     over Gr(m, n) and C = (X B)^T over the m-dimensional subspaces of ker R
@@ -375,7 +393,7 @@ def offdiag_bad_pairs_oracle(P: Matrix, k: int, m: int) -> list:
     bad = []
     for r_rows in enumerate_subspaces(m, n, f.p):
         R = Matrix.from_rows(f, r_rows)
-        B = _kernel_rows(R)
+        B = kernel_basis(R)
         W = R @ P @ B.transpose()
         if rank(W) <= k:
             continue
@@ -405,7 +423,7 @@ def offdiag_pairs_oracle(P: Matrix, k: int, m: int):
     for d in range(n):
         if d == m:
             live = [(Span(f, n, A), Span(f, n, A))
-                    for A in (_kernel_rows(C.transpose()).to_rows() for _, C in live)]
+                    for A in (kernel_basis(C.transpose()).to_rows() for _, C in live)]
         for v in itertools.product(range(f.p), repeat=n):
             if prefix.contains(v):
                 continue

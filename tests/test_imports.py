@@ -2,7 +2,8 @@
 standard library and conjlab itself, nothing else, and uses what it imports;
 every name it defines at module level, private or public, is read by some
 module of src/, but for the listed public exceptions; and every method of
-its classes is read as an attribute somewhere in src/."""
+its classes is read as an attribute somewhere in src/.  The oracles of
+tests/conftest.py import only public conjlab names."""
 
 import ast
 import collections
@@ -13,6 +14,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "conjlab"
+CONFTEST = pathlib.Path(__file__).resolve().parent / "conftest.py"
 
 
 def _imported_roots(tree):
@@ -93,8 +95,6 @@ TEST_ONLY_PUBLIC_NAMES = {
     "chain_stabilization": "acceptance criterion 4 (tests/test_acceptance.py), the "
                            "paper's Noetherianity statement in the descriptor lattice: "
                            "a descending chain of closed sets stabilizes",
-    "enumerate_gl_rows": "the GL_n(F_p) oracle of tests/conftest.py, whose order defines "
-                         "which conjugator the off-diagonal witness walk reports",
 }
 
 
@@ -145,3 +145,18 @@ def test_cli_import_loads_every_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert want <= set(out.stdout.split())
+
+
+def test_conftest_imports_only_public_conjlab_names():
+    """The oracles of tests/conftest.py take from conjlab only public names of
+    public modules, each by a from-import, so they stay independent of the
+    private fast paths they check."""
+    tree = ast.parse(CONFTEST.read_text(), str(CONFTEST))
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "conjlab"
+             for alias in node.names]
+    assert names
+    assert not [name for module, name in names
+                if any(part.startswith("_") for part in (*module.split("."), name))]
+    assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "conjlab"]

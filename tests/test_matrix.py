@@ -246,9 +246,9 @@ def test_kernel_basis(rng):
     for _ in range(20):
         M = matrix_of_rank(G5, 4, rng.randint(0, 3), rng)
         ker = kernel_basis(M)
-        assert len(ker) == 4 - rank(M)
-        for v in ker:
-            assert (M @ v).is_zero()
+        assert (ker.rows, ker.cols) == (4 - rank(M), 4)
+        assert rank(ker) == ker.rows
+        assert (M @ ker.transpose()).is_zero()
 
 
 @st.composite
@@ -331,9 +331,9 @@ def test_rref_rows_match_rank_and_rref(M):
 
 
 def _kernel_basis_reference(M):
-    """The canonical right-kernel basis read off the rref of rank_and_rref:
-    for each free column c, the vector with 1 at c and minus column c of the
-    rref at the pivot columns."""
+    """The canonical right-kernel basis read off the rref of rank_and_rref,
+    one row per free column c: 1 at c and minus column c of the rref at the
+    pivot columns."""
     f, res = M.field, rank_and_rref(M)
     basis = []
     for free in (c for c in range(M.cols) if c not in res.pivots):
@@ -341,8 +341,8 @@ def _kernel_basis_reference(M):
         v[free] = f.one
         for r, pc in enumerate(res.pivots):
             v[pc] = f.neg(res.rref.entry(r, free))
-        basis.append(Matrix(f, M.cols, 1, tuple(v)))
-    return basis
+        basis += v
+    return Matrix(f, M.cols - res.rank, M.cols, tuple(basis))
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,7 +350,20 @@ def _kernel_basis_reference(M):
 def test_kernel_basis_matches_rank_and_rref_reference(M):
     ker = kernel_basis(M)
     assert ker == _kernel_basis_reference(M)
-    assert all((M @ v).is_zero() for v in ker)
+    assert (M @ ker.transpose()).is_zero()
+
+
+@pytest.mark.parametrize("f", [G2, G7, QQ_, QQT_], ids=str)
+def test_kernel_basis_edge_shapes(f):
+    # full column rank leaves a 0 x n basis; the zero m x n matrix, the n x n identity
+    nz = NONZERO[f]
+    for n in range(4):
+        full = Matrix(f, n + 1, n, tuple(nz[(i + j) % len(nz)] if j <= i else f.zero
+                                         for i in range(n + 1) for j in range(n)))
+        assert rank(full) == n
+        assert kernel_basis(full) == Matrix(f, 0, n, ())
+        for m in range(4):
+            assert kernel_basis(Matrix.zeros(f, m, n)) == Matrix.identity(f, n)
 
 
 def _assert_matches_gauss_jordan(M):

@@ -151,7 +151,8 @@ def test_minor_vanishing():
     assert minor_vanishing_test(Matrix.zeros(G2, 2), 1)
     assert not minor_vanishing_test(Matrix.identity(G2, 2), 1)
     rng = random.Random(3)
-    assert not minor_vanishing_test(Matrix.identity(QQ_, 3), 2, mode="sampled", rng=rng)
+    assert not minor_vanishing_test(Matrix.identity(QQ_, 3), 2, mode="sampled", trials=300,
+                                    rng=rng)
     for trials in (0, -1):  # no sample would report vanishing without checking a conjugate
         with pytest.raises(ValueError, match="trials"):
             minor_vanishing_test(Matrix.zeros(QQ_, 3), 1, mode="sampled", trials=trials, rng=rng)

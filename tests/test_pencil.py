@@ -10,18 +10,17 @@ from collections import Counter
 import pytest
 from fractions import Fraction
 
-from conftest import (gauss_jordan_oracle, matmul_oracle, matrix_of_rank, offdiag_bad_pairs_oracle,
-                      offdiag_gl_oracle, offdiag_pairs_oracle)
+from conftest import (enumerate_gl_rows, gauss_jordan_oracle, matmul_oracle, matrix_of_rank,
+                      offdiag_bad_pairs_oracle, offdiag_gl_oracle, offdiag_pairs_oracle)
 from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
-from conjlab.matrix import Matrix, inverse, rank, random_invertible, random_matrix
+from conjlab.matrix import Matrix, inverse, kernel_basis, rank, random_invertible, random_matrix
 from conjlab.orbits import minor_vanishing_test
 from conjlab.pencil import (
     ENUMERATION_BUDGET,
     BudgetExceeded,
     PencilTuple,
     gaussian_binomial,
-    enumerate_gl_rows,
     enumerate_subspaces,
     offdiag_criterion_check,
     pencil_rank_enumerate,
@@ -141,6 +140,16 @@ def test_offdiag_examples():
                                     trials=trials, rng=random.Random(0))
 
 
+def test_sampled_criteria_need_an_int_trials():
+    # sampled mode has no default trials: a missing or non-int count is refused
+    P = Matrix.identity(G2, 2)
+    for kw in ({}, {"trials": None}, {"trials": 2.5}, {"trials": "5"}):
+        with pytest.raises(ValueError, match="trials"):
+            offdiag_criterion_check(P, 0, 1, mode="sampled", rng=random.Random(0), **kw)
+        with pytest.raises(ValueError, match="trials"):
+            minor_vanishing_test(P, 1, mode="sampled", rng=random.Random(0), **kw)
+
+
 def test_offdiag_equals_tuple_rank_exhaustive_small():
     for M in _all_sq(G2, 2):
         holds, _ = offdiag_criterion_check(M, 0, 1)
@@ -246,12 +255,21 @@ def _bad_pairs_full_scan(P, k, m):
     bad = []
     for r_rows in enumerate_subspaces(m, n, f.p):
         R = Matrix.from_rows(f, r_rows)
-        B = pencil._kernel_rows(R)
+        B = kernel_basis(R)
         for x_rows in enumerate_subspaces(m, n - m, f.p):
             C = (Matrix.from_rows(f, x_rows) @ B).transpose()
             if rank(R @ P @ C) > k:
                 bad.append((R, C))
     return bad
+
+
+def test_subspace_table_kernels_match_kernel_basis():
+    # B^T read off each R's RREF, with no elimination, is the eliminating kernel_basis
+    for m, n, p in ((2, 5, 2), (2, 4, 3), (1, 3, 5)):
+        table = pencil._SubspaceTable(m, n, p)
+        assert len(table.bts) == len(table.rs) == gaussian_binomial(n, m, p)
+        for R, Bt in zip(table.rs, table.bts):
+            assert Bt == kernel_basis(R).transpose()
 
 
 def test_offdiag_bad_pairs_match_full_scan():
