@@ -3,9 +3,9 @@
 Everything is immutable and pure.  Matrices store a flat row-major tuple of
 canonical scalars together with the owning field.
 
-``@``, ``rank_and_rref``, ``rref_rows``, ``rank``, ``det``, ``inverse``,
-``char_poly`` and ``Span`` look their field's class up once in ``_KERNELS``,
-one record of private kernels per field.  ``_GENERIC`` runs the generic
+``@``, ``rank_and_rref``, ``rref_rows``, ``rank``, ``det``, ``inverse`` and
+``char_poly`` look their field's class up once in ``_KERNELS``, one record
+of private kernels per field.  ``_GENERIC`` runs the generic
 scalar loop through the field's own operations; it is the record of a field
 class without one, and the tests keep it as the oracle of the faster
 kernels.  Every other record is ``_GENERIC`` with only its own kernels
@@ -17,6 +17,8 @@ row-cleared integers, QQ(t) by evaluation at integer points.  The GF(p) and
 QQ products skip the zero entries of rows of the left factor that have at
 most one nonzero entry.  Every elimination keeps the generic loop's pivot
 rule, so rref, transform and pivots do not depend on the field's record.
+``Span`` has no record: it reduces through the field's own operations over
+every field.
 """
 
 from __future__ import annotations
@@ -51,12 +53,10 @@ class MatrixError(ValueError):
 
 
 class PoleAtZero(FieldError):
-    """An entry of a QQ(t) matrix has a pole at t=0; carries 1-based (row, col)."""
+    """An entry of a QQ(t) matrix has a pole at t=0, named 1-based in the message."""
 
     def __init__(self, row: int, col: int):
         super().__init__(f"pole at t=0 in entry ({row},{col})")
-        self.row = row
-        self.col = col
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,6 @@ class _Kernels:
     det: object        # square M -> det M
     inverse: object    # square M -> M^-1; MatrixError "matrix is singular"
     char_poly: object  # square M -> det(xI - M)
-    span_insert: object  # (field, rows, vec, store) -> whether vec is outside the span; see Span
 
 
 def _kernels(field) -> _Kernels:
@@ -393,28 +392,10 @@ def _eliminate(rows, field, ncols, *, reduced):
     return pivots, entries, sign
 
 
-def _generic_span_insert(f, rows, vec, store):
-    """Reduce vec by the rows of a Span, in the order of their pivots; False
-    when it reduces to zero, else True, after storing it scaled to 1 at its
-    first nonzero entry when store."""
-    v = list(vec)
-    for piv in sorted(rows):
-        if not f.is_zero(v[piv]):
-            c = v[piv]
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, rows[piv])]
-    piv = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
-    if piv is None:
-        return False
-    if store:
-        inv = f.inv(v[piv])
-        rows[piv] = [f.mul(inv, x) for x in v]
-    return True
-
-
 # -- GF(p): the same loops on plain int rows -----------------------------------
 #
 # The product reduces each entry's sum of int products once.  Elimination
-# and Span reduce their entries into range(p) on the way in, so a residue is
+# reduces its entries into range(p) on the way in, so a residue is
 # zero exactly when it is falsy; each row operation then takes one % p per
 # entry.
 
@@ -480,22 +461,6 @@ def _gf_eliminate(rows, field, ncols, *, reduced):
         pivots.append(c)
         entries.append(piv)
     return pivots, entries, sign
-
-
-def _gf_span_insert(f, rows, vec, store):
-    p = f.p
-    v = [x % p for x in vec]
-    for piv in sorted(rows):
-        c = v[piv]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, rows[piv])]
-    piv = next((i for i, x in enumerate(v) if x), None)
-    if piv is None:
-        return False
-    if store:
-        inv = pow(v[piv], -1, p)
-        rows[piv] = [inv * x % p for x in v]
-    return True
 
 
 # -- QQ: fraction-free elimination of the row-cleared integer matrix -----------
@@ -707,23 +672,36 @@ def _kernel_vectors(f, ncols, pivots, rows) -> list:
 
 
 class Span:
-    """Incremental span of vectors in K^dim, for membership tests while a
+    """Incremental span of vectors over a field, for membership tests while a
     basis is built one vector at a time; starts as the span of vecs."""
 
-    def __init__(self, field, dim, vecs=()):
+    def __init__(self, field, vecs=()):
         self.field = field
-        self.dim = dim
-        self.rows = {}  # pivot index -> reduced row (list), zero left of its pivot
-        self._insert = _kernels(field).span_insert
+        self.rows = {}  # pivot index -> reduced row (list), 1 at its pivot and 0 left of it
         for v in vecs:
             self.add(v)
 
+    def _reduce(self, vec) -> tuple[list, int | None]:
+        """vec reduced by the rows, in the order of their pivots, and the
+        index of its first nonzero entry, None when it reduces to zero."""
+        f, v = self.field, list(vec)
+        for piv in sorted(self.rows):
+            if not f.is_zero(v[piv]):
+                c = v[piv]
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, self.rows[piv])]
+        return v, next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
+
     def contains(self, vec) -> bool:
-        return not self._insert(self.field, self.rows, vec, False)
+        return self._reduce(vec)[1] is None
 
     def add(self, vec) -> bool:
         """Add vec; False when it is in the span already."""
-        return self._insert(self.field, self.rows, vec, True)
+        v, piv = self._reduce(vec)
+        if piv is None:
+            return False
+        inv = self.field.inv(v[piv])
+        self.rows[piv] = [self.field.mul(inv, x) for x in v]
+        return True
 
 
 def solve_right(A: Matrix, B: Matrix) -> Matrix | None:
@@ -838,12 +816,12 @@ def _hessenberg_char_poly(a, p):
 
 
 _GENERIC = _Kernels(matmul=_generic_matmul, **_elimination_readers(Matrix.to_rows, _eliminate),
-                    char_poly=_generic_char_poly, span_insert=_generic_span_insert)
+                    char_poly=_generic_char_poly)
 # Over QQ and QQ(t) the transform of singular input is not unique, so rref
 # stays on the generic loop there
 _KERNELS = {
     GF: replace(_GENERIC, matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
-                char_poly=_gf_char_poly, span_insert=_gf_span_insert),
+                char_poly=_gf_char_poly),
     QQ: replace(_GENERIC, matmul=_qq_matmul, rank=_qq_rank, det=_qq_det, inverse=_qq_inverse,
                 char_poly=_qq_char_poly),
     QQT: replace(_GENERIC, rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse),

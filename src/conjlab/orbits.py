@@ -62,7 +62,7 @@ def _complete_basis(field, cols, n) -> list:
     Standard basis vectors are tried in index order (the lexicographically
     least column selection); they span K^n, so they always complete it.
     """
-    span = Span(field, n, cols)
+    span = Span(field, cols)
     out = [list(c) for c in cols]
     if len(span.rows) < len(out):
         raise ConstructionError("given columns are dependent")
@@ -103,7 +103,7 @@ def shape_left(P: Matrix, m: int):
     im_cols = [_col(P, c) for c in pivots]
     ker = _kernel_vectors(f, n, pivots, rows)
     failed = ConstructionError("shape_left search failed")
-    span = Span(f, n, im_cols)
+    span = Span(f, im_cols)
     W: list = []
     # particular solutions P e_j = (pivot column j), adjusted by kernel vectors
     for j in pivots:
@@ -122,7 +122,7 @@ def shape_left(P: Matrix, m: int):
     if len(W) < m:
         raise failed
     # complete with kernel vectors independent of W (and of each other)
-    wspan = Span(f, n, W)
+    wspan = Span(f, W)
     Z = [kv for kv in ker if wspan.add(kv)][: n - m]
     if len(Z) < n - m:
         raise failed
@@ -253,7 +253,8 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     against rank(P) < k; the enumeration budget bounds |Gr(k, n)|^2.
 
     Sampled mode checks the minor of ``trials`` random conjugates drawn from
-    rng; both have no default.
+    rng; both have no default, and a count above the enumeration budget
+    raises BudgetExceeded before any draw.
     """
     f = P.field
     n = P.rows

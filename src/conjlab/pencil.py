@@ -23,6 +23,7 @@ lexicographic order of (row 0, ..., row n-1), each row a tuple of residues.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -30,11 +31,9 @@ from .fields import GF, UnsupportedFieldOperation
 from .matrix import (
     Matrix,
     MatrixError,
-    Span,
     _kernel_vectors,
     eigen_data,
     inverse,
-    kernel_basis,
     random_invertible,
     rank,
 )
@@ -233,6 +232,11 @@ def _bad_columns(P: Matrix, k: int, table: _SubspaceTable, i: int) -> list:
     return [Bt @ Xt for Xt in table.xts if rank(W @ Xt) > k]
 
 
+def _grow(vecs: set, v, p: int) -> set:
+    """The vectors of span(vecs, v) mod p, for vecs the vectors of a span."""
+    return vecs | {tuple((a + c * b) % p for a, b in zip(u, v)) for u in vecs for c in range(1, p)}
+
+
 def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
     """Rows of the first g of GL_n(F_p), in the lexicographic order of its
     rows, whose key (R, C), R the row space of g[K] and C the kernel of the
@@ -240,9 +244,11 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
     so P passes.
 
     The rows are chosen one at a time, each the least vector outside the span
-    of the rows before it that keeps some bad pair (R, C) reachable: a row
-    in K must lie in R, a row after L in A = ann(C), and the rows in L must be
-    independent modulo A.  Exactly the prefixes that meet these conditions
+    of the rows before it that keeps some bad pair (R, C) reachable.  A row
+    in K must lie in R.  The other rows are tested by their image v C in
+    F_p^m, as ann(C) is the kernel of v -> v C: a row after L must have
+    image 0, and a row in L an image outside the span of the images of the
+    L rows before it.  Exactly the prefixes that meet these conditions
     extend to an invertible g with key (R, C), so the walk never backtracks.
     The bad C's of an R (:func:`_bad_columns`) are found only when the walk
     first asks for that R, and once the K rows span an R only its pairs are
@@ -252,7 +258,7 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
     does.  The scan for a first row counts only when it finds one: a P that
     passes is decided by the subspace pairs alone.
     """
-    f, n, p = P.field, P.rows, P.field.p
+    n, p = P.rows, P.field.p
     table = _subspace_table(m, n, p)
     index, memo = table.containing, {}
 
@@ -260,6 +266,9 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
         if i not in memo:
             memo[i] = _bad_columns(P, k, table, i)
         return memo[i]
+
+    def image(cols, v):  # v C, for C given by its columns
+        return tuple(sum(map(operator.mul, v, col)) % p for col in cols)
 
     # The first row: a multiple c v of a vector v with first entry 1 lies in
     # the same R's and comes after v, so the least row kept has first nonzero
@@ -270,14 +279,14 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
     tested = sum(x * p ** (n - 1 - j) for j, x in enumerate(first))
     if tested > ENUMERATION_BUDGET:
         raise BudgetExceeded("the witness walk exceeds the enumeration budget")
-    prefix, rows, reach = Span(f, n, [first]), [first], set(index[first])
+    prefix, rows, reach = {(0,) * n}, [first], set(index[first])
     for d in range(1, n):
-        if d == m:  # the K rows span one R; now each pair is (A, A + span of the L rows)
+        prefix = _grow(prefix, rows[-1], p)
+        if d == m:  # the K rows span one R; each live C: its columns, the L rows' images
             (r,) = reach
-            live = [(Span(f, n, A), Span(f, n, A))
-                    for A in (kernel_basis(C.transpose()).to_rows() for C in bad(r))]
+            live = [(C.transpose().to_rows(), {(0,) * m}) for C in bad(r)]
         for v in itertools.product(range(p), repeat=n):
-            if prefix.contains(v):
+            if v in prefix:
                 continue
             tested += 1
             if tested > ENUMERATION_BUDGET:
@@ -290,18 +299,23 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
                     break
                 continue
             if d < 2 * m:
-                keep = [(A, AL) for A, AL in live if not AL.contains(v)]
+                keep = [(cols, ims) for cols, ims in live if image(cols, v) not in ims]
             else:
-                keep = [(A, AL) for A, AL in live if A.contains(v)]
+                keep = [(cols, ims) for cols, ims in live if not any(image(cols, v))]
             if keep:
                 live = keep
                 break
         if m <= d < 2 * m:
-            for _, AL in live:
-                AL.add(v)
-        prefix.add(v)
+            live = [(cols, _grow(ims, image(cols, v), p)) for cols, ims in live]
         rows.append(v)
     return rows
+
+
+def _refuse_over_budget(trials: int) -> None:
+    """Refuse, before any draw, a sampled count above the enumeration budget."""
+    if trials > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{trials} trials exceed the enumeration budget "
+                             f"of {ENUMERATION_BUDGET}")
 
 
 def _sampled_conjugates(P: Matrix, trials: int, rng):
@@ -311,6 +325,7 @@ def _sampled_conjugates(P: Matrix, trials: int, rng):
         raise ValueError("sampled mode needs an rng")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"sampled mode needs an int trials >= 1, got {trials!r}")
+    _refuse_over_budget(trials)
     for _ in range(trials):
         g = random_invertible(P.rows, P.field, rng)
         yield g, g @ P @ inverse(g)
@@ -334,7 +349,8 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     bounds the number of pairs and the rows the walk tests.
 
     Sampled mode draws ``trials`` random conjugators and random disjoint index
-    pairs from rng; both have no default, and a pass is statistical.
+    pairs from rng; both have no default, a count above the enumeration
+    budget raises BudgetExceeded before any draw, and a pass is statistical.
     """
     f = P.field
     n = P.rows

@@ -38,7 +38,7 @@ from .fields import GF, QQ, field_from_name, integral
 from .graphs import (ReductionCertificate, char2_derivative, char2_gamma, incidence_rank_check,
                      reduce_graph, replay)
 from .matrix import Matrix, inverse, random_matrix, rank, rref_rows
-from .pencil import BudgetExceeded
+from .pencil import BudgetExceeded, _refuse_over_budget
 
 
 @dataclass
@@ -196,8 +196,8 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
 
     Part (a) in ``enumerate`` mode is exact: the map is linear in Q, so see
     :func:`_coverage_report`; the witness is the one the enumeration of all
-    pairs gave.  ``sample`` mode draws ``trials`` >= 1 pairs and reports
-    coverage; any other mode is a ValueError.
+    pairs gave.  ``sample`` mode draws ``trials`` >= 1 pairs, at most the
+    enumeration budget, and reports coverage; any other mode is a ValueError.
     """
     t0 = time.monotonic()
     params = {"part": part, "field": field.name, "n": n, "mode": mode, "trials": trials,
@@ -212,6 +212,7 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
             raise ValueError(f"part (a) mode must be 'enumerate' or 'sample', got {mode!r}")
         if trials < 1:
             raise ValueError("sample mode needs trials >= 1")
+        _refuse_over_budget(trials)
         rng = _rng_for(seed, lemma)
         pairs = ((random_matrix(n, n, field, rng), random_matrix(n, n, field, rng))
                  for _ in range(trials))
@@ -536,6 +537,7 @@ def verify_conjugation_identity(case: str, tamper: bool = False) -> Verification
 def verify_equivariance(chain: ChainSpec, trials: int, field, seed: int = 0) -> VerificationReport:
     if trials < 1:
         raise ValueError("equivariance needs trials >= 1")
+    _refuse_over_budget(trials)
     t0 = time.monotonic()
     params = {"chain": chain.letter, "n1": chain.n1,
               "sig": [chain.signature_at(1).l, chain.signature_at(1).r, chain.signature_at(1).z],
@@ -636,6 +638,7 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int, field,
     :func:`_form_exposes`); the H-form search (b) tries several candidates."""
     if trials < 1:
         raise ValueError(f"rankbound-{lemma} needs trials >= 1")
+    _refuse_over_budget(trials)
     t0 = time.monotonic()
     params = {"lemma": lemma, "n": n, "m": m, "trials": trials, "seed": seed,
               "field": field.name}

@@ -418,11 +418,11 @@ def offdiag_pairs_oracle(P: Matrix, k: int, m: int):
     bad = offdiag_bad_pairs_oracle(P, k, m)
     if not bad:
         return (True, None), 0
-    live = [(Span(f, n, R.to_rows()), C) for R, C in bad]
-    prefix, rows, tested = Span(f, n), [], 0
+    live = [(Span(f, R.to_rows()), C) for R, C in bad]
+    prefix, rows, tested = Span(f), [], 0
     for d in range(n):
         if d == m:
-            live = [(Span(f, n, A), Span(f, n, A))
+            live = [(Span(f, A), Span(f, A))
                     for A in (kernel_basis(C.transpose()).to_rows() for _, C in live)]
         for v in itertools.product(range(f.p), repeat=n):
             if prefix.contains(v):

@@ -336,6 +336,26 @@ def test_verify_over_budget_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+def test_sampled_trials_over_budget_exit_2(tmp_path, capsys):
+    """A sampled count above the enumeration budget exits 2 with one line
+    before any draw; on a passing input it ran for as many draws as asked."""
+    m = tmp_path / "zero.json"
+    m.write_text(json.dumps({"field": "gf:2", "rows": [["0", "0"], ["0", "0"]]}))
+    cfg = tmp_path / "char2a.json"
+    cfg.write_text(json.dumps([{"lemma": "char2a", "field": "gf:3", "mode": "sample",
+                                "trials": 10**12}]))
+    sampled = ["--field", "gf:2", "--in", str(m), "--mode", "sampled", "--trials", str(10**20)]
+    for argv in (["offdiag-check", "--k", "0", "--m", "1"] + sampled,
+                 ["minor-vanishing", "--k", "1"] + sampled,
+                 ["verify", "equivariance-A", "--trials", str(10**12)],
+                 ["verify", "rankbound-sp", "--n", "8", "--trials", str(10**12)],
+                 ["suite", "--config", str(cfg)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert "trials exceed the enumeration budget" in err, argv
+
+
 def test_verify_commutator_needs_a_finite_field(capsys):
     # an explicit qq or qq_t exits 2, as for char2a, with one line naming the
     # lemma; with no --field the lemma runs over GF(3)

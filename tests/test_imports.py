@@ -1,9 +1,9 @@
 """src/ stays standard-library only: every module of the package imports the
 standard library and conjlab itself, nothing else, and uses what it imports;
 every name it defines at module level, private or public, is read by some
-module of src/, but for the listed public exceptions; and every method of
-its classes is read as an attribute somewhere in src/.  The oracles of
-tests/conftest.py import only public conjlab names."""
+module of src/, but for the listed public exceptions; and every method and
+attribute of its classes is read as an attribute somewhere in src/.  The
+oracles of tests/conftest.py import only public conjlab names."""
 
 import ast
 import collections
@@ -127,6 +127,25 @@ def test_src_has_no_unread_methods():
               if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not (d.name.startswith("__") and d.name.endswith("__"))
               and read[d.name] == _attribute_loads(d)[d.name]}
+    assert not unread
+
+
+def test_src_has_no_unread_attributes():
+    """Every attribute a class of the package sets on self (``self.x = ...``),
+    and every annotated field of a class body, is read by some attribute load
+    in src/, so no attribute stays that only tests read.  Like the method
+    check it goes by name, so an attribute named like one that src/ reads
+    elsewhere passes it."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    read = sum(map(_attribute_loads, trees), collections.Counter())
+    unread = set()
+    for cls in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = {d.target.id for d in cls.body
+                  if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name)}
+        stored = {n.attr for n in ast.walk(cls)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        unread |= {f"{cls.name}.{name}" for name in fields | stored if not read[name]}
     assert not unread
 
 

@@ -14,7 +14,7 @@ from conftest import (enumerate_gl_rows, gauss_jordan_oracle, matmul_oracle, mat
                       offdiag_bad_pairs_oracle, offdiag_gl_oracle, offdiag_pairs_oracle)
 from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
-from conjlab.matrix import Matrix, inverse, kernel_basis, rank, random_invertible, random_matrix
+from conjlab.matrix import Matrix, Span, inverse, kernel_basis, rank, random_invertible, random_matrix
 from conjlab.orbits import minor_vanishing_test
 from conjlab.pencil import (
     ENUMERATION_BUDGET,
@@ -141,13 +141,21 @@ def test_offdiag_examples():
 
 
 def test_sampled_criteria_need_an_int_trials():
-    # sampled mode has no default trials: a missing or non-int count is refused
+    # sampled mode has no default trials: a missing or non-int count is refused,
+    # and a count above the enumeration budget before any draw
     P = Matrix.identity(G2, 2)
     for kw in ({}, {"trials": None}, {"trials": 2.5}, {"trials": "5"}):
         with pytest.raises(ValueError, match="trials"):
             offdiag_criterion_check(P, 0, 1, mode="sampled", rng=random.Random(0), **kw)
         with pytest.raises(ValueError, match="trials"):
             minor_vanishing_test(P, 1, mode="sampled", rng=random.Random(0), **kw)
+    rng = random.Random(0)
+    state = rng.getstate()
+    for check in (lambda t: offdiag_criterion_check(P, 0, 1, mode="sampled", trials=t, rng=rng),
+                  lambda t: minor_vanishing_test(P, 1, mode="sampled", trials=t, rng=rng)):
+        with pytest.raises(BudgetExceeded, match="enumeration budget"):
+            check(ENUMERATION_BUDGET + 1)
+        assert rng.getstate() == state
 
 
 def test_offdiag_equals_tuple_rank_exhaustive_small():
@@ -289,6 +297,30 @@ def test_offdiag_bad_pairs_match_full_scan():
                 assert pairs == offdiag_bad_pairs_oracle(P, k, m)
 
 
+def test_walk_row_tests_by_image_match_annihilator_spans():
+    # the walk tests a row v by its image v C, as A = ann(C) is the kernel of
+    # v -> v C: v in A + span(L) iff v C in span(L C), and v in A iff v C = 0,
+    # against the generic Span of the rows of ker C^T and the L rows
+    rng = random.Random(32)
+    for p, n, m in ((2, 6, 3), (2, 5, 2), (3, 5, 2), (5, 4, 2)):
+        f = GF(p)
+        for _ in range(3):
+            C = random_matrix(n, m, f, rng)
+            while rank(C) < m:
+                C = random_matrix(n, m, f, rng)
+            Ls = [random_matrix(1, n, f, rng) for _ in range(rng.randint(1, m))]
+            A = kernel_basis(C.transpose()).to_rows()
+            ann, ann_L = Span(f, A), Span(f, A + [u.row_list(0) for u in Ls])
+            images = {(0,) * m}
+            for u in Ls:
+                images = pencil._grow(images, (u @ C).entries, p)
+            assert len(images) == p ** rank(Matrix.from_rows(f, [(u @ C).entries for u in Ls]))
+            for v in itertools.product(range(p), repeat=n):
+                vc = (Matrix(f, 1, n, v) @ C).entries
+                assert ann_L.contains(v) == (vc in images)
+                assert ann.contains(v) == (not any(vc))
+
+
 def _differential_input(fld, n, rng):
     """A random n x n matrix, or with probability 0.3 a scalar plus rank one."""
     if rng.random() < 0.3:
@@ -297,13 +329,15 @@ def _differential_input(fld, n, rng):
 
 
 def test_offdiag_matches_pairs_oracle():
-    # 1046 checks (P, k, m): the lazy walk over the cached table gives the
-    # verdict and witness of the eager pair list and its walk
+    # 1052 checks (P, k, m): the lazy walk over the cached table gives the
+    # verdict and witness of the eager pair list and its walk; GF(3) at n = 5
+    # has a row after L at p > 2
     checks = Counter()
     rng = random.Random(30)
     for p, n, m, ks, count in ((2, 4, 2, (0, 1), 440), (2, 5, 2, (0, 1), 12),
                                (2, 6, 2, (1,), 1), (2, 6, 3, (0, 1, 2), 3),
-                               (3, 4, 2, (0, 1), 60), (5, 4, 2, (0, 1), 6)):
+                               (3, 4, 2, (0, 1), 60), (5, 4, 2, (0, 1), 6),
+                               (3, 5, 2, (0, 1), 3)):
         for _ in range(count):
             P = _differential_input(GF(p), n, rng)
             for k in ks:
