@@ -47,8 +47,11 @@ def matrix_from_json(obj, field=None) -> Matrix:
 
 def graph_from_json(obj) -> Multigraph:
     json_document(obj, "graph", vertices=list, edges=list)
-    if not all(isinstance(e, list) for e in obj["edges"]):
-        raise ValueError("graph JSON edges must be a list of lists")
+    if not all(isinstance(e, list) and len(e) == 2 for e in obj["edges"]):
+        raise ValueError("graph JSON edges must be lists of two vertices")
+    if not all(isinstance(v, (str, int)) and not isinstance(v, bool)
+               for v in obj["vertices"] + [v for e in obj["edges"] for v in e]):
+        raise ValueError("graph JSON vertices must be strings or integers")
     return Multigraph.make(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 

@@ -258,6 +258,8 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     """
     f = P.field
     n = P.rows
+    if not P.is_square:
+        raise MatrixError("minor criterion expects a square matrix")
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if mode == "exhaustive":

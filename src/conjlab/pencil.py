@@ -12,10 +12,10 @@ pair of subspaces (the row space of g[K,:] and the column space of
 g^{-1}[:,L]), so the exhaustive check works over Grassmannian pairs in RREF
 order, 35 for n = 4, m = 2 over GF(2) instead of the 20160 elements of
 GL_4(F_2).  What does not depend on P (each subspace as a matrix, a basis of
-its kernel, and which subspaces hold each vector) is built once per
-(m, n, p), on first use, and cached.  A walk picks the witness's rows one at
-a time and finds the pairs of a subspace that fail only when it first
-reaches that subspace; a P that passes is one whose walk finds no first row.
+its kernel, and the subspaces' order by RREF rows read last first) is built
+once per (m, n, p), on first use, and cached.  The witness's first m rows
+are the RREF rows, last first, of the first subspace in that order with a
+failing pair, and a walk ranks a subspace's pairs only when it reaches it.
 A failed check reports the first conjugator g of GL_n(F_q) in the
 lexicographic order of (row 0, ..., row n-1), each row a tuple of residues.
 """
@@ -173,9 +173,9 @@ class _SubspaceTable:
     read off those rows (each pivot is the row's first 1) with no elimination.
     For each X of Gr(m, n - m), in that order: X^T, so that the candidate
     C = (X B)^T in ker R is B^T X^T; a check forms C only for a pair it finds
-    bad.  The transposes of the R's and the vector index are built on first
-    use, so the minor test never indexes vectors and the off-diagonal check
-    never transposes an R.  Only values are held."""
+    bad.  The transposes of the R's and the walk's order of the R's are built
+    on first use, so the minor test never sorts the R's and the off-diagonal
+    check never transposes an R.  Only values are held."""
 
     def __init__(self, m: int, n: int, p: int):
         f = GF(p)
@@ -193,23 +193,19 @@ class _SubspaceTable:
         return tuple(R.transpose() for R in self.rs)
 
     @cached_property
-    def containing(self) -> dict:
-        """Each nonzero vector whose first nonzero entry is 1, in lexicographic
-        order -> the indices, ascending, of the R's that contain it.  Built by
-        listing each R's (p^m - 1)/(p - 1) such vectors: row j of the RREF plus
-        each vector of the span of the rows below it, whose entries are 0 at
-        row j's pivot and before it."""
+    def order(self) -> tuple:
+        """The indices of the R's sorted by their RREF rows read last first,
+        the order in which :func:`_witness_walk` meets them; each key is one
+        int with those rows' entries as base-p digits, to keep the keys small."""
         p = self.rs[0].field.p
-        index = {}
-        for i, R in enumerate(self.rs):
-            below = [(0,) * R.cols]  # the span of the rows after the current one
-            for row in reversed(R.to_rows()):
-                lead_one = [tuple((a + b) % p for a, b in zip(row, v)) for v in below]
-                for v in lead_one:
-                    index.setdefault(v, []).append(i)
-                below += lead_one + [tuple(c * x % p for x in v)
-                                     for c in range(2, p) for v in lead_one]
-        return {v: tuple(index[v]) for v in sorted(index)}
+
+        def key(i):
+            c = 0
+            for row in reversed(self.rs[i].to_rows()):
+                for x in row:
+                    c = c * p + x
+            return c
+        return tuple(sorted(range(len(self.rs)), key=key))
 
 
 @cache
@@ -245,59 +241,54 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
 
     The rows are chosen one at a time, each the least vector outside the span
     of the rows before it that keeps some bad pair (R, C) reachable.  A row
-    in K must lie in R.  The other rows are tested by their image v C in
-    F_p^m, as ann(C) is the kernel of v -> v C: a row after L must have
-    image 0, and a row in L an image outside the span of the images of the
-    L rows before it.  Exactly the prefixes that meet these conditions
-    extend to an invertible g with key (R, C), so the walk never backtracks.
-    The bad C's of an R (:func:`_bad_columns`) are found only when the walk
-    first asks for that R, and once the K rows span an R only its pairs are
-    live.  Each candidate row tested counts against the enumeration budget;
-    a tested row that fails stands for at least one g the full enumeration
-    visits before the witness, so wherever |GL_n| fits the budget, the walk
-    does.  The scan for a first row counts only when it finds one: a P that
-    passes is decided by the subspace pairs alone.
+    in K must lie in R.  For R in RREF with rows r_1, ..., r_m, the least
+    vector of R outside span(r_(j+1), ..., r_m) is r_j: its first nonzero
+    entry sits at r_j's pivot, as late as any can, with value 1 and 0 at the
+    later pivots.  So the K rows are r_m, ..., r_1 of the first R in
+    ``table.order`` with a bad C (:func:`_bad_columns`, found only for the
+    R's the walk reaches): a bad R holding the rows picked so far has them
+    as its last RREF rows, or an R before it would be bad.  The other rows
+    are tested by their image v C in F_p^m, as ann(C) is the kernel of
+    v -> v C: a row after L must have image 0, and a row in L an image
+    outside the span of the images of the L rows before it.  Exactly the
+    prefixes that meet these conditions extend to an invertible g with key
+    (R, C), so the walk never backtracks.  Each candidate row tested counts
+    against the enumeration budget; a tested row that fails stands for at
+    least one g the full enumeration visits before the witness, so wherever
+    |GL_n| fits the budget, the walk does.  Every vector of
+    span(r_(j+1), ..., r_m) comes before r_j, so the K rows test
+    sum_j code(r_j) + m - (p^m - 1)/(p - 1) rows, code(v) =
+    sum_i v_i p^(n-1-i) being the vectors before v; a P that passes tests none.
     """
     n, p = P.rows, P.field.p
     table = _subspace_table(m, n, p)
-    index, memo = table.containing, {}
-
-    def bad(i):
-        if i not in memo:
-            memo[i] = _bad_columns(P, k, table, i)
-        return memo[i]
 
     def image(cols, v):  # v C, for C given by its columns
         return tuple(sum(map(operator.mul, v, col)) % p for col in cols)
 
-    # The first row: a multiple c v of a vector v with first entry 1 lies in
-    # the same R's and comes after v, so the least row kept has first nonzero
-    # entry 1, and the rows tested up to it are the nonzero vectors <= it.
-    first = next((v for v, held_by in index.items() if any(map(bad, held_by))), None)
-    if first is None:
+    for r in table.order:
+        bad = _bad_columns(P, k, table, r)
+        if bad:
+            break
+    else:
         return None
-    tested = sum(x * p ** (n - 1 - j) for j, x in enumerate(first))
+    rows = [tuple(v) for v in table.rs[r].to_rows()[::-1]]
+    tested = sum(x * p ** (n - 1 - i) for v in rows for i, x in enumerate(v))
+    tested += m - (p**m - 1) // (p - 1)
     if tested > ENUMERATION_BUDGET:
         raise BudgetExceeded("the witness walk exceeds the enumeration budget")
-    prefix, rows, reach = {(0,) * n}, [first], set(index[first])
+    # each live C: its columns, and the span of the L rows' images
+    live, prefix = [(C.transpose().to_rows(), {(0,) * m}) for C in bad], {(0,) * n}
     for d in range(1, n):
-        prefix = _grow(prefix, rows[-1], p)
-        if d == m:  # the K rows span one R; each live C: its columns, the L rows' images
-            (r,) = reach
-            live = [(C.transpose().to_rows(), {(0,) * m}) for C in bad(r)]
+        prefix = _grow(prefix, rows[d - 1], p)
+        if d < m:
+            continue
         for v in itertools.product(range(p), repeat=n):
             if v in prefix:
                 continue
             tested += 1
             if tested > ENUMERATION_BUDGET:
                 raise BudgetExceeded("the witness walk exceeds the enumeration budget")
-            if d < m:
-                inv = pow(next(x for x in v if x), -1, p)
-                keep = [i for i in index[tuple(x * inv % p for x in v)] if i in reach]
-                if any(map(bad, keep)):
-                    reach = set(keep)
-                    break
-                continue
             if d < 2 * m:
                 keep = [(cols, ims) for cols, ims in live if image(cols, v) not in ims]
             else:
@@ -305,7 +296,7 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
             if keep:
                 live = keep
                 break
-        if m <= d < 2 * m:
+        if d < 2 * m:
             live = [(cols, _grow(ims, image(cols, v), p)) for cols, ims in live]
         rows.append(v)
     return rows

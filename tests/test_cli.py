@@ -214,6 +214,17 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     # a certificate step's edge is a JSON array
     (["graph", "replay"], '{"graph":{"vertices":["a"],"edges":[["a","a"]]},'
                           '"certificate":[{"rule":"remove_edge","edge":5}]}'),
+    # a graph edge is two vertices, and a vertex a string or an integer
+    (["graph", "reduce"], '{"vertices":["a"],"edges":[["a"]]}'),
+    (["graph", "reduce"], '{"vertices":["a"],"edges":[["a","a","a"]]}'),
+    (["graph", "reduce"], '{"vertices":[["a"]],"edges":[]}'),
+    (["graph", "reduce"], '{"vertices":["a",true],"edges":[]}'),
+    (["graph", "incidence"], '{"vertices":["a"],"edges":[["a",{"b":1}]]}'),
+    (["graph", "replay"], '{"graph":{"vertices":[1.5],"edges":[]},"certificate":[]}'),
+    # the minor criterion reads a square matrix, in both modes
+    *[(["minor-vanishing", "--field", "gf:3", "--k", "1", *extra], rows)
+      for rows in ('{"rows":[[0,0],[0,0],[0,0]]}', '{"rows":[[1,0],[0,1],[0,0]]}')
+      for extra in ([], ["--mode", "sampled", "--trials", "3", "--seed", "1"])],
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_malformed_document_exits_2(tmp_path, capsys, monkeypatch, verb, doc):
     if verb[0] == "descriptor":

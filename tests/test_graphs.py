@@ -201,3 +201,14 @@ def test_graph_json_roundtrip():
     assert graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "a"], ["b", "a"]]}) == g
     cert = reduce_graph(g)
     assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+def test_graph_json_edges_are_pairs_of_string_or_integer_vertices():
+    g = graph_from_json({"vertices": ["a", 1], "edges": [["a", 1]]})
+    assert g == Multigraph.make(["a", "1"], [("a", "1")])
+    for doc, msg in (({"vertices": ["a"], "edges": [["a"]]}, "lists of two vertices"),
+                     ({"vertices": [["a"]], "edges": []}, "strings or integers"),
+                     ({"vertices": ["a", True], "edges": []}, "strings or integers"),
+                     ({"vertices": ["a"], "edges": [["a", None]]}, "strings or integers")):
+        with pytest.raises(ValueError, match=msg):
+            graph_from_json(doc)

@@ -210,6 +210,16 @@ def test_minor_vanishing_budget(monkeypatch):
         minor_vanishing_test(Matrix.zeros(G2, 4), 2)
 
 
+def test_minor_vanishing_rejects_a_non_square_matrix():
+    # the zero 3 x 2 matrix passed the exhaustive scan as "vanishes"
+    for rows in ([[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, 0]]):
+        P = Matrix.from_rows(GF(3), rows)
+        with pytest.raises(MatrixError, match="minor criterion expects a square matrix"):
+            minor_vanishing_test(P, 1)
+        with pytest.raises(MatrixError, match="minor criterion expects a square matrix"):
+            minor_vanishing_test(P, 1, mode="sampled", trials=3, rng=random.Random(0))
+
+
 def test_minor_vanishing_gf2_n3_sample(rng):
     for _ in range(25):
         P = random_matrix(3, 3, G2, rng)

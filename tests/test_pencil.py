@@ -361,14 +361,14 @@ def test_offdiag_gf2_n6_follows_the_theorem():
 
 def test_subspace_tables_are_built_on_first_use():
     # importing the package builds no table; the minor test reads its
-    # matrices off the shared table but never indexes its 101^4 vectors
+    # matrices off the shared table but never sorts its R's for the walk
     code = ("import conjlab.cli; from conjlab import pencil; "
             "print(pencil._subspace_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.split() == ["0"]
     assert minor_vanishing_test(Matrix.identity(GF(101), 4), 4) is False
-    assert "containing" not in vars(pencil._subspace_table(4, 4, 101))
+    assert "order" not in vars(pencil._subspace_table(4, 4, 101))
 
 
 def test_offdiag_budget():
@@ -427,6 +427,27 @@ def test_offdiag_walk_budget_matches_pairs_oracle(monkeypatch):
     assert offdiag_criterion_check(Matrix.scalar(GF(7), 2, 3), 0, 1) == (True, None)
 
 
+def test_witness_walk_counts_the_k_rows_at_m_above_one(monkeypatch):
+    # the K rows test sum_j code(r_j) + m - (p^m - 1)/(p - 1) rows, whose last
+    # term is 0 only at m = 1: at a budget of T, the rows the oracle walk
+    # tests, the walk gives the oracle's rows, and at T - 1 it raises
+    rng = random.Random(33)
+    for p, n, m, count in ((2, 4, 2, 6), (2, 5, 2, 3), (3, 4, 2, 3), (2, 6, 3, 2)):
+        cases = 0
+        while cases < count:
+            P, k = _differential_input(GF(p), n, rng), rng.randrange(m)
+            verdict, T = offdiag_pairs_oracle(P, k, m)
+            if verdict[0]:
+                continue
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T)
+            rows = pencil._witness_walk(P, k, m)
+            assert Matrix.from_rows(GF(p), rows) == verdict[1][0], (P.to_rows(), k)
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T - 1)
+            with pytest.raises(BudgetExceeded, match="witness walk"):
+                pencil._witness_walk(P, k, m)
+            cases += 1
+
+
 def test_budget_refuses_no_input_that_fit_the_gl_scan():
     # wherever the former scan of GL_n(F_p) fit the budget, the subspace pairs do
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -477,6 +498,23 @@ def test_enumerate_subspaces():
             assert subs == sorted(subs, key=key)
     assert list(enumerate_subspaces(1, 2, 3)) == [((1, 0),), ((1, 1),), ((1, 2),), ((0, 1),)]
     assert gaussian_binomial(4, 2, 2) == 35 and gaussian_binomial(4, 2, 3) == 130
+
+
+def test_rref_rows_last_first_are_the_least_basis():
+    # the least vector of R outside the span of the rows picked so far is the
+    # next RREF row from the bottom, so the witness walk meets the R's in the
+    # order of their RREF rows read last first, the table's order
+    for p, n, m in ((2, 4, 2), (2, 6, 3), (3, 4, 2)):
+        keys = []
+        for S in enumerate_subspaces(m, n, p):
+            vecs, basis = sorted(_span(S, p, n)), []
+            while len(basis) < m:
+                below = _span(basis, p, n)
+                basis.append(next(v for v in vecs if v not in below))
+            assert basis == list(S[::-1]), S
+            keys.append(basis)
+        order = pencil._subspace_table(m, n, p).order
+        assert list(order) == sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def test_gl_enumeration_counts():
