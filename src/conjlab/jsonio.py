@@ -45,14 +45,21 @@ def matrix_from_json(obj, field=None) -> Matrix:
     return Matrix.from_rows(f, [[f.parse(str(v)) for v in row] for row in rows])
 
 
+def _vertices_and_edges(what: str, vertices, edges) -> tuple[list, list]:
+    """vertices, and edges as tuples, once each edge is a JSON array of two
+    vertices and each vertex, listed or an end of an edge, a string or an
+    integer."""
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError(f"{what} JSON edges must be lists of two vertices")
+    if not all(isinstance(v, (str, int)) and not isinstance(v, bool)
+               for v in [*vertices, *(v for e in edges for v in e)]):
+        raise ValueError(f"{what} JSON vertices must be strings or integers")
+    return list(vertices), [tuple(e) for e in edges]
+
+
 def graph_from_json(obj) -> Multigraph:
     json_document(obj, "graph", vertices=list, edges=list)
-    if not all(isinstance(e, list) and len(e) == 2 for e in obj["edges"]):
-        raise ValueError("graph JSON edges must be lists of two vertices")
-    if not all(isinstance(v, (str, int)) and not isinstance(v, bool)
-               for v in obj["vertices"] + [v for e in obj["edges"] for v in e]):
-        raise ValueError("graph JSON vertices must be strings or integers")
-    return Multigraph.make(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    return Multigraph.make(*_vertices_and_edges("graph", obj["vertices"], obj["edges"]))
 
 
 def certificate_to_json(cert: ReductionCertificate) -> list:
@@ -67,20 +74,28 @@ def certificate_to_json(cert: ReductionCertificate) -> list:
     return out
 
 
+def _step_member(step: dict, key: str):
+    if key not in step:
+        raise ValueError(f"certificate step JSON needs {key!r}")
+    return step[key]
+
+
 def certificate_from_json(obj) -> ReductionCertificate:
     if not isinstance(obj, list):
         raise ValueError("certificate JSON must be an array")
     steps = []
     for item in obj:
-        rule = json_document(item, "certificate step")["rule"]
+        rule = _step_member(json_document(item, "certificate step"), "rule")
         if rule == "remove_edge":
-            edge = tuple(json_document(item, "certificate step", edge=list)["edge"])
+            _, (edge,) = _vertices_and_edges("certificate step", [], [_step_member(item, "edge")])
             steps.append(RemoveEdge(edge))
         elif rule == "remove_looped_vertex":
-            steps.append(RemoveLoopedVertex(item["vertex"]))
+            (vertex,), _ = _vertices_and_edges("certificate step", [_step_member(item, "vertex")], [])
+            steps.append(RemoveLoopedVertex(vertex))
         elif rule == "migrate_edge":
-            edge = tuple(json_document(item, "certificate step", edge=list)["edge"])
-            steps.append(MigrateEdge(edge, item["looped"]))
+            (looped,), (edge,) = _vertices_and_edges(
+                "certificate step", [_step_member(item, "looped")], [_step_member(item, "edge")])
+            steps.append(MigrateEdge(edge, looped))
         else:
             raise ValueError(f"unknown rule {rule!r}")
     return ReductionCertificate(tuple(steps))

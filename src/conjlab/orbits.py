@@ -37,7 +37,7 @@ from .pencil import (
     BudgetExceeded,
     ENUMERATION_BUDGET,
     _sampled_conjugates,
-    _subspace_table,
+    enumerate_subspaces,
     gaussian_binomial,
     shift_rank,
     tuple_rank_identity,
@@ -244,13 +244,14 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
                          trials: int | None = None, rng=None) -> bool:
     """Whether det((g P g^{-1})_[k],[k]) = 0 for all conjugates.
 
-    Exhaustive mode scans pairs of subspaces, not the finite group: with
-    U = g[:k,:] and V = g^{-1}[:,:k], the minor is det(U P V) and U V = I_k.
-    Its vanishing depends only on R = row space of U and C = column space of
-    V, and a pair (R, C) of Gr(k, n) comes from some g exactly when
-    det(R C^T) != 0.  So the minor vanishes for every g unless some pair has
-    det(R C^T) != 0 and det(R P C^T) != 0.  The verdict is cross-checked
-    against rank(P) < k; the enumeration budget bounds |Gr(k, n)|^2.
+    Exhaustive mode returns True when rank P < k, as every k x k minor of
+    every conjugate then vanishes.  Otherwise it scans pairs of subspaces, not
+    the finite group: with U = g[:k,:] and V = g^{-1}[:,:k], the minor is
+    det(U P V), U V = I_k, and a pair (R = row space of U, C = column space
+    of V) of Gr(k, n) comes from some g exactly when det(R C^T) != 0.  It
+    streams R, then C, up to a pair with det(R P C^T) != 0 too and returns
+    False; finding none raises ConstructionError.  The enumeration budget
+    bounds |Gr(k, n)|^2.
 
     Sampled mode checks the minor of ``trials`` random conjugates drawn from
     rng; both have no default, and a count above the enumeration budget
@@ -267,18 +268,18 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
         if gaussian_binomial(n, k, f.p) ** 2 > ENUMERATION_BUDGET:
             raise BudgetExceeded("Gr(k, n)^2 exceeds the enumeration budget")
-        table = _subspace_table(k, n, f.p)
-        verdict = True
-        for R in table.rs:
+        if rank(P) < k:
+            return True
+        for r_rows in enumerate_subspaces(k, n, f.p):
+            R = Matrix.from_rows(f, r_rows)
             RP = R @ P
             if rank(RP) < k:
                 continue
-            if any(not f.is_zero(det(RP @ C)) and not f.is_zero(det(R @ C)) for C in table.rts):
-                verdict = False
-                break
-        if verdict != (rank(P) < k):
-            raise ConstructionError("minor criterion disagrees with the rank oracle")
-        return verdict
+            for c_rows in enumerate_subspaces(k, n, f.p):
+                Ct = Matrix.from_rows(f, c_rows).transpose()
+                if not f.is_zero(det(RP @ Ct)) and not f.is_zero(det(R @ Ct)):
+                    return False
+        raise ConstructionError("no subspace pair has a nonzero minor, although rank(P) >= k")
     if mode == "sampled":
         return all(f.is_zero(det(Q.block(0, k, 0, k)))
                    for _, Q in _sampled_conjugates(P, trials, rng))

@@ -7,17 +7,15 @@ shift rank min over lambda of rank(P - lambda I), which eigenvalue data gives
 over any field with decidable eigenvalues.
 
 The off-diagonal criterion asks whether every conjugate g P g^{-1} has a
-small block in rows K and columns L.  That block's rank depends only on a
-pair of subspaces (the row space of g[K,:] and the column space of
-g^{-1}[:,L]), so the exhaustive check works over Grassmannian pairs in RREF
-order, 35 for n = 4, m = 2 over GF(2) instead of the 20160 elements of
-GL_4(F_2).  What does not depend on P (each subspace as a matrix, a basis of
-its kernel, and the subspaces' order by RREF rows read last first) is built
-once per (m, n, p), on first use, and cached.  The witness's first m rows
-are the RREF rows, last first, of the first subspace in that order with a
-failing pair, and a walk ranks a subspace's pairs only when it reaches it.
-A failed check reports the first conjugator g of GL_n(F_q) in the
-lexicographic order of (row 0, ..., row n-1), each row a tuple of residues.
+small block in rows K and columns L.  When rk(P, I) <= k a lemma decides a
+pass.  Otherwise the block's rank depends only on a pair of subspaces (the
+row space of g[K,:] and the column space of g^{-1}[:,L]), so the check
+searches Grassmannian pairs, 35 for n = 4, m = 2 over GF(2) instead of the
+20160 elements of GL_4(F_2), streamed in the order of their RREF rows read
+last first, with no table.  A failed check reports the first conjugator g of
+GL_n(F_q) in the lexicographic order of (row 0, ..., row n-1), each row a
+tuple of residues; its first m rows are the RREF rows, last first, of the
+first subspace with a failing pair.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
 
 from .fields import GF, UnsupportedFieldOperation
 from .matrix import (
@@ -153,79 +150,53 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def enumerate_subspaces(k: int, n: int, p: int):
     """Yield every k-dimensional subspace of F_p^n once, as its RREF rows.
 
-    Canonical order: by pivot columns in itertools.combinations order, then
-    the free entries lexicographically, row by row.
+    Canonical order, the one in which :func:`_witness_walk` meets the
+    subspaces: by the RREF rows read last first, each row a tuple of residues.
+    The pivot of the last row runs from n - 1 down and its free entries in
+    itertools.product order; each earlier row takes a smaller pivot, is 0 at
+    the later pivots, and runs the same way.
     """
-    for pivots in itertools.combinations(range(n), k):
-        free = [(i, c) for i, pc in enumerate(pivots) for c in range(pc + 1, n)
-                if c not in pivots]
+    return _extend_subspace(k, n, p, (), ())
+
+
+def _extend_subspace(k: int, n: int, p: int, later: tuple, pivots: tuple):
+    """The subspaces whose last RREF rows are ``later``, read last first, at
+    ``pivots``; a module function, as a recursive closure makes a cycle."""
+    if len(later) == k:
+        yield later[::-1]
+        return
+    for pc in range((pivots[-1] if pivots else n) - 1, k - len(later) - 2, -1):
+        free = [c for c in range(pc + 1, n) if c not in pivots]
         for vals in itertools.product(range(p), repeat=len(free)):
-            rows = [[int(c == pc) for c in range(n)] for pc in pivots]
-            for (i, c), v in zip(free, vals):
-                rows[i][c] = v
-            yield tuple(tuple(r) for r in rows)
+            row = [0] * n
+            row[pc] = 1
+            for c, v in zip(free, vals):
+                row[c] = v
+            yield from _extend_subspace(k, n, p, later + (tuple(row),), pivots + (pc,))
 
 
-class _SubspaceTable:
-    """What the exhaustive checks over Gr(m, n) at GF(p) read that does not
-    depend on P.  For each R, in the order of :func:`enumerate_subspaces`:
-    its Matrix of RREF rows and B^T for the canonical basis rows B of ker R,
-    read off those rows (each pivot is the row's first 1) with no elimination.
-    For each X of Gr(m, n - m), in that order: X^T, so that the candidate
-    C = (X B)^T in ker R is B^T X^T; a check forms C only for a pair it finds
-    bad.  The transposes of the R's and the walk's order of the R's are built
-    on first use, so the minor test never sorts the R's and the off-diagonal
-    check never transposes an R.  Only values are held."""
-
-    def __init__(self, m: int, n: int, p: int):
-        f = GF(p)
-        rs, bts = [], []
-        for rows in enumerate_subspaces(m, n, p):
-            ker = _kernel_vectors(f, n, [row.index(1) for row in rows], rows)
-            rs.append(Matrix.from_rows(f, rows))
-            bts.append(Matrix(f, n, n - m, tuple(v[i] for i in range(n) for v in ker)))
-        self.rs, self.bts = tuple(rs), tuple(bts)
-        self.xts = tuple(Matrix.from_rows(f, rows).transpose()
-                         for rows in enumerate_subspaces(m, n - m, p))
-
-    @cached_property
-    def rts(self) -> tuple:
-        return tuple(R.transpose() for R in self.rs)
-
-    @cached_property
-    def order(self) -> tuple:
-        """The indices of the R's sorted by their RREF rows read last first,
-        the order in which :func:`_witness_walk` meets them; each key is one
-        int with those rows' entries as base-p digits, to keep the keys small."""
-        p = self.rs[0].field.p
-
-        def key(i):
-            c = 0
-            for row in reversed(self.rs[i].to_rows()):
-                for x in row:
-                    c = c * p + x
-            return c
-        return tuple(sorted(range(len(self.rs)), key=key))
+def _with_kernel(f, rows) -> tuple[Matrix, Matrix]:
+    """R, the Matrix of the RREF rows of a subspace, and B^T for the canonical
+    basis rows B of ker R, read off those rows (each pivot is the row's first
+    1) with no elimination."""
+    n = len(rows[0])
+    ker = _kernel_vectors(f, n, [row.index(1) for row in rows], rows)
+    R = Matrix(f, len(rows), n, tuple(x for row in rows for x in row))
+    return R, Matrix(f, n, len(ker), tuple(v[i] for i in range(n) for v in ker))
 
 
-@cache
-def _subspace_table(m: int, n: int, p: int) -> _SubspaceTable:
-    """The table of Gr(m, n) over GF(p), built on its first use."""
-    return _SubspaceTable(m, n, p)
-
-
-def _bad_columns(P: Matrix, k: int, table: _SubspaceTable, i: int) -> list:
-    """Every C in ker R, R = table.rs[i], with rank(R P C) > k, as a Matrix of
-    basis columns, in the order of the X's.
+def _bad_columns(P: Matrix, k: int, R: Matrix, Bt: Matrix, xts: list) -> list:
+    """Every C in ker R with rank(R P C) > k, as a Matrix of basis columns,
+    in the order of the X's: C = (X B)^T = B^T X^T, for B the canonical basis
+    rows of ker R and X^T in xts.
 
     R P C = W X^T with W = R P B^T, so an R with rank W <= k has no bad C
     and costs one rank; otherwise each X costs the rank of the m x m
     product W X^T."""
-    Bt = table.bts[i]
-    W = table.rs[i] @ P @ Bt
+    W = R @ P @ Bt
     if rank(W) <= k:
         return []  # rank(R P C) = rank(W X^T) <= rank W
-    return [Bt @ Xt for Xt in table.xts if rank(W @ Xt) > k]
+    return [Bt @ Xt for Xt in xts if rank(W @ Xt) > k]
 
 
 def _grow(vecs: set, v, p: int) -> set:
@@ -233,46 +204,46 @@ def _grow(vecs: set, v, p: int) -> set:
     return vecs | {tuple((a + c * b) % p for a, b in zip(u, v)) for u in vecs for c in range(1, p)}
 
 
-def _witness_walk(P: Matrix, k: int, m: int) -> list | None:
+def _witness_walk(P: Matrix, k: int, m: int) -> list:
     """Rows of the first g of GL_n(F_p), in the lexicographic order of its
     rows, whose key (R, C), R the row space of g[K] and C the kernel of the
-    rows of g outside L, has rank(R P C) > k; None when no pair (R, C) has,
-    so P passes.
+    rows of g outside L, has rank(R P C) > k.  It raises AssertionError when
+    no pair (R, C) has, as the check calls it only when rk(P, I) > k.
 
     The rows are chosen one at a time, each the least vector outside the span
     of the rows before it that keeps some bad pair (R, C) reachable.  A row
     in K must lie in R.  For R in RREF with rows r_1, ..., r_m, the least
     vector of R outside span(r_(j+1), ..., r_m) is r_j: its first nonzero
     entry sits at r_j's pivot, as late as any can, with value 1 and 0 at the
-    later pivots.  So the K rows are r_m, ..., r_1 of the first R in
-    ``table.order`` with a bad C (:func:`_bad_columns`, found only for the
-    R's the walk reaches): a bad R holding the rows picked so far has them
-    as its last RREF rows, or an R before it would be bad.  The other rows
-    are tested by their image v C in F_p^m, as ann(C) is the kernel of
-    v -> v C: a row after L must have image 0, and a row in L an image
-    outside the span of the images of the L rows before it.  Exactly the
-    prefixes that meet these conditions extend to an invertible g with key
-    (R, C), so the walk never backtracks.  Each candidate row tested counts
-    against the enumeration budget; a tested row that fails stands for at
-    least one g the full enumeration visits before the witness, so wherever
-    |GL_n| fits the budget, the walk does.  Every vector of
+    later pivots.  So the K rows are r_m, ..., r_1 of the first R with a bad C
+    (:func:`_bad_columns`) in the streamed order of :func:`enumerate_subspaces`:
+    a bad R holding the rows picked so far has them as its last RREF rows, or
+    an R before it would be bad.  The other rows are tested by their image
+    v C in F_p^m, as ann(C) is the kernel of v -> v C: a row after L must
+    have image 0, and a row in L an image outside the span of the images of
+    the L rows before it.  Exactly the prefixes that meet these conditions
+    extend to an invertible g with key (R, C), so the walk never backtracks.
+    Each candidate row tested counts against the enumeration budget; a tested
+    row that fails stands for at least one g the full enumeration visits
+    before the witness, so wherever |GL_n| fits the budget, the walk does.  Every vector of
     span(r_(j+1), ..., r_m) comes before r_j, so the K rows test
     sum_j code(r_j) + m - (p^m - 1)/(p - 1) rows, code(v) =
-    sum_i v_i p^(n-1-i) being the vectors before v; a P that passes tests none.
+    sum_i v_i p^(n-1-i) being the vectors before v.
     """
-    n, p = P.rows, P.field.p
-    table = _subspace_table(m, n, p)
+    f, n = P.field, P.rows
+    p = f.p
+    xts = [Matrix.from_rows(f, x).transpose() for x in enumerate_subspaces(m, n - m, p)]
 
     def image(cols, v):  # v C, for C given by its columns
         return tuple(sum(map(operator.mul, v, col)) % p for col in cols)
 
-    for r in table.order:
-        bad = _bad_columns(P, k, table, r)
+    for r_rows in enumerate_subspaces(m, n, p):
+        bad = _bad_columns(P, k, *_with_kernel(f, r_rows), xts)
         if bad:
             break
     else:
-        return None
-    rows = [tuple(v) for v in table.rs[r].to_rows()[::-1]]
+        raise AssertionError("no subspace pair is bad, so rk(P, I) <= k")
+    rows = list(r_rows[::-1])
     tested = sum(x * p ** (n - 1 - i) for v in rows for i, x in enumerate(v))
     tested += m - (p**m - 1) // (p - 1)
     if tested > ENUMERATION_BUDGET:
@@ -329,15 +300,16 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     K = the first m indices and L = the next m indices.  In exhaustive mode the
     verdict equals tuple_rank_identity(P) <= k whenever n >= 2m >= 2(k+1).
 
-    Exhaustive mode scans subspace pairs, not GL_n(F_q): with U = g[K,:] and
-    V = g^{-1}[:,L], Q_[K,L] = U P V and U V = 0, so the rank depends only on
-    R = row space of U and C = column space of V, with C inside ker R; since
-    n >= 2m every such pair comes from some g.  A False verdict carries a
-    certified witness (g, K, L): g is the first element of GL_n(F_q), in the
-    lexicographic order of its rows, whose block has rank > k, found by a walk
-    that skips every row prefix that cannot reach such a pair and ranks the
-    pairs of a subspace only when it reaches it.  The enumeration budget
-    bounds the number of pairs and the rows the walk tests.
+    Exhaustive mode returns a pass when rank(P - lambda I) <= k for some
+    lambda: K and L are disjoint, so (g P g^{-1})_[K,L] is the block of
+    g (P - lambda I) g^{-1}.  Otherwise it searches subspace pairs, not
+    GL_n(F_q): with U = g[K,:] and V = g^{-1}[:,L], Q_[K,L] = U P V and
+    U V = 0, so the rank depends only on R = row space of U and C = column
+    space of V, with C inside ker R; since n >= 2m every such pair comes from
+    some g.  A False verdict carries a certified witness (g, K, L): g is the
+    first element of GL_n(F_q), in the lexicographic order of its rows, whose
+    block has rank > k (:func:`_witness_walk`).  The enumeration budget,
+    checked before the lemma, bounds the pairs and the rows the walk tests.
 
     Sampled mode draws ``trials`` random conjugators and random disjoint index
     pairs from rng; both have no default, a count above the enumeration
@@ -356,10 +328,9 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
         if gaussian_binomial(n, m, f.p) * gaussian_binomial(n - m, m, f.p) > ENUMERATION_BUDGET:
             raise BudgetExceeded("the subspace pairs exceed the enumeration budget")
-        rows = _witness_walk(P, k, m)
-        if rows is None:
+        if tuple_rank_identity(P) <= k:
             return True, None
-        g = Matrix.from_rows(f, rows)
+        g = Matrix.from_rows(f, _witness_walk(P, k, m))
         if rank((g @ P @ inverse(g)).submatrix(K, L)) <= k:
             raise AssertionError("the witness walk returned a conjugator that does not certify")
         return False, (g, K, L)

@@ -214,6 +214,17 @@ def test_malformed_matrix_exits_2(capsys, monkeypatch, field, doc):
     # a certificate step's edge is a JSON array
     (["graph", "replay"], '{"graph":{"vertices":["a"],"edges":[["a","a"]]},'
                           '"certificate":[{"rule":"remove_edge","edge":5}]}'),
+    # a certificate step's edge is two vertices, its vertex and looped are
+    # vertices, and a missing member is named
+    *[(["graph", "replay"], '{"graph":{"vertices":["a","b"],"edges":[["a","a"],["a","b"]]},'
+                            '"certificate":[' + step + ']}')
+      for step in ('{"rule":"remove_edge","edge":["a"]}',
+                   '{"rule":"remove_edge","edge":["a","b","a"]}',
+                   '{"rule":"remove_looped_vertex","vertex":["a"]}',
+                   '{"rule":"migrate_edge","edge":["a","b"],"looped":["a"]}',
+                   '{"rule":"migrate_edge","edge":["a","b"]}',
+                   '{"rule":"remove_looped_vertex"}',
+                   '{"edge":["a","a"]}')],
     # a graph edge is two vertices, and a vertex a string or an integer
     (["graph", "reduce"], '{"vertices":["a"],"edges":[["a"]]}'),
     (["graph", "reduce"], '{"vertices":["a"],"edges":[["a","a","a"]]}'),

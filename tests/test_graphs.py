@@ -212,3 +212,22 @@ def test_graph_json_edges_are_pairs_of_string_or_integer_vertices():
                      ({"vertices": ["a"], "edges": [["a", None]]}, "strings or integers")):
         with pytest.raises(ValueError, match=msg):
             graph_from_json(doc)
+
+
+def test_certificate_json_steps_are_checked_like_graph_json():
+    # a step's edge and vertices pass the graph's checks, and a missing member is named
+    for step, msg in (({"rule": "remove_edge", "edge": ["a"]}, "lists of two vertices"),
+                      ({"rule": "remove_looped_vertex", "vertex": ["a"]}, "strings or integers"),
+                      ({"rule": "migrate_edge", "edge": ["a", "b"], "looped": ["a"]},
+                       "strings or integers"),
+                      ({"rule": "migrate_edge", "edge": ["a", True], "looped": "a"},
+                       "strings or integers"),
+                      ({"rule": "migrate_edge", "edge": ["a", "b"]}, "needs 'looped'"),
+                      ({"rule": "remove_edge"}, "needs 'edge'"),
+                      ({"edge": ["a", "a"]}, "needs 'rule'")):
+        with pytest.raises(ValueError, match=msg):
+            certificate_from_json([step])
+    steps = [{"rule": "migrate_edge", "edge": ["a", 1], "looped": 1},
+             {"rule": "remove_looped_vertex", "vertex": "a"}]
+    assert certificate_from_json(steps) == ReductionCertificate(
+        (MigrateEdge(("a", 1), 1), RemoveLoopedVertex("a")))

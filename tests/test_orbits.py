@@ -20,6 +20,7 @@ from conjlab.matrix import (
 )
 from conjlab.matrix import MatrixError
 from conjlab.orbits import (
+    ConstructionError,
     OrbitClosure,
     classify_orbit_closure,
     degeneration_witness,
@@ -208,6 +209,26 @@ def test_minor_vanishing_budget(monkeypatch):
     monkeypatch.setattr(orbits, "ENUMERATION_BUDGET", 35**2 - 1)
     with pytest.raises(BudgetExceeded):
         minor_vanishing_test(Matrix.zeros(G2, 4), 2)
+
+
+def test_minor_vanishing_pass_never_scans(monkeypatch):
+    # a P of rank < k passes by the lemma, before any subspace is listed
+    def scan(*args):
+        raise AssertionError("the scan ran on a passing input")
+    monkeypatch.setattr(orbits, "enumerate_subspaces", scan)
+    rng = random.Random(34)
+    for fld, n in ((G2, 4), (G3, 4), (G5, 3)):
+        for r in range(n):
+            assert minor_vanishing_test(matrix_of_rank(fld, n, r, rng), r + 1)
+
+
+def test_minor_with_no_pair_raises(monkeypatch):
+    # with every det read as 0, an invertible P at k = n has rank P >= k but
+    # no pair with a nonzero minor, which contradicts the theorem
+    monkeypatch.setattr(orbits, "det", lambda M: M.field.zero)
+    for fld, n in ((G2, 2), (G3, 3)):
+        with pytest.raises(ConstructionError):
+            minor_vanishing_test(Matrix.identity(fld, n), n)
 
 
 def test_minor_vanishing_rejects_a_non_square_matrix():

@@ -271,13 +271,16 @@ def _bad_pairs_full_scan(P, k, m):
     return bad
 
 
-def test_subspace_table_kernels_match_kernel_basis():
-    # B^T read off each R's RREF, with no elimination, is the eliminating kernel_basis
+def test_kernels_read_off_rref_rows_match_kernel_basis():
+    # B^T read off each R's RREF rows, with no elimination, is the eliminating kernel_basis
     for m, n, p in ((2, 5, 2), (2, 4, 3), (1, 3, 5)):
-        table = pencil._SubspaceTable(m, n, p)
-        assert len(table.bts) == len(table.rs) == gaussian_binomial(n, m, p)
-        for R, Bt in zip(table.rs, table.bts):
+        count = 0
+        for rows in enumerate_subspaces(m, n, p):
+            R, Bt = pencil._with_kernel(GF(p), rows)
+            assert R.to_rows() == [list(r) for r in rows]
             assert Bt == kernel_basis(R).transpose()
+            count += 1
+        assert count == gaussian_binomial(n, m, p)
 
 
 def test_offdiag_bad_pairs_match_full_scan():
@@ -290,9 +293,11 @@ def test_offdiag_bad_pairs_match_full_scan():
                 Matrix.scalar(fld, 4, 1) + matrix_of_rank(fld, 4, 2, rng)]
         for P in ins:
             for k, m in ((0, 1), (0, 2), (1, 2)):
-                table = pencil._subspace_table(m, 4, fld.p)
-                pairs = [(R, C) for i, R in enumerate(table.rs)
-                         for C in pencil._bad_columns(P, k, table, i)]
+                xts = [Matrix.from_rows(fld, x).transpose()
+                       for x in enumerate_subspaces(m, 4 - m, fld.p)]
+                pairs = [(R, C) for rows in enumerate_subspaces(m, 4, fld.p)
+                         for R, Bt in [pencil._with_kernel(fld, rows)]
+                         for C in pencil._bad_columns(P, k, R, Bt, xts)]
                 assert pairs == _bad_pairs_full_scan(P, k, m)
                 assert pairs == offdiag_bad_pairs_oracle(P, k, m)
 
@@ -359,16 +364,50 @@ def test_offdiag_gf2_n6_follows_the_theorem():
     assert not holds and rank((g @ P2 @ inverse(g)).submatrix(K, L)) > 1
 
 
-def test_subspace_tables_are_built_on_first_use():
-    # importing the package builds no table; the minor test reads its
-    # matrices off the shared table but never sorts its R's for the walk
-    code = ("import conjlab.cli; from conjlab import pencil; "
-            "print(pencil._subspace_table.cache_info().currsize)")
+def test_first_check_of_a_large_grassmannian_stays_small():
+    # GF(2), n = 8, m = 4: a pass is decided by the lemma and a fail streams
+    # the 200787 points of Gr(4, 8) up to its first bad R, so a fresh process
+    # holds no table of them (a table of Gr(4, 8) peaked at about 230 MB)
+    code = """if True:
+        import random
+        from conjlab.fields import GF
+        from conjlab.matrix import Matrix, inverse, random_matrix, rank
+        from conjlab.pencil import offdiag_criterion_check, tuple_rank_identity
+        f = GF(2)
+        assert offdiag_criterion_check(Matrix.identity(f, 8), 1, 4) == (True, None)
+        P = random_matrix(8, 8, f, random.Random(0))
+        assert tuple_rank_identity(P) > 1
+        holds, (g, K, L) = offdiag_criterion_check(P, 1, 4)
+        assert not holds and rank((g @ P @ inverse(g)).submatrix(K, L)) > 1
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """
+    # the peak RSS of the child's own address space: its ru_maxrss would carry
+    # the peak of the test process, which Linux keeps across fork and exec
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert out.stdout.split() == ["0"]
-    assert minor_vanishing_test(Matrix.identity(GF(101), 4), 4) is False
-    assert "order" not in vars(pencil._subspace_table(4, 4, 101))
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert int(out.stdout) < 64 * 1024, out.stdout  # in kB
+
+
+def test_offdiag_pass_never_walks(monkeypatch):
+    # a P with rk(P, I) <= k passes by the lemma, before any subspace is listed
+    def walk(*args):
+        raise AssertionError("the walk ran on a passing input")
+    monkeypatch.setattr(pencil, "_witness_walk", walk)
+    rng = random.Random(34)
+    for fld, n, m, k in ((G2, 4, 2, 1), (G3, 4, 2, 1), (G2, 6, 3, 2), (G5, 4, 1, 0)):
+        ins = [Matrix.identity(fld, n), Matrix.scalar(fld, n, fld.p - 1) + matrix_of_rank(fld, n, k, rng)]
+        for P in ins:
+            assert tuple_rank_identity(P) <= k
+            assert offdiag_criterion_check(P, k, m) == (True, None), P.to_rows()
+
+
+def test_offdiag_walk_with_no_bad_pair_raises(monkeypatch):
+    # a walk that finds no bad pair contradicts the theorem: with the lemma
+    # made to miss the identity, the check raises rather than pass
+    monkeypatch.setattr(pencil, "tuple_rank_identity", lambda P: 2)
+    with pytest.raises(AssertionError, match="no subspace pair"):
+        offdiag_criterion_check(Matrix.identity(G2, 4), 1, 2)
 
 
 def test_offdiag_budget():
@@ -493,17 +532,17 @@ def test_enumerate_subspaces():
                 brute = {sp for vs in itertools.product(vectors, repeat=k)
                          if len(sp := _span(vs, p, n)) == p**k}
                 assert set(spans) == brute
-            # canonical order: pivot columns, then the entries row by row
-            key = lambda S: (tuple(next(c for c, x in enumerate(r) if x) for r in S), S)
+            # canonical order: the RREF rows read last first
+            key = lambda S: S[::-1]
             assert subs == sorted(subs, key=key)
-    assert list(enumerate_subspaces(1, 2, 3)) == [((1, 0),), ((1, 1),), ((1, 2),), ((0, 1),)]
+    assert list(enumerate_subspaces(1, 2, 3)) == [((0, 1),), ((1, 0),), ((1, 1),), ((1, 2),)]
     assert gaussian_binomial(4, 2, 2) == 35 and gaussian_binomial(4, 2, 3) == 130
 
 
 def test_rref_rows_last_first_are_the_least_basis():
     # the least vector of R outside the span of the rows picked so far is the
     # next RREF row from the bottom, so the witness walk meets the R's in the
-    # order of their RREF rows read last first, the table's order
+    # order of their least bases, the order enumerate_subspaces yields
     for p, n, m in ((2, 4, 2), (2, 6, 3), (3, 4, 2)):
         keys = []
         for S in enumerate_subspaces(m, n, p):
@@ -513,8 +552,7 @@ def test_rref_rows_last_first_are_the_least_basis():
                 basis.append(next(v for v in vecs if v not in below))
             assert basis == list(S[::-1]), S
             keys.append(basis)
-        order = pencil._subspace_table(m, n, p).order
-        assert list(order) == sorted(range(len(keys)), key=keys.__getitem__)
+        assert keys == sorted(keys)
 
 
 def test_gl_enumeration_counts():
