@@ -333,6 +333,20 @@ def gfpoly_roots(coeffs, p) -> list[int]:
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:(\*?)(t)(?:\^(\d+))?)?$")
+# The largest exponent of t or of 10 that scalar input may carry: Python's
+# default digit limit on int(str).  A parser that took a longer one would
+# build a coefficient slot per degree of t, or compute 10**e, without bound.
+_MAX_EXPONENT = 4300
+
+
+def _exponent(text: str, s: str) -> int:
+    """The exponent written as ``text`` (a sign, then digits and underscores)
+    in the scalar ``s``, refused when its size is above _MAX_EXPONENT, before
+    any power is built."""
+    digits = text.lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+        raise FieldError(f"exponent {text} in {s!r} is above {_MAX_EXPONENT} in size")
+    return int(text.replace("_", ""))
 
 
 def ipoly_parse(s: str) -> tuple[int, ...]:
@@ -353,7 +367,7 @@ def ipoly_parse(s: str) -> tuple[int, ...]:
             coeffs[0] = coeffs.get(0, 0) + int(num)
         else:
             c = 1 if num in ("", "+") else -1 if num == "-" else int(num)
-            e = 1 if exp is None else int(exp)
+            e = 1 if exp is None else _exponent(exp, s)
             coeffs[e] = coeffs.get(e, 0) + c
     if not coeffs:
         return ()
@@ -567,6 +581,8 @@ class QQ:
 
     @_parser
     def parse(self, s: str):
+        if m := re.search(r"e([-+]?[\d_]+)\s*$", s, re.IGNORECASE):
+            _exponent(m.group(1), s)
         return Fraction(s.strip())
 
     def format(self, a) -> str:

@@ -34,11 +34,9 @@ from .matrix import (
     solve_right,
 )
 from .pencil import (
-    BudgetExceeded,
-    ENUMERATION_BUDGET,
+    _Budget,
     _sampled_conjugates,
     enumerate_subspaces,
-    gaussian_binomial,
     shift_rank,
     tuple_rank_identity,
 )
@@ -250,8 +248,8 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     det(U P V), U V = I_k, and a pair (R = row space of U, C = column space
     of V) of Gr(k, n) comes from some g exactly when det(R C^T) != 0.  It
     streams R, then C, up to a pair with det(R P C^T) != 0 too and returns
-    False; finding none raises ConstructionError.  The enumeration budget
-    bounds |Gr(k, n)|^2.
+    False; finding none raises ConstructionError.  It charges the enumeration
+    budget 1 per R and 1 per C it tries.
 
     Sampled mode checks the minor of ``trials`` random conjugates drawn from
     rng; both have no default, and a count above the enumeration budget
@@ -266,16 +264,17 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if not isinstance(f, GF):
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
-        if gaussian_binomial(n, k, f.p) ** 2 > ENUMERATION_BUDGET:
-            raise BudgetExceeded("Gr(k, n)^2 exceeds the enumeration budget")
         if rank(P) < k:
             return True
+        budget = _Budget("the minor search")
         for r_rows in enumerate_subspaces(k, n, f.p):
+            budget.charge()
             R = Matrix.from_rows(f, r_rows)
             RP = R @ P
             if rank(RP) < k:
                 continue
             for c_rows in enumerate_subspaces(k, n, f.p):
+                budget.charge()
                 Ct = Matrix.from_rows(f, c_rows).transpose()
                 if not f.is_zero(det(RP @ Ct)) and not f.is_zero(det(R @ Ct)):
                     return False

@@ -10,9 +10,9 @@ The off-diagonal criterion asks whether every conjugate g P g^{-1} has a
 small block in rows K and columns L.  When rk(P, I) <= k a lemma decides a
 pass.  Otherwise the block's rank depends only on a pair of subspaces (the
 row space of g[K,:] and the column space of g^{-1}[:,L]), so the check
-searches Grassmannian pairs, 35 for n = 4, m = 2 over GF(2) instead of the
-20160 elements of GL_4(F_2), streamed in the order of their RREF rows read
-last first, with no table.  A failed check reports the first conjugator g of
+searches Grassmannian points, streamed in the order of their RREF rows read
+last first, not the 20160 elements of GL_4(F_2), and is charged for the work
+it does (:class:`_Budget`).  A failed check reports the first conjugator g of
 GL_n(F_q) in the lexicographic order of (row 0, ..., row n-1), each row a
 tuple of residues; its first m rows are the RREF rows, last first, of the
 first subspace with a failing pair.
@@ -185,26 +185,28 @@ def _with_kernel(f, rows) -> tuple[Matrix, Matrix]:
     return R, Matrix(f, n, len(ker), tuple(v[i] for i in range(n) for v in ker))
 
 
-def _bad_columns(P: Matrix, k: int, R: Matrix, Bt: Matrix, xts: list) -> list:
-    """Every C in ker R with rank(R P C) > k, as a Matrix of basis columns,
-    in the order of the X's: C = (X B)^T = B^T X^T, for B the canonical basis
-    rows of ker R and X^T in xts.
+class _Budget:
+    """The enumeration budget of one all-conjugates search, the off-diagonal
+    walk or the minor search, charged before the work each charge counts; a
+    pass that a lemma decides makes no search and costs nothing."""
 
-    R P C = W X^T with W = R P B^T, so an R with rank W <= k has no bad C
-    and costs one rank; otherwise each X costs the rank of the m x m
-    product W X^T."""
-    W = R @ P @ Bt
-    if rank(W) <= k:
-        return []  # rank(R P C) = rank(W X^T) <= rank W
-    return [Bt @ Xt for Xt in xts if rank(W @ Xt) > k]
+    def __init__(self, search: str):
+        self.search, self.spent = search, 0
+
+    def charge(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > ENUMERATION_BUDGET:
+            raise BudgetExceeded(f"{self.search} exceeds the enumeration budget")
 
 
-def _grow(vecs: set, v, p: int) -> set:
-    """The vectors of span(vecs, v) mod p, for vecs the vectors of a span."""
+def _grow(vecs: set, v, p: int, budget: _Budget) -> set:
+    """The vectors of span(vecs, v) mod p, for vecs the vectors of a span and
+    v outside it; charges the (p - 1) |vecs| vectors it adds."""
+    budget.charge((p - 1) * len(vecs))
     return vecs | {tuple((a + c * b) % p for a, b in zip(u, v)) for u in vecs for c in range(1, p)}
 
 
-def _witness_walk(P: Matrix, k: int, m: int) -> list:
+def _witness_walk(P: Matrix, k: int, m: int, budget: _Budget) -> list:
     """Rows of the first g of GL_n(F_p), in the lexicographic order of its
     rows, whose key (R, C), R the row space of g[K] and C the kernel of the
     rows of g outside L, has rank(R P C) > k.  It raises AssertionError when
@@ -216,50 +218,46 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list:
     vector of R outside span(r_(j+1), ..., r_m) is r_j: its first nonzero
     entry sits at r_j's pivot, as late as any can, with value 1 and 0 at the
     later pivots.  So the K rows are r_m, ..., r_1 of the first R with a bad C
-    (:func:`_bad_columns`) in the streamed order of :func:`enumerate_subspaces`:
-    a bad R holding the rows picked so far has them as its last RREF rows, or
-    an R before it would be bad.  The other rows are tested by their image
-    v C in F_p^m, as ann(C) is the kernel of v -> v C: a row after L must
-    have image 0, and a row in L an image outside the span of the images of
-    the L rows before it.  Exactly the prefixes that meet these conditions
-    extend to an invertible g with key (R, C), so the walk never backtracks.
-    Each candidate row tested counts against the enumeration budget; a tested
-    row that fails stands for at least one g the full enumeration visits
-    before the witness, so wherever |GL_n| fits the budget, the walk does.  Every vector of
-    span(r_(j+1), ..., r_m) comes before r_j, so the K rows test
-    sum_j code(r_j) + m - (p^m - 1)/(p - 1) rows, code(v) =
-    sum_i v_i p^(n-1-i) being the vectors before v.
+    in the streamed order of :func:`enumerate_subspaces`: a bad R holding the
+    rows picked so far has them as its last RREF rows, or an R before it
+    would be bad.  The C's in ker R are B^T X^T, B the canonical basis rows
+    of ker R and X in Gr(m, n - m), and R P C = W X^T for W = R P B^T; as
+    n - m >= m some X keeps rank W, so the first bad R is the first with
+    rank W > k.  The other rows are tested by their image v C in F_p^m, as
+    ann(C) is the kernel of v -> v C: a row after L must have image 0, and a
+    row in L an image outside the span of the images of the L rows before it.
+    Exactly the prefixes that meet these conditions extend to an invertible g
+    with key (R, C), so the walk never backtracks.  The walk charges
+    ``budget`` 1 per R, m n per X^T (before they are listed), 1 per vector
+    that :func:`_grow` adds and 1 per row tested after the K rows.
     """
     f, n = P.field, P.rows
     p = f.p
-    xts = [Matrix.from_rows(f, x).transpose() for x in enumerate_subspaces(m, n - m, p)]
 
     def image(cols, v):  # v C, for C given by its columns
         return tuple(sum(map(operator.mul, v, col)) % p for col in cols)
 
     for r_rows in enumerate_subspaces(m, n, p):
-        bad = _bad_columns(P, k, *_with_kernel(f, r_rows), xts)
-        if bad:
+        budget.charge()
+        R, Bt = _with_kernel(f, r_rows)
+        W = R @ P @ Bt
+        if rank(W) > k:
             break
     else:
         raise AssertionError("no subspace pair is bad, so rk(P, I) <= k")
-    rows = list(r_rows[::-1])
-    tested = sum(x * p ** (n - 1 - i) for v in rows for i, x in enumerate(v))
-    tested += m - (p**m - 1) // (p - 1)
-    if tested > ENUMERATION_BUDGET:
-        raise BudgetExceeded("the witness walk exceeds the enumeration budget")
+    budget.charge(m * n * gaussian_binomial(n - m, m, p))
+    xts = (Matrix.from_rows(f, x).transpose() for x in enumerate_subspaces(m, n - m, p))
     # each live C: its columns, and the span of the L rows' images
-    live, prefix = [(C.transpose().to_rows(), {(0,) * m}) for C in bad], {(0,) * n}
+    live = [((Bt @ Xt).transpose().to_rows(), {(0,) * m}) for Xt in xts if rank(W @ Xt) > k]
+    rows, prefix = list(r_rows[::-1]), {(0,) * n}
     for d in range(1, n):
-        prefix = _grow(prefix, rows[d - 1], p)
+        prefix = _grow(prefix, rows[d - 1], p, budget)
         if d < m:
             continue
         for v in itertools.product(range(p), repeat=n):
             if v in prefix:
                 continue
-            tested += 1
-            if tested > ENUMERATION_BUDGET:
-                raise BudgetExceeded("the witness walk exceeds the enumeration budget")
+            budget.charge()
             if d < 2 * m:
                 keep = [(cols, ims) for cols, ims in live if image(cols, v) not in ims]
             else:
@@ -268,7 +266,7 @@ def _witness_walk(P: Matrix, k: int, m: int) -> list:
                 live = keep
                 break
         if d < 2 * m:
-            live = [(cols, _grow(ims, image(cols, v), p)) for cols, ims in live]
+            live = [(cols, _grow(ims, image(cols, v), p, budget)) for cols, ims in live]
         rows.append(v)
     return rows
 
@@ -308,8 +306,8 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     space of V, with C inside ker R; since n >= 2m every such pair comes from
     some g.  A False verdict carries a certified witness (g, K, L): g is the
     first element of GL_n(F_q), in the lexicographic order of its rows, whose
-    block has rank > k (:func:`_witness_walk`).  The enumeration budget,
-    checked before the lemma, bounds the pairs and the rows the walk tests.
+    block has rank > k (:func:`_witness_walk`).  A pass costs nothing of the
+    enumeration budget; the walk is charged for what it builds and tests.
 
     Sampled mode draws ``trials`` random conjugators and random disjoint index
     pairs from rng; both have no default, a count above the enumeration
@@ -326,11 +324,9 @@ def offdiag_criterion_check(P: Matrix, k: int, m: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if not isinstance(f, GF):
             raise UnsupportedFieldOperation("exhaustive mode needs a finite field")
-        if gaussian_binomial(n, m, f.p) * gaussian_binomial(n - m, m, f.p) > ENUMERATION_BUDGET:
-            raise BudgetExceeded("the subspace pairs exceed the enumeration budget")
         if tuple_rank_identity(P) <= k:
             return True, None
-        g = Matrix.from_rows(f, _witness_walk(P, k, m))
+        g = Matrix.from_rows(f, _witness_walk(P, k, m, _Budget("the witness walk")))
         if rank((g @ P @ inverse(g)).submatrix(K, L)) <= k:
             raise AssertionError("the witness walk returned a conjugator that does not certify")
         return False, (g, K, L)

@@ -3,7 +3,13 @@
 import functools
 import itertools
 import math
+import os
+import pathlib
 import random
+import resource
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -11,6 +17,34 @@ import pytest
 from conjlab.fields import UniPoly
 from conjlab.matrix import Matrix, Span, det, inverse, kernel_basis, random_matrix, rank
 from conjlab.pencil import enumerate_subspaces
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# prints the child's peak RSS as the last line of its stderr: its ru_maxrss
+# would carry the peak of the test process, which Linux keeps across fork and exec
+_PEAK_HOOK = """import atexit, sys
+def _peak():
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
+atexit.register(_peak)
+"""
+
+
+def run_capped(code: str, stdin: str = "", mem_mb: int = 512, timeout: float = 60):
+    """Run ``code`` in a fresh interpreter with src/ on its path, under an
+    address-space cap of ``mem_mb`` and a timeout (subprocess.TimeoutExpired
+    past it), so that a test of an unbounded input fails without taking the
+    machine's memory.  Returns (exit code, stdout, stderr, peak RSS in kB),
+    the peak None when the child did not exit normally."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (mem_mb << 20, mem_mb << 20))
+    out = subprocess.run([sys.executable, "-c", _PEAK_HOOK + textwrap.dedent(code)],
+                         input=stdin, capture_output=True, text=True, timeout=timeout,
+                         preexec_fn=cap, env={**os.environ, "PYTHONPATH": str(SRC)})
+    lines = out.stderr.splitlines(keepends=True)
+    if not lines or not lines[-1].startswith("VmHWM:"):
+        return out.returncode, out.stdout, out.stderr, None
+    return out.returncode, out.stdout, "".join(lines[:-1]), int(lines[-1].split()[1])
 
 
 def _poly_add(f, a, b):

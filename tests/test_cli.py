@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_capped
 from conjlab.cli import main
 from conjlab.verify import run_one
 
@@ -315,6 +316,31 @@ def test_qqt_quotient_with_a_sum_exits_2(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "'t+1/3'" in err and "(num)/(den)" in err
+
+
+@pytest.mark.parametrize("field, scalar", [
+    ("qq_t", "t^99999999999"), ("qq_t", "(1)/(t^99999999999)"),
+    ("qq", "1e10000000"), ("qq", "1e-99999999999"),
+])
+def test_scalar_with_a_huge_exponent_exits_2(field, scalar):
+    # a 14-byte entry built a list slot per degree of t, or computed 10**N:
+    # run capped, it now exits 2 with one line at once
+    code, out, err, _ = run_capped(f"""
+        import sys
+        from conjlab.cli import main
+        sys.exit(main(["rank", "--field", "{field}"]))
+    """, stdin=json.dumps({"rows": [[scalar]]}), timeout=30)
+    assert code == 2 and out == "" and err.count("\n") == 1 and "exponent" in err, err
+
+
+def test_all_conjugates_checks_past_the_pair_count(capsys, monkeypatch):
+    # the 8 x 8 identity over GF(2) passes offdiag-check by its lemma (7.0 M
+    # subspace pairs at m = 2) and fails minor-vanishing at its first pair
+    doc = json.dumps({"field": "gf:2", "rows": [[str(int(i == j)) for j in range(8)] for i in range(8)]})
+    for argv, want in ((["offdiag-check", "--k", "1", "--m", "2"], {"holds": True}),
+                       (["minor-vanishing", "--k", "4"], {"vanishes": False})):
+        code, out = run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0 and {k: v for k, v in json.loads(out).items() if k in want} == want, out
 
 
 def test_chain_normalize_integral_floats(capsys, monkeypatch):

@@ -133,6 +133,19 @@ def test_ipoly_parse_format_roundtrip():
         ipoly_parse("t^")
 
 
+def test_scalar_exponents_stop_at_the_int_digit_limit():
+    # an exponent of t or of 10 up to 4300, Python's default digit limit on
+    # int(str), parses; one above it, of either sign, is refused before any
+    # power is built
+    assert len(ipoly_parse("t^4300")) == 4301 and ipoly_parse("2*t^003") == (0, 0, 0, 2)
+    assert QQ().parse("1e4300") == 10**4300 and QQ().parse("3E-4_300") == Fraction(3, 10**4300)
+    assert QQ().parse(" 25e-1 ") == Fraction(5, 2)
+    for parse, s in ((ipoly_parse, "t^4301"), (QQT().parse, "(1)/(t^99999999999)"),
+                     (QQ().parse, "1e4301"), (QQ().parse, "1e-4301"), (QQ().parse, "2.5E+0" + "9" * 5000)):
+        with pytest.raises(FieldError, match="exponent"):
+            parse(s)
+
+
 def test_ipoly_gcd():
     # gcd((t-1)(t+2), (t-1)) = t - 1
     assert ipoly_gcd((-2, 1, 1), (-1, 1)) == (-1, 1)

@@ -33,8 +33,8 @@ from conjlab.orbits import (
     topleft_realization,
     tuple_rank_lift,
 )
-from conjlab import matrix, orbits
-from conjlab.pencil import BudgetExceeded, shift_rank, tuple_rank_identity
+from conjlab import matrix, orbits, pencil
+from conjlab.pencil import BudgetExceeded, enumerate_subspaces, shift_rank, tuple_rank_identity
 
 G2, G3, G5, G7, QQ_ = GF(2), GF(3), GF(5), GF(7), QQ()
 
@@ -203,12 +203,43 @@ def test_minor_vanishing_gf3_n4(rng):
             assert minor_vanishing_test(P, k) == (r < k)
 
 
+def _minor_tries(P, k):
+    """The R's and C's a scan of Gr(k, n) tries up to its first pair with
+    det(R C^T) != 0 and det(R P C^T) != 0; an R with rank(R P) < k has no C."""
+    f, n, tries = P.field, P.rows, 0
+    for r_rows in enumerate_subspaces(k, n, f.p):
+        tries += 1
+        R = Matrix.from_rows(f, r_rows)
+        if rank(R @ P) < k:
+            continue
+        for c_rows in enumerate_subspaces(k, n, f.p):
+            tries += 1
+            Ct = Matrix.from_rows(f, c_rows).transpose()
+            if rank(R @ Ct) == rank(R @ P @ Ct) == k:
+                return tries
+
+
 def test_minor_vanishing_budget(monkeypatch):
-    monkeypatch.setattr(orbits, "ENUMERATION_BUDGET", 35**2)
+    # a pass by the lemma costs nothing; a fail passes at a budget of the R's
+    # and C's it tries and raises one unit below
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 0)
     assert minor_vanishing_test(Matrix.zeros(G2, 4), 2)
-    monkeypatch.setattr(orbits, "ENUMERATION_BUDGET", 35**2 - 1)
-    with pytest.raises(BudgetExceeded):
-        minor_vanishing_test(Matrix.zeros(G2, 4), 2)
+    rng = random.Random(35)
+    for fld, n, k, r in ((G2, 4, 2, 2), (G3, 4, 3, 3), (G2, 5, 3, 4), (G5, 3, 2, 2)):
+        P = matrix_of_rank(fld, n, r, rng)
+        tries = _minor_tries(P, k)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", tries)
+        assert minor_vanishing_test(P, k) is False
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", tries - 1)
+        with pytest.raises(BudgetExceeded, match="minor search"):
+            minor_vanishing_test(P, k)
+
+
+def test_minor_vanishing_reach_past_the_pair_count():
+    # |Gr(4, 8)|^2 = 4.0e10 pairs over GF(2): the identity fails at its first
+    # pair, and the zero matrix passes by the lemma
+    assert minor_vanishing_test(Matrix.identity(G2, 8), 4) is False
+    assert minor_vanishing_test(Matrix.zeros(G2, 8), 4) is True
 
 
 def test_minor_vanishing_pass_never_scans(monkeypatch):

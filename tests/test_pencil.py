@@ -1,17 +1,14 @@
 import itertools
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
 from fractions import Fraction
 
 from conftest import (enumerate_gl_rows, gauss_jordan_oracle, matmul_oracle, matrix_of_rank,
-                      offdiag_bad_pairs_oracle, offdiag_gl_oracle, offdiag_pairs_oracle)
+                      minor_rank_oracle, offdiag_bad_pairs_oracle, offdiag_gl_oracle,
+                      offdiag_pairs_oracle, run_capped)
 from conjlab import pencil
 from conjlab.fields import GF, QQ, UnsupportedFieldOperation
 from conjlab.matrix import Matrix, Span, inverse, kernel_basis, rank, random_invertible, random_matrix
@@ -31,7 +28,6 @@ from conjlab.pencil import (
 )
 
 G2, G3, G5, QQ_ = GF(2), GF(3), GF(5), QQ()
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _all_sq(fld, n):
@@ -284,8 +280,10 @@ def test_kernels_read_off_rref_rows_match_kernel_basis():
 
 
 def test_offdiag_bad_pairs_match_full_scan():
-    # the skip of an R with rank(R P B^T) <= k drops no bad pair and keeps their
-    # order, both in the per-R lists of the walk and in the eager oracle list
+    # an R has a bad pair exactly when rank(R P B^T) > k, so the walk's first
+    # such R is the first bad R, whose RREF rows, last first, are the
+    # witness's K rows; its bad C's, B^T X^T over the X's with
+    # rank(R P B^T X^T) > k, are the oracle's in the oracle's order
     rng = random.Random(23)
     for fld in (G2, G3):
         ins = [random_matrix(4, 4, fld, rng) for _ in range(3)]
@@ -293,13 +291,19 @@ def test_offdiag_bad_pairs_match_full_scan():
                 Matrix.scalar(fld, 4, 1) + matrix_of_rank(fld, 4, 2, rng)]
         for P in ins:
             for k, m in ((0, 1), (0, 2), (1, 2)):
-                xts = [Matrix.from_rows(fld, x).transpose()
-                       for x in enumerate_subspaces(m, 4 - m, fld.p)]
-                pairs = [(R, C) for rows in enumerate_subspaces(m, 4, fld.p)
-                         for R, Bt in [pencil._with_kernel(fld, rows)]
-                         for C in pencil._bad_columns(P, k, R, Bt, xts)]
-                assert pairs == _bad_pairs_full_scan(P, k, m)
-                assert pairs == offdiag_bad_pairs_oracle(P, k, m)
+                full = _bad_pairs_full_scan(P, k, m)
+                assert full == offdiag_bad_pairs_oracle(P, k, m)
+                bad = [(rows, R, Bt) for rows in enumerate_subspaces(m, 4, fld.p)
+                       for R, Bt in [pencil._with_kernel(fld, rows)] if rank(R @ P @ Bt) > k]
+                assert [R for _, R, _ in bad] == list(dict.fromkeys(R for R, _ in full))
+                if not bad:
+                    continue
+                rows, R, Bt = bad[0]
+                W = R @ P @ Bt
+                xts = [Matrix.from_rows(fld, x).transpose() for x in enumerate_subspaces(m, 4 - m, fld.p)]
+                assert [Bt @ Xt for Xt in xts if rank(W @ Xt) > k] == [C for S, C in full if S == R]
+                holds, (g, _, _) = offdiag_criterion_check(P, k, m)
+                assert not holds and g.to_rows()[:m] == [list(r) for r in rows[::-1]]
 
 
 def test_walk_row_tests_by_image_match_annihilator_spans():
@@ -316,9 +320,9 @@ def test_walk_row_tests_by_image_match_annihilator_spans():
             Ls = [random_matrix(1, n, f, rng) for _ in range(rng.randint(1, m))]
             A = kernel_basis(C.transpose()).to_rows()
             ann, ann_L = Span(f, A), Span(f, A + [u.row_list(0) for u in Ls])
-            images = {(0,) * m}
+            images, budget = {(0,) * m}, pencil._Budget("the test")
             for u in Ls:
-                images = pencil._grow(images, (u @ C).entries, p)
+                images = pencil._grow(images, (u @ C).entries, p, budget)
             assert len(images) == p ** rank(Matrix.from_rows(f, [(u @ C).entries for u in Ls]))
             for v in itertools.product(range(p), repeat=n):
                 vc = (Matrix(f, 1, n, v) @ C).entries
@@ -368,7 +372,7 @@ def test_first_check_of_a_large_grassmannian_stays_small():
     # GF(2), n = 8, m = 4: a pass is decided by the lemma and a fail streams
     # the 200787 points of Gr(4, 8) up to its first bad R, so a fresh process
     # holds no table of them (a table of Gr(4, 8) peaked at about 230 MB)
-    code = """if True:
+    code, _, err, peak = run_capped("""
         import random
         from conjlab.fields import GF
         from conjlab.matrix import Matrix, inverse, random_matrix, rank
@@ -379,14 +383,9 @@ def test_first_check_of_a_large_grassmannian_stays_small():
         assert tuple_rank_identity(P) > 1
         holds, (g, K, L) = offdiag_criterion_check(P, 1, 4)
         assert not holds and rank((g @ P @ inverse(g)).submatrix(K, L)) > 1
-        with open("/proc/self/status") as fh:
-            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-    """
-    # the peak RSS of the child's own address space: its ru_maxrss would carry
-    # the peak of the test process, which Linux keeps across fork and exec
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert int(out.stdout) < 64 * 1024, out.stdout  # in kB
+    """)
+    assert code == 0, err
+    assert peak < 64 * 1024  # in kB
 
 
 def test_offdiag_pass_never_walks(monkeypatch):
@@ -411,65 +410,111 @@ def test_offdiag_walk_with_no_bad_pair_raises(monkeypatch):
 
 
 def test_offdiag_budget():
-    with pytest.raises(BudgetExceeded):
-        offdiag_criterion_check(Matrix.identity(GF(101), 4), 1, 2)
-
-
-def test_offdiag_budget_counts_subspace_pairs(monkeypatch):
-    P = Matrix.identity(G2, 4)  # holds: the scan runs over every pair, the walk never
-    assert gaussian_binomial(4, 2, 2) * gaussian_binomial(2, 2, 2) == 35
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 35)
-    assert offdiag_criterion_check(P, 1, 2) == (True, None)
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 34)
-    with pytest.raises(BudgetExceeded):
+    # a failing GF(101) input is refused: the row prefix's span alone would
+    # hold 101^3 vectors; the identity passes by its lemma
+    P = Matrix.from_rows(GF(101), [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    with pytest.raises(BudgetExceeded, match="witness walk"):
         offdiag_criterion_check(P, 1, 2)
+    assert offdiag_criterion_check(Matrix.identity(GF(101), 4), 1, 2) == (True, None)
+
+
+def _k_row_tests(rows, p):
+    """The rows that the oracle walk tests to reach the K rows r_m, ..., r_1
+    (given in that order): every vector of span(r_(j+1), ..., r_m) comes
+    before r_j, so sum_j code(r_j) + m - (p^m - 1)/(p - 1), code(v) =
+    sum_i v_i p^(n-1-i) being the vectors before v."""
+    n, m = len(rows[0]), len(rows)
+    codes = sum(x * p ** (n - 1 - i) for v in rows for i, x in enumerate(v))
+    return codes + m - (p**m - 1) // (p - 1)
+
+
+def _walk_charge(monkeypatch, P, k, m):
+    """The witness walk's rows and its charge, with the part for the rows
+    tested after the K rows: the charge less 1 per R streamed up to the
+    first bad R, m n per X^T of Gr(m, n - m), and the vectors that _grow
+    adds, counted from its output."""
+    grown, grow = [], pencil._grow
+
+    def counted(vecs, v, p, budget):
+        out = grow(vecs, v, p, budget)
+        grown.append(len(out) - len(vecs))
+        return out
+    monkeypatch.setattr(pencil, "_grow", counted)
+    budget = pencil._Budget("the witness walk")
+    rows = pencil._witness_walk(P, k, m, budget)
+    monkeypatch.setattr(pencil, "_grow", grow)
+    f, n = P.field, P.rows
+    streamed = list(enumerate_subspaces(m, n, f.p)).index(tuple(rows[:m][::-1])) + 1
+    xts = m * n * gaussian_binomial(n - m, m, f.p)
+    return rows, budget.spent, budget.spent - streamed - xts - sum(grown)
+
+
+def test_offdiag_budget_counts_the_work_done(monkeypatch):
+    # a pass decided by its lemma costs nothing, at any size; a failing input
+    # passes at its charge and raises one unit below it
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 0)
+    for P, k, m in ((Matrix.identity(G2, 8), 1, 2), (Matrix.identity(G3, 6), 1, 2),
+                    (Matrix.scalar(GF(7), 2, 3), 0, 1)):
+        assert offdiag_criterion_check(P, k, m) == (True, None)
+    rng = random.Random(35)
+    for fld, n, m, k in ((G2, 4, 2, 1), (G3, 4, 2, 0), (G2, 6, 3, 1)):
+        P = random_matrix(n, n, fld, rng)
+        while tuple_rank_identity(P) <= k:
+            P = random_matrix(n, n, fld, rng)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", ENUMERATION_BUDGET)
+        rows, spent, _ = _walk_charge(monkeypatch, P, k, m)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", spent)
+        holds, (g, _, _) = offdiag_criterion_check(P, k, m)
+        assert not holds and g == Matrix.from_rows(fld, rows)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", spent - 1)
+        with pytest.raises(BudgetExceeded, match="witness walk"):
+            offdiag_criterion_check(P, k, m)
 
 
 def test_offdiag_witness_walk_budget(monkeypatch):
-    # 4 subspace pairs; the walk tests rows (0,1), (0,2), (1,0), (1,1), then (0,1)
+    # R's (0,1), (1,0), (1,1): 3; X^T of Gr(1, 1): 1 * 2; the prefix span of
+    # (1, 1) and the C's image span: 2 + 2; rows tested after K: (0, 1)
     P = Matrix.from_rows(G3, [[1, 0], [0, 2]])
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 5)
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 10)
     holds, (g, _, _) = offdiag_criterion_check(P, 0, 1)
     assert not holds and g == Matrix.from_rows(G3, [[1, 1], [0, 1]])
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 4)
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 9)
     with pytest.raises(BudgetExceeded):
         offdiag_criterion_check(P, 0, 1)
 
 
 def test_offdiag_walk_budget_matches_pairs_oracle(monkeypatch):
-    # T = the rows the oracle walk tests on a failing input: the check returns
-    # the oracle's witness at a budget of T and raises at T - 1.  Only at n = 2
-    # does a walk test more rows than there are subspace pairs (p + 1), so
-    # that a budget of T - 1 is passed by the walk, not by the pair count.
+    # T = the rows the oracle walk tests on a failing input: the walk tests
+    # T less the oracle's K-row tests after its K rows, and the check returns
+    # the oracle's witness at a budget of its charge and raises one unit below
     rng = random.Random(12)
     cases = 0
     for p in (5, 7, 11, 13):
         fld = GF(p)
-        # diag(a, b), a != b: every row before (1, 1) spans an eigenline, so p + 1 are tested
+        # diag(a, b), a != b: every row before (1, 1) spans an eigenline
         ins = [Matrix.from_rows(fld, [[a, 0], [0, b]])
                for a, b in (rng.sample(range(p), 2) for _ in range(3))]
         ins += [random_matrix(2, 2, fld, rng) for _ in range(30)]
         for P in ins:
             verdict, T = offdiag_pairs_oracle(P, 0, 1)
-            if verdict[0] or T <= p + 1:
+            if verdict[0]:
                 continue
-            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T)
+            rows, spent, tested = _walk_charge(monkeypatch, P, 0, 1)
+            assert tested == T - _k_row_tests(rows[:1], p), P.to_rows()
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", spent)
             assert offdiag_criterion_check(P, 0, 1) == verdict, P.to_rows()
-            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T - 1)
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", spent - 1)
             with pytest.raises(BudgetExceeded, match="witness walk"):
                 offdiag_criterion_check(P, 0, 1)
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", ENUMERATION_BUDGET)
             cases += 1
     assert cases >= 10
-    # a passing input's search for a first row counts for nothing: over GF(7)
-    # none of the 48 nonzero vectors is kept, against a budget of the 8 pairs
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 8)
-    assert offdiag_criterion_check(Matrix.scalar(GF(7), 2, 3), 0, 1) == (True, None)
 
 
-def test_witness_walk_counts_the_k_rows_at_m_above_one(monkeypatch):
-    # the K rows test sum_j code(r_j) + m - (p^m - 1)/(p - 1) rows, whose last
-    # term is 0 only at m = 1: at a budget of T, the rows the oracle walk
-    # tests, the walk gives the oracle's rows, and at T - 1 it raises
+def test_witness_walk_charges_match_pairs_oracle_at_m_above_one(monkeypatch):
+    # at m > 1 the oracle's K-row tests have the term m - (p^m - 1)/(p - 1):
+    # the walk gives the oracle's rows, tests T less them after its K rows,
+    # and raises one unit below its charge
     rng = random.Random(33)
     for p, n, m, count in ((2, 4, 2, 6), (2, 5, 2, 3), (3, 4, 2, 3), (2, 6, 3, 2)):
         cases = 0
@@ -478,26 +523,85 @@ def test_witness_walk_counts_the_k_rows_at_m_above_one(monkeypatch):
             verdict, T = offdiag_pairs_oracle(P, k, m)
             if verdict[0]:
                 continue
-            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T)
-            rows = pencil._witness_walk(P, k, m)
+            rows, spent, tested = _walk_charge(monkeypatch, P, k, m)
             assert Matrix.from_rows(GF(p), rows) == verdict[1][0], (P.to_rows(), k)
-            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", T - 1)
+            assert tested == T - _k_row_tests(rows[:m], p), (P.to_rows(), k)
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", spent - 1)
             with pytest.raises(BudgetExceeded, match="witness walk"):
-                pencil._witness_walk(P, k, m)
+                pencil._witness_walk(P, k, m, pencil._Budget("the witness walk"))
+            monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", ENUMERATION_BUDGET)
             cases += 1
 
 
+def _worst_walk_charge(p, n, m):
+    """The most the witness walk can charge: every R, the X^T entries, the
+    prefix span, every X's image span, and every vector outside the prefix
+    tested at each row after K."""
+    xs = gaussian_binomial(n - m, m, p)
+    return (gaussian_binomial(n, m, p) + m * n * xs + p ** (n - 1) - 1 + xs * (p**m - 1)
+            + sum(p**n - p**d for d in range(m, n)))
+
+
 def test_budget_refuses_no_input_that_fit_the_gl_scan():
-    # wherever the former scan of GL_n(F_p) fit the budget, the subspace pairs do
+    # wherever the former scan of GL_n(F_p) fit the budget, the most either
+    # search can charge does
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for n in range(2, 6):
             gl_order = math.prod(p**n - p**i for i in range(n))
             if gl_order > ENUMERATION_BUDGET:
                 continue
             for m in range(1, n // 2 + 1):
-                assert gaussian_binomial(n, m, p) * gaussian_binomial(n - m, m, p) <= gl_order
+                assert _worst_walk_charge(p, n, m) <= ENUMERATION_BUDGET
             for k in range(1, n + 1):
-                assert gaussian_binomial(n, k, p) ** 2 <= ENUMERATION_BUDGET
+                g = gaussian_binomial(n, k, p)
+                assert g * (1 + g) <= ENUMERATION_BUDGET  # each R, and each C per R
+
+
+def test_offdiag_reach_past_the_pair_count():
+    # inputs whose subspace pairs exceed the budget (GF(2), n = 8, m = 2:
+    # 7.0 M; GF(3), n = 6, m = 2: 1.43 M; GF(2), n = 10, m = 3) pass by the
+    # lemma or reach a witness, which a plain block rank confirms
+    for fld, n, m in ((G2, 8, 2), (G3, 6, 2), (G2, 10, 3)):
+        assert offdiag_criterion_check(Matrix.identity(fld, n), 1, m) == (True, None)
+        P = random_matrix(n, n, fld, random.Random(0))
+        assert tuple_rank_identity(P) > 1
+        holds, (g, K, L) = offdiag_criterion_check(P, 1, m)
+        assert not holds and minor_rank_oracle((g @ P @ inverse(g)).submatrix(K, L)) > 1
+
+
+def test_offdiag_refuses_before_listing_the_xts(monkeypatch):
+    # GF(2), n = 11, m = 3: the 97155 X^T of Gr(3, 8) cost 33 units each, so
+    # the walk is refused at its first bad R, before any X^T is listed
+    calls, stream = [], pencil.enumerate_subspaces
+
+    def listed(k, n, p):
+        calls.append((k, n, p))
+        return stream(k, n, p)
+    monkeypatch.setattr(pencil, "enumerate_subspaces", listed)
+    P = random_matrix(11, 11, G2, random.Random(0))
+    assert tuple_rank_identity(P) > 1
+    with pytest.raises(BudgetExceeded, match="witness walk"):
+        offdiag_criterion_check(P, 1, 3)
+    assert calls == [(3, 11, 2)]
+
+
+def test_offdiag_refusal_at_the_budget_edge_stays_small():
+    # GF(31), n = 5, m = 2: the prefix span nears 31^4 vectors before the
+    # budget refuses it; the charge per vector keeps the peak bounded
+    code, out, err, peak = run_capped("""
+        import random
+        from conjlab.fields import GF
+        from conjlab.matrix import random_matrix
+        from conjlab.pencil import BudgetExceeded, offdiag_criterion_check, tuple_rank_identity
+        P = random_matrix(5, 5, GF(31), random.Random(0))
+        assert tuple_rank_identity(P) > 1
+        try:
+            offdiag_criterion_check(P, 1, 2)
+        except BudgetExceeded:
+            print("refused")
+    """, mem_mb=1024)
+    assert code == 0 and out == "refused\n", err
+    assert peak < 256 * 1024  # in kB
 
 
 def _is_rref(rows, p):
