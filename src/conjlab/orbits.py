@@ -249,7 +249,7 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
     of V) of Gr(k, n) comes from some g exactly when det(R C^T) != 0.  It
     streams R, then C, up to a pair with det(R P C^T) != 0 too and returns
     False; finding none raises ConstructionError.  It charges the enumeration
-    budget 1 per R and 1 per C it tries.
+    budget k n per R and per C it tries, the entries of R or C^T.
 
     Sampled mode checks the minor of ``trials`` random conjugates drawn from
     rng; both have no default, and a count above the enumeration budget
@@ -268,13 +268,13 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
             return True
         budget = _Budget("the minor search")
         for r_rows in enumerate_subspaces(k, n, f.p):
-            budget.charge()
+            budget.charge(k * n)
             R = Matrix.from_rows(f, r_rows)
             RP = R @ P
             if rank(RP) < k:
                 continue
             for c_rows in enumerate_subspaces(k, n, f.p):
-                budget.charge()
+                budget.charge(k * n)
                 Ct = Matrix.from_rows(f, c_rows).transpose()
                 if not f.is_zero(det(RP @ Ct)) and not f.is_zero(det(R @ Ct)):
                     return False

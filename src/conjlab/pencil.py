@@ -193,7 +193,7 @@ class _Budget:
     def __init__(self, search: str):
         self.search, self.spent = search, 0
 
-    def charge(self, units: int = 1) -> None:
+    def charge(self, units: int) -> None:
         self.spent += units
         if self.spent > ENUMERATION_BUDGET:
             raise BudgetExceeded(f"{self.search} exceeds the enumeration budget")
@@ -201,8 +201,8 @@ class _Budget:
 
 def _grow(vecs: set, v, p: int, budget: _Budget) -> set:
     """The vectors of span(vecs, v) mod p, for vecs the vectors of a span and
-    v outside it; charges the (p - 1) |vecs| vectors it adds."""
-    budget.charge((p - 1) * len(vecs))
+    v outside it; charges the entries of the (p - 1) |vecs| vectors it adds."""
+    budget.charge((p - 1) * len(vecs) * len(v))
     return vecs | {tuple((a + c * b) % p for a, b in zip(u, v)) for u in vecs for c in range(1, p)}
 
 
@@ -227,9 +227,10 @@ def _witness_walk(P: Matrix, k: int, m: int, budget: _Budget) -> list:
     ann(C) is the kernel of v -> v C: a row after L must have image 0, and a
     row in L an image outside the span of the images of the L rows before it.
     Exactly the prefixes that meet these conditions extend to an invertible g
-    with key (R, C), so the walk never backtracks.  The walk charges
-    ``budget`` 1 per R, m n per X^T (before they are listed), 1 per vector
-    that :func:`_grow` adds and 1 per row tested after the K rows.
+    with key (R, C), so the walk never backtracks.  It charges ``budget``
+    the entries it builds: first m n per X^T, as every walk lists them at
+    its first bad R; n^2 per R, for R and B^T; the entries of each vector
+    that :func:`_grow` adds; and n per row tested after the K rows.
     """
     f, n = P.field, P.rows
     p = f.p
@@ -237,15 +238,15 @@ def _witness_walk(P: Matrix, k: int, m: int, budget: _Budget) -> list:
     def image(cols, v):  # v C, for C given by its columns
         return tuple(sum(map(operator.mul, v, col)) % p for col in cols)
 
+    budget.charge(m * n * gaussian_binomial(n - m, m, p))
     for r_rows in enumerate_subspaces(m, n, p):
-        budget.charge()
+        budget.charge(n * n)
         R, Bt = _with_kernel(f, r_rows)
         W = R @ P @ Bt
         if rank(W) > k:
             break
     else:
         raise AssertionError("no subspace pair is bad, so rk(P, I) <= k")
-    budget.charge(m * n * gaussian_binomial(n - m, m, p))
     xts = (Matrix.from_rows(f, x).transpose() for x in enumerate_subspaces(m, n - m, p))
     # each live C: its columns, and the span of the L rows' images
     live = [((Bt @ Xt).transpose().to_rows(), {(0,) * m}) for Xt in xts if rank(W @ Xt) > k]
@@ -257,7 +258,7 @@ def _witness_walk(P: Matrix, k: int, m: int, budget: _Budget) -> list:
         for v in itertools.product(range(p), repeat=n):
             if v in prefix:
                 continue
-            budget.charge()
+            budget.charge(n)
             if d < 2 * m:
                 keep = [(cols, ims) for cols, ims in live if image(cols, v) not in ims]
             else:

@@ -343,6 +343,22 @@ def test_all_conjugates_checks_past_the_pair_count(capsys, monkeypatch):
         assert code == 0 and {k: v for k, v in json.loads(out).items() if k in want} == want, out
 
 
+def test_all_conjugates_refusals_with_many_good_subspaces_are_quick():
+    # E_00 over GF(2), n = 21: the 2^20 - 1 lines with r_0 = 0 are good R's
+    # of the walk at k = 0, m = 1 and of the minor search at k = 1, all ahead
+    # of the first bad one; charged by their entries, both exit 2 in seconds
+    n = 21
+    doc = json.dumps({"field": "gf:2", "rows": [[str(int(i == j == 0)) for j in range(n)] for i in range(n)]})
+    for argv, search in ((["offdiag-check", "--k", "0", "--m", "1"], "witness walk"),
+                         (["minor-vanishing", "--k", "1"], "minor search")):
+        code, out, err, _ = run_capped(f"""
+            import sys
+            from conjlab.cli import main
+            sys.exit(main({argv!r}))
+        """, stdin=doc, timeout=20)
+        assert code == 2 and out == "" and err.count("\n") == 1 and search in err, err
+
+
 def test_chain_normalize_integral_floats(capsys, monkeypatch):
     doc = '{"type":"A","n1":2.0,"repeat":[[1.0,0,1]]}'
     code, out = run_cli(capsys, ["chain", "normalize"], stdin=doc, monkeypatch=monkeypatch)

@@ -203,8 +203,8 @@ def test_minor_vanishing_gf3_n4(rng):
             assert minor_vanishing_test(P, k) == (r < k)
 
 
-def _minor_tries(P, k):
-    """The R's and C's a scan of Gr(k, n) tries up to its first pair with
+def _minor_charge(P, k):
+    """k n for each R and C a scan of Gr(k, n) tries up to its first pair with
     det(R C^T) != 0 and det(R P C^T) != 0; an R with rank(R P) < k has no C."""
     f, n, tries = P.field, P.rows, 0
     for r_rows in enumerate_subspaces(k, n, f.p):
@@ -216,21 +216,21 @@ def _minor_tries(P, k):
             tries += 1
             Ct = Matrix.from_rows(f, c_rows).transpose()
             if rank(R @ Ct) == rank(R @ P @ Ct) == k:
-                return tries
+                return k * n * tries
 
 
 def test_minor_vanishing_budget(monkeypatch):
-    # a pass by the lemma costs nothing; a fail passes at a budget of the R's
-    # and C's it tries and raises one unit below
+    # a pass by the lemma costs nothing; a fail passes at a budget of k n per
+    # R and C it tries and raises one unit below
     monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 0)
     assert minor_vanishing_test(Matrix.zeros(G2, 4), 2)
     rng = random.Random(35)
     for fld, n, k, r in ((G2, 4, 2, 2), (G3, 4, 3, 3), (G2, 5, 3, 4), (G5, 3, 2, 2)):
         P = matrix_of_rank(fld, n, r, rng)
-        tries = _minor_tries(P, k)
-        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", tries)
+        charge = _minor_charge(P, k)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", charge)
         assert minor_vanishing_test(P, k) is False
-        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", tries - 1)
+        monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", charge - 1)
         with pytest.raises(BudgetExceeded, match="minor search"):
             minor_vanishing_test(P, k)
 

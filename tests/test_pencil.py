@@ -429,15 +429,15 @@ def _k_row_tests(rows, p):
 
 
 def _walk_charge(monkeypatch, P, k, m):
-    """The witness walk's rows and its charge, with the part for the rows
-    tested after the K rows: the charge less 1 per R streamed up to the
-    first bad R, m n per X^T of Gr(m, n - m), and the vectors that _grow
-    adds, counted from its output."""
+    """The witness walk's rows and its charge, with the count of rows tested
+    after the K rows: the charge less m n per X^T of Gr(m, n - m), n^2 per R
+    streamed up to the first bad R, and the entries of the vectors that
+    _grow adds, counted from its output, over the n per row tested."""
     grown, grow = [], pencil._grow
 
     def counted(vecs, v, p, budget):
         out = grow(vecs, v, p, budget)
-        grown.append(len(out) - len(vecs))
+        grown.append((len(out) - len(vecs)) * len(v))
         return out
     monkeypatch.setattr(pencil, "_grow", counted)
     budget = pencil._Budget("the witness walk")
@@ -446,7 +446,9 @@ def _walk_charge(monkeypatch, P, k, m):
     f, n = P.field, P.rows
     streamed = list(enumerate_subspaces(m, n, f.p)).index(tuple(rows[:m][::-1])) + 1
     xts = m * n * gaussian_binomial(n - m, m, f.p)
-    return rows, budget.spent, budget.spent - streamed - xts - sum(grown)
+    tested, rest = divmod(budget.spent - xts - n * n * streamed - sum(grown), n)
+    assert rest == 0
+    return rows, budget.spent, tested
 
 
 def test_offdiag_budget_counts_the_work_done(monkeypatch):
@@ -472,13 +474,14 @@ def test_offdiag_budget_counts_the_work_done(monkeypatch):
 
 
 def test_offdiag_witness_walk_budget(monkeypatch):
-    # R's (0,1), (1,0), (1,1): 3; X^T of Gr(1, 1): 1 * 2; the prefix span of
-    # (1, 1) and the C's image span: 2 + 2; rows tested after K: (0, 1)
+    # the X^T of Gr(1, 1): 1 * 2; R's (0,1), (1,0), (1,1): 3 * 2^2; the
+    # prefix span of (1, 1): 2 vectors * 2, and the C's image span: 2 * 1;
+    # rows tested after K: (0, 1), 2
     P = Matrix.from_rows(G3, [[1, 0], [0, 2]])
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 10)
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 22)
     holds, (g, _, _) = offdiag_criterion_check(P, 0, 1)
     assert not holds and g == Matrix.from_rows(G3, [[1, 1], [0, 1]])
-    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 9)
+    monkeypatch.setattr(pencil, "ENUMERATION_BUDGET", 21)
     with pytest.raises(BudgetExceeded):
         offdiag_criterion_check(P, 0, 1)
 
@@ -534,12 +537,12 @@ def test_witness_walk_charges_match_pairs_oracle_at_m_above_one(monkeypatch):
 
 
 def _worst_walk_charge(p, n, m):
-    """The most the witness walk can charge: every R, the X^T entries, the
+    """The most the witness walk can charge: the X^T entries, every R, the
     prefix span, every X's image span, and every vector outside the prefix
     tested at each row after K."""
     xs = gaussian_binomial(n - m, m, p)
-    return (gaussian_binomial(n, m, p) + m * n * xs + p ** (n - 1) - 1 + xs * (p**m - 1)
-            + sum(p**n - p**d for d in range(m, n)))
+    return (m * n * xs + n * n * gaussian_binomial(n, m, p) + n * (p ** (n - 1) - 1)
+            + m * xs * (p**m - 1) + n * sum(p**n - p**d for d in range(m, n)))
 
 
 def test_budget_refuses_no_input_that_fit_the_gl_scan():
@@ -554,7 +557,7 @@ def test_budget_refuses_no_input_that_fit_the_gl_scan():
                 assert _worst_walk_charge(p, n, m) <= ENUMERATION_BUDGET
             for k in range(1, n + 1):
                 g = gaussian_binomial(n, k, p)
-                assert g * (1 + g) <= ENUMERATION_BUDGET  # each R, and each C per R
+                assert k * n * g * (1 + g) <= ENUMERATION_BUDGET  # each R, each C per R
 
 
 def test_offdiag_reach_past_the_pair_count():
@@ -570,8 +573,9 @@ def test_offdiag_reach_past_the_pair_count():
 
 
 def test_offdiag_refuses_before_listing_the_xts(monkeypatch):
-    # GF(2), n = 11, m = 3: the 97155 X^T of Gr(3, 8) cost 33 units each, so
-    # the walk is refused at its first bad R, before any X^T is listed
+    # GF(2), n = 11, m = 3: the 97155 X^T of Gr(3, 8) cost 33 units each,
+    # charged first, so the walk is refused before it streams any R or lists
+    # any X^T
     calls, stream = [], pencil.enumerate_subspaces
 
     def listed(k, n, p):
@@ -582,26 +586,36 @@ def test_offdiag_refuses_before_listing_the_xts(monkeypatch):
     assert tuple_rank_identity(P) > 1
     with pytest.raises(BudgetExceeded, match="witness walk"):
         offdiag_criterion_check(P, 1, 3)
-    assert calls == [(3, 11, 2)]
+    assert calls == []
 
 
 def test_offdiag_refusal_at_the_budget_edge_stays_small():
-    # GF(31), n = 5, m = 2: the prefix span nears 31^4 vectors before the
-    # budget refuses it; the charge per vector keeps the peak bounded
+    # GF(31), n = 5, m = 2: the prefix span nears 31^4 vectors, 5 entries
+    # each, before the budget refuses it.  E_00 over GF(2) at k = 0: at
+    # n = 21, m = 1, the 2^20 - 1 lines with r_0 = 0 are good R's ahead of
+    # the first bad one, but the 21 (2^20 - 1) entries of the X^T are charged
+    # before any R; at n = 20, m = 10 there is one X^T.  Charged by entries,
+    # the R's and spans bound the time and the peak, which grow with n at a
+    # charge per R or per vector
     code, out, err, peak = run_capped("""
         import random
         from conjlab.fields import GF
-        from conjlab.matrix import random_matrix
+        from conjlab.matrix import Matrix, random_matrix
         from conjlab.pencil import BudgetExceeded, offdiag_criterion_check, tuple_rank_identity
         P = random_matrix(5, 5, GF(31), random.Random(0))
         assert tuple_rank_identity(P) > 1
-        try:
-            offdiag_criterion_check(P, 1, 2)
-        except BudgetExceeded:
-            print("refused")
-    """, mem_mb=1024)
-    assert code == 0 and out == "refused\n", err
-    assert peak < 256 * 1024  # in kB
+        cases = [(P, 1, 2)]
+        for n, m in ((21, 1), (20, 10)):
+            E00 = Matrix.from_rows(GF(2), [[int(i == j == 0) for j in range(n)] for i in range(n)])
+            cases.append((E00, 0, m))
+        for P, k, m in cases:
+            try:
+                offdiag_criterion_check(P, k, m)
+            except BudgetExceeded:
+                print("refused")
+    """, mem_mb=1024, timeout=20)
+    assert code == 0 and out == "refused\n" * 3, err
+    assert peak < 96 * 1024  # in kB
 
 
 def _is_rref(rows, p):
