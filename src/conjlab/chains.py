@@ -17,6 +17,7 @@ layout it states once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import QQT, FieldError, integral, is_prime
 from .matrix import Matrix, MatrixError, det, inverse, random_invertible, random_matrix
@@ -44,6 +45,7 @@ class GroupType:
         return 2 * self.n
 
 
+@lru_cache(maxsize=32)
 def form_matrix(field, gtype: GroupType) -> Matrix:
     n = gtype.n
     if gtype.letter == "A":
@@ -62,6 +64,21 @@ def form_matrix(field, gtype: GroupType) -> Matrix:
         ent[i][n + i] = field.one
         ent[n + i][i] = field.neg(field.one) if gtype.letter == "C" else field.one
     return Matrix.from_rows(field, ent)
+
+
+def form_inverse(g: Matrix, J: Matrix) -> Matrix:
+    """g^-1 for g in the group of the form J (g J g^T = J), with no
+    elimination: J is a signed permutation (form_matrix and h_form_gram
+    build no other), so J^-1 = J^T and g^-1 = J g^T J^T."""
+    return J @ g.transpose() @ J.transpose()
+
+
+def group_inverse(gtype: GroupType, g: Matrix) -> Matrix:
+    """g^-1 for g in the group: by elimination in type A, by form_inverse
+    in types B, C and D."""
+    if gtype.letter == "A":
+        return inverse(g)
+    return form_inverse(g, form_matrix(g.field, gtype))
 
 
 def algebra_membership(gtype: GroupType, M: Matrix) -> bool:
@@ -96,7 +113,7 @@ def algebra_project(gtype: GroupType, M: Matrix) -> Matrix:
         raise FieldError("algebra projection needs characteristic != 2")
     J = form_matrix(f, gtype)
     half = f.inv(f.coerce(2))
-    return (M - J @ M.transpose() @ inverse(J)).scale(half)
+    return (M - J @ M.transpose() @ J.transpose()).scale(half)
 
 
 def random_algebra_element(gtype: GroupType, field, rng) -> Matrix:
@@ -292,6 +309,7 @@ def _h_sigma(n: int, l: int) -> list[int]:
     return sigma
 
 
+@lru_cache(maxsize=32)
 def h_form_gram(field, n: int, l: int) -> Matrix:
     """The H-form gram matrix [[0,0,I_ln],[0,J_l,0],[I_ln,0,0]] for odd l: the
     odd form of rank (L - 1)/2, L = l(2n + 1), read in H-form coordinates."""

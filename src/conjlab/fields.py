@@ -375,6 +375,20 @@ def ipoly_parse(s: str) -> tuple[int, ...]:
     return ipoly_trim([coeffs.get(i, 0) for i in range(deg + 1)])
 
 
+def int_str(n: int) -> str:
+    """n in decimal, exactly, at any size.  str(int) refuses more digits
+    than Python's limit (4300 by default, 640 at the least), so a longer n is
+    split by divmod at a power of ten near half its digits and written half
+    by half."""
+    if n < 0:
+        return "-" + int_str(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # under half the digits, as log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return int_str(hi) + int_str(lo).zfill(k)
+
+
 def ipoly_format(a) -> str:
     if not a:
         return "0"
@@ -386,10 +400,10 @@ def ipoly_format(a) -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
         if e == 0:
-            body = str(mag)
+            body = int_str(mag)
         else:
             t = "t" if e == 1 else f"t^{e}"
-            body = t if mag == 1 else f"{mag}*{t}"
+            body = t if mag == 1 else f"{int_str(mag)}*{t}"
         parts.append(sign + body)
     return "".join(parts)
 
@@ -438,7 +452,7 @@ class RatFunc:
             return ipoly_format(self.num)
         if len(self.num) <= 1 and len(self.den) <= 1:
             n = self.num[0] if self.num else 0
-            return f"{n}/{self.den[0]}"
+            return f"{int_str(n)}/{int_str(self.den[0])}"
         return f"({ipoly_format(self.num)})/({ipoly_format(self.den)})"
 
 
@@ -586,7 +600,8 @@ class QQ:
         return Fraction(s.strip())
 
     def format(self, a) -> str:
-        return str(a)
+        num = int_str(a.numerator)
+        return num if a.denominator == 1 else f"{num}/{int_str(a.denominator)}"
 
 
 class QQT:

@@ -9,22 +9,25 @@ of private kernels per field.  ``_GENERIC`` runs the generic
 scalar loop through the field's own operations; it is the record of a field
 class without one, and the tests keep it as the oracle of the faster
 kernels.  Every other record is ``_GENERIC`` with only its own kernels
-replaced.  Each field supplies one elimination loop, and rref, rref_rows,
-rank, det and inverse are read off it by one set of readers: over GF(p) the
-loop works on plain int rows with one ``% p`` per entry of each row
-operation.  QQ replaces rank, det and inverse by the Bareiss elimination of
-row-cleared integers, QQ(t) by evaluation at integer points.  The GF(p) and
-QQ products skip the zero entries of rows of the left factor that have at
-most one nonzero entry.  Every elimination keeps the generic loop's pivot
-rule, so rref, transform and pivots do not depend on the field's record.
-``Span`` has no record: it reduces through the field's own operations over
-every field.
+replaced, except that the GF record picks by p between two of them.  Each
+field supplies one elimination loop, and rref, rref_rows, rank, det and
+inverse are read off it by one set of readers: over GF(p) the loop works on
+plain int rows with one ``% p`` per entry of each row operation.  At p = 2
+the rows are packed into ints, one bit per entry, and a row operation is one
+XOR; those kernels read their results off the packed rows themselves.  QQ
+replaces rank, det and inverse by the Bareiss elimination of row-cleared
+integers, QQ(t) by evaluation at integer points.  The GF(p) and QQ products
+skip the zero entries of rows of the left factor that have at most one
+nonzero entry.  Every elimination keeps the generic loop's pivot rule, so
+rref, transform and pivots do not depend on the field's record.  ``Span``
+has no record: it reduces through the field's own operations over every
+field.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
@@ -463,6 +466,142 @@ def _gf_eliminate(rows, field, ncols, *, reduced):
     return pivots, entries, sign
 
 
+# -- GF(2): rows packed into ints, bit j holding column j ----------------------
+#
+# Addition is XOR and every pivot is 1, so a row operation is one XOR of two
+# ints (the M4RI idea: Albrecht, Bard & Hart, ACM TOMS 37(1), 2010).  The GF
+# record runs these kernels when p = 2; entries are read by parity, so they
+# may lie outside range(2).
+
+def _gf2_pack(M):
+    """M's rows as ints, bit j the parity of column j."""
+    m, e = M.cols, M.entries
+    if not m:
+        return [0] * M.rows
+    rows = []
+    for i in range(0, len(e), m):
+        x = 0
+        for v in reversed(e[i:i + m]):
+            x = x << 1 | v & 1
+        rows.append(x)
+    return rows
+
+
+def _gf2_unpack(rows, lo, hi):
+    """Bits lo..hi-1 of each row, as 0/1 ints, row after row."""
+    return tuple([x >> j & 1 for x in rows for j in range(lo, hi)])
+
+
+def _gf2_eliminate(rows, ncols, *, reduced):
+    """_eliminate over GF(2), in place, on packed rows: the same pivots,
+    swaps and row operations.  Rows at and below the current one are zero
+    left of the current column, so the next pivot column is the lowest bit
+    of their union.  Returns the pivot columns."""
+    n, mask = len(rows), (1 << ncols) - 1
+    pivots = []
+    while len(pivots) < n:
+        r = len(pivots)
+        rest = reduce(operator.or_, rows[r:], 0)
+        bit = rest & mask & -rest
+        if not bit:
+            break
+        pr = next(i for i in range(r, n) if rows[i] & bit)
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        for i in range(0 if reduced else r + 1, n):
+            if rows[i] & bit and i != r:
+                rows[i] ^= prow
+        pivots.append(bit.bit_length() - 1)
+    return pivots
+
+
+def _gf2_augmented(M):
+    """The reduced elimination of [M | I] on packed rows: (pivots, rows)."""
+    m = M.cols
+    rows = [x | 1 << (m + i) for i, x in enumerate(_gf2_pack(M))]
+    return _gf2_eliminate(rows, m, reduced=True), rows
+
+
+def _gf2_rref(M):
+    f, n, m = M.field, M.rows, M.cols
+    pivots, rows = _gf2_augmented(M)
+    return RrefResult(len(pivots), Matrix(f, n, m, _gf2_unpack(rows, 0, m)),
+                      Matrix(f, n, n, _gf2_unpack(rows, m, m + n)), tuple(pivots))
+
+
+def _gf2_rref_rows(M):
+    rows = _gf2_pack(M)
+    pivots = _gf2_eliminate(rows, M.cols, reduced=True)
+    return tuple(pivots), [[x >> j & 1 for j in range(M.cols)] for x in rows[:len(pivots)]]
+
+
+def _gf2_rank(M):
+    return len(_gf2_eliminate(_gf2_pack(M), M.cols, reduced=False))
+
+
+def _gf2_det(M):
+    return int(_gf2_rank(M) == M.rows)
+
+
+def _gf2_inverse(M):
+    n = M.rows
+    pivots, rows = _gf2_augmented(M)
+    if len(pivots) < n:
+        raise MatrixError("matrix is singular")
+    return Matrix(M.field, n, n, _gf2_unpack(rows, n, 2 * n))
+
+
+def _gf2_matmul(A, B):
+    """Row i of A @ B is the XOR of the packed rows t of B with A[i][t] odd."""
+    k = A.cols
+    a, b = A.entries, _gf2_pack(B)
+    out = []
+    for i in range(A.rows):
+        acc = 0
+        for v, x in zip(a[i * k:i * k + k], b):
+            if v & 1:
+                acc ^= x
+        out.append(acc)
+    return Matrix(A.field, A.rows, B.cols, _gf2_unpack(out, 0, B.cols))
+
+
+def _gf2_char_poly(M):
+    """_hessenberg_char_poly at p = 2 on packed rows.  The row operations of
+    one m clear column m - 1 below the subdiagonal by XOR with row m; their
+    column operations all add columns to column m, so they run as one: row r
+    gains at column m the parity of its bits in the set U of cleared rows.
+    The chi_m are GF(2)[x] polynomials held as ints, bit j the coefficient of
+    x^j."""
+    a = _gf2_pack(M)
+    n = len(a)
+    for m in range(1, n - 1):
+        bit = 1 << (m - 1)
+        k = next((i for i in range(m, n) if a[i] & bit), None)
+        if k is None:
+            continue  # column m - 1 is zero below the subdiagonal already
+        if k != m:
+            a[k], a[m] = a[m], a[k]
+            swap = 1 << k | 1 << m
+            a = [x ^ swap if (x >> k ^ x >> m) & 1 else x for x in a]
+        U = 0
+        for i in range(m + 1, n):
+            if a[i] & bit:
+                a[i] ^= a[m]
+                U |= 1 << i
+        if U:
+            a = [x ^ 1 << m if (x & U).bit_count() & 1 else x for x in a]
+    chi = [1]
+    for m in range(n):
+        c = chi[m] << 1 ^ (chi[m] if a[m] >> m & 1 else 0)
+        for i in range(m - 1, -1, -1):
+            if not a[i + 1] >> i & 1:
+                break  # a zero subdiagonal entry ends the sum
+            if a[i] >> m & 1:
+                c ^= chi[i]
+        chi.append(c)
+    return UniPoly(M.field, _gf2_unpack([chi[n]], 0, n + 1))
+
+
 # -- QQ: fraction-free elimination of the row-cleared integer matrix -----------
 
 
@@ -745,7 +884,7 @@ def _generic_char_poly(M):
 
 
 def _gf_char_poly(M):
-    return UniPoly(M.field, tuple(_hessenberg_char_poly(M.to_rows(), M.field.p)))
+    return UniPoly(M.field, tuple(_hessenberg_char_poly(_gf_rows(M), M.field.p)))
 
 
 def _qq_char_poly(M):
@@ -817,11 +956,24 @@ def _hessenberg_char_poly(a, p):
 
 _GENERIC = _Kernels(matmul=_generic_matmul, **_elimination_readers(Matrix.to_rows, _eliminate),
                     char_poly=_generic_char_poly)
+_GFP = replace(_GENERIC, matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
+               char_poly=_gf_char_poly)
+_GF2 = _Kernels(matmul=_gf2_matmul, rref=_gf2_rref, rref_rows=_gf2_rref_rows, rank=_gf2_rank,
+                det=_gf2_det, inverse=_gf2_inverse, char_poly=_gf2_char_poly)
+
+
+def _by_p(name):
+    """The GF kernel ``name``: on packed rows at p = 2, on int rows above."""
+    two, odd = getattr(_GF2, name), getattr(_GFP, name)
+    if name == "matmul":
+        return lambda A, B: (two if A.field.p == 2 else odd)(A, B)
+    return lambda M: (two if M.field.p == 2 else odd)(M)
+
+
 # Over QQ and QQ(t) the transform of singular input is not unique, so rref
 # stays on the generic loop there
 _KERNELS = {
-    GF: replace(_GENERIC, matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
-                char_poly=_gf_char_poly),
+    GF: _Kernels(**{k.name: _by_p(k.name) for k in fields(_Kernels)}),
     QQ: replace(_GENERIC, matmul=_qq_matmul, rank=_qq_rank, det=_qq_det, inverse=_qq_inverse,
                 char_poly=_qq_char_poly),
     QQT: replace(_GENERIC, rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse),

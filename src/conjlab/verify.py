@@ -28,7 +28,9 @@ from .chains import (
     h_group_membership,
     project_dual,
     embed_group,
+    form_inverse,
     form_matrix,
+    group_inverse,
     random_algebra_element,
     random_group_element,
     random_sym_or_skew,
@@ -290,15 +292,17 @@ def _mismatches(tag, lam, got, want):
             if got.entry(i, j) != want.entry(i, j)]
 
 
-def _run(identities, X, M, element, tamper):
+def _run(identities, X, M, element, tamper, form=None):
     """Check ``identities(X, Y, lam, tamper) -> [(tag, got, want)]`` at every
     sample lam, with Y = A X A^-1 for A = ``element(lam)``: on the symbolic
     grid X, perturbed when ``tamper`` is set, and on the integer matrix M.
-    Returns the symbolic and the integer mismatches and the pairs (lam, Y)."""
+    A lies in the group of ``form`` when one is given, and is inverted by
+    form_inverse.  Returns the symbolic and the integer mismatches and the
+    pairs (lam, Y)."""
     sym, gen, conj = [], [], []
     for lam in _LAMBDAS:
         A = element(lam)
-        A_inv = inverse(A)
+        A_inv = inverse(A) if form is None else form_inverse(A, form)
         Y = A @ X @ A_inv
         conj.append((lam, Y))
         for tag, got, want in identities(X, Y, lam, tamper):
@@ -373,7 +377,7 @@ def _check_cd(kind: str, l, m, tamper, rng):
 
     X = symbolic_matrix(PolyContext(kind, n), _QQ)
     M = algebra_project(gt, _random_ints(rng, 2 * n))
-    return _run(identities, X, M, element, tamper)[:2]
+    return _run(identities, X, M, element, tamper, form_matrix(_QQ, gt))[:2]
 
 
 # -- symbolic H-form matrices (independent coordinates of the odd H-form) ---
@@ -442,7 +446,7 @@ def _check_b1(n, l, tamper, rng):
         return A
 
     X, M = _h_setup(n, l, rng)
-    sym, gen, _ = _run(identities, X, M, element, tamper)
+    sym, gen, _ = _run(identities, X, M, element, tamper, h_form_gram(_QQ, n, l))
     return [("algebra",) + w for w in _h_check_algebra(n, l, X)] + sym, gen
 
 
@@ -480,7 +484,7 @@ def _check_b2(n, l, tamper, rng):
         return B
 
     X, M = _h_setup(n, l, rng)
-    sym, gen, conj = _run(identities, X, M, element, tamper)
+    sym, gen, conj = _run(identities, X, M, element, tamper, h_form_gram(_QQ, n, l))
     # support of the moved slot polynomial: the antidiagonal W-sum stays
     # within the R variables and two W columns
     base = _anti_sum(_h_slots(X, n, l)[5])
@@ -555,8 +559,8 @@ def verify_equivariance(chain: ChainSpec, trials: int, field, seed: int = 0) -> 
             else:
                 M = random_algebra_element(chain.group_at(lvl + 1), field, rng)
             G = embed_group(chain, lvl, g)
-            lhs = project_dual(chain, lvl, G @ M @ inverse(G))
-            rhs = g @ project_dual(chain, lvl, M) @ inverse(g)
+            lhs = project_dual(chain, lvl, G @ M @ group_inverse(chain.group_at(lvl + 1), G))
+            rhs = g @ project_dual(chain, lvl, M) @ group_inverse(gt, g)
             if lhs != rhs:
                 wit.append({"level": lvl, "g": [[field.format(x) for x in g.row_list(i)]
                                                 for i in range(g.rows)]})
@@ -586,7 +590,7 @@ def _form_exposes(gt: GroupType, field, bound: int, rng) -> bool:
     M = Matrix.from_blocks([[P, Q], [R, -P.transpose()]])
     J = form_matrix(field, gt)
     assert group_membership(gt, J)
-    exposed = (J @ M @ inverse(J)).block(n, 2 * n, 0, n)
+    exposed = (J @ M @ J.transpose()).block(n, 2 * n, 0, n)
     s = field.one if skew else field.neg(field.one)
     return exposed == Q.scale(s) and rank(exposed) > bound
 
@@ -620,7 +624,7 @@ def _h_form_exposes(field, n: int, bound: int, rng) -> bool:
     for g in cands:
         if not h_group_membership(field, n, l, g):
             continue
-        Mc = g @ M @ inverse(g)
+        Mc = g @ M @ form_inverse(g, Hg)
         two = Mc.block(ln + l, L, ln, ln + l).submatrix(range(ln), [0, l - 1])
         if rank(Mc.block(ln + l, L, 0, ln)) > bound and rank(two) == 2:
             return True

@@ -64,19 +64,28 @@ def _poly_mul(f, a, b):
 
 
 def cofactor_det(field, grid):
-    """Recursive Laplace expansion of a grid of ascending coefficient lists,
-    through the field's add, neg and mul only."""
+    """Recursive Laplace expansion along the first row of a grid of ascending
+    coefficient lists, through the field's add, neg and mul only.  The minor
+    on the last k rows and k given columns recurs under many expansions; it
+    is expanded once and then looked up, so n = 12 takes 2^12 minors, not
+    12! terms."""
     n = len(grid)
-    if n == 0:
-        return [field.one]
-    acc = []
-    for j in range(n):
-        minor = [[grid[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = _poly_mul(field, grid[0][j], cofactor_det(field, minor))
-        if j % 2:
-            term = [field.neg(c) for c in term]
-        acc = _poly_add(field, acc, term)
-    return acc
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return [field.one]
+        if cols not in memo:
+            i, acc = n - len(cols), []
+            for k, j in enumerate(cols):
+                term = _poly_mul(field, grid[i][j], minor(cols[:k] + cols[k + 1:]))
+                if k % 2:
+                    term = [field.neg(c) for c in term]
+                acc = _poly_add(field, acc, term)
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def charpoly_oracle(M: Matrix) -> UniPoly:

@@ -14,7 +14,9 @@ from conjlab.chains import (
     classify_case,
     dual_projection_instructions,
     embed_group,
+    form_inverse,
     form_matrix,
+    group_inverse,
     group_membership,
     h_form_gram,
     h_group_membership,
@@ -297,6 +299,30 @@ def test_h_form_conversion(rng):
     for _ in range(10):
         g = random_group_element(GroupType("B", (L - 1) // 2), f, rng, 3)
         assert h_group_membership(f, n, l, P.transpose() @ g @ P)
+
+
+@pytest.mark.parametrize("field", [G3, G7, QQ_], ids=lambda f: f.name)
+def test_form_inverse_matches_elimination(field, rng):
+    """J g^T J^T is inverse(g), entry for entry, on seeded members of types
+    B, C and D and of the H-form; type A keeps the elimination."""
+    for gt in (GroupType("B", 1), GroupType("B", 2), GroupType("C", 2), GroupType("D", 3)):
+        J = form_matrix(field, gt)
+        assert form_matrix(field, gt) is J and J.transpose() @ J == Matrix.identity(field, gt.ambient)
+        for _ in range(10):
+            g = random_group_element(gt, field, rng, 4)
+            assert form_inverse(g, J) == group_inverse(gt, g) == inverse(g)
+    g = random_group_element(GroupType("A", 3), field, rng, 4)
+    assert group_inverse(GroupType("A", 3), g) == inverse(g)
+    for n, l in ((1, 3), (2, 3), (1, 5)):
+        # H = J.submatrix(sigma, sigma), so g.submatrix(sigma, sigma) is in
+        # the H-form group when g is in the type B group
+        L, sigma = l * (2 * n + 1), _h_sigma(n, l)
+        H = h_form_gram(field, n, l)
+        for _ in range(5):
+            g = random_group_element(GroupType("B", (L - 1) // 2), field, rng, 4)
+            h = g.submatrix(sigma, sigma)
+            assert h_group_membership(field, n, l, h)
+            assert form_inverse(h, H) == inverse(h)
 
 
 def test_h_form_gram_is_the_explicit_block_form():

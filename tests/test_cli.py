@@ -333,6 +333,20 @@ def test_scalar_with_a_huge_exponent_exits_2(field, scalar):
     assert code == 2 and out == "" and err.count("\n") == 1 and "exponent" in err, err
 
 
+@pytest.mark.parametrize("rows, coeffs", [
+    ([["1e2200", "0"], ["0", "1e2200"]], ["1" + "0" * 4400, "-2" + "0" * 2200, "1"]),
+    ([["1e4300"]], ["-1" + "0" * 4300, "1"]),
+], ids=["4401-digit-result", "4301-digit-entry"])
+def test_integers_past_the_str_digit_limit_print_exactly(rows, coeffs):
+    # Python's str(int) refuses more than 4300 digits; the output does not
+    code, out, err, _ = run_capped("""
+        import sys
+        from conjlab.cli import main
+        sys.exit(main(["charpoly", "--field", "qq"]))
+    """, stdin=json.dumps({"rows": rows}), timeout=30)
+    assert code == 0 and json.loads(out) == {"coeffs": coeffs}, err
+
+
 def test_all_conjugates_checks_past_the_pair_count(capsys, monkeypatch):
     # the 8 x 8 identity over GF(2) passes offdiag-check by its lemma (7.0 M
     # subspace pairs at m = 2) and fails minor-vanishing at its first pair

@@ -14,6 +14,7 @@ from conjlab.fields import (
     RatFunc,
     field_from_name,
     gfpoly_roots,
+    int_str,
     ipoly_add,
     ipoly_content,
     ipoly_eval,
@@ -399,3 +400,32 @@ def test_sort_keys_order_distinct_scalars_distinctly():
     assert sorted([q.t, q.one, q.zero], key=q.sort_key) == [q.zero, q.one, q.t]
 
 
+def _from_digits(s: str) -> int:
+    """The int that a decimal string denotes, read 1000 digits at a time, so
+    past the 4300-digit limit of int(str)."""
+    n = 0
+    for i in range(0, len(s), 1000):
+        n = n * 10 ** len(s[i:i + 1000]) + int(s[i:i + 1000])
+    return n
+
+
+def test_int_str_writes_every_digit():
+    for n in (0, 1, 9, 10, 2**2000 - 1, 2**2000, 2**2001, 10**602, 10**603 - 1, 10**4299):
+        assert int_str(n) == str(n) and int_str(-n) == ("-" if n else "") + str(n)
+    rng = random.Random(36)
+    for digits in (4299, 4300, 4301, 9000, 20000):
+        s = str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(digits - 1))
+        assert int_str(_from_digits(s)) == s and int_str(-_from_digits(s)) == "-" + s
+    for s in ("1" + "0" * 5000 + "7", "9" * 8000, "1" + "0" * 12000):  # runs of zeros and nines
+        assert int_str(_from_digits(s)) == s
+
+
+def test_scalars_past_the_str_digit_limit_format_exactly():
+    big = 10**5000 + 3
+    want = "1" + "0" * 4999 + "3"
+    assert QQ().format(Fraction(big, 7)) == want + "/7"
+    assert QQ().format(Fraction(-7, big)) == "-7/" + want
+    assert QQ().format(Fraction(big)) == want
+    assert str(RatFunc.make((big,), (1,))) == want
+    assert str(RatFunc.make((1,), (big,))) == "1/" + want
+    assert str(RatFunc.make((0, -big), (1,))) == "-" + want + "*t"

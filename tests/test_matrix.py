@@ -844,6 +844,115 @@ def test_gf_elimination_matches_generic_loop(M):
         assert X == generic.inverse(M) == T and X @ M == Matrix.identity(M.field, M.rows)
 
 
+# ---------------------------------------------------------------------------
+# GF(2) on rows packed into ints, reached through the GF record, against the
+# generic loop on the residues, the Gauss-Jordan loop and cofactor expansion
+# ---------------------------------------------------------------------------
+
+
+def _residues(M):
+    return Matrix(M.field, M.rows, M.cols, tuple(v % 2 for v in M.entries))
+
+
+def _bits(entries):
+    return all(type(v) is int and v in (0, 1) for v in entries)
+
+
+def _assert_gf2_kernels(M, rng):
+    """Every GF(2) kernel on M against the generic loop on M's residues and
+    against gauss_jordan_oracle, the transform of singular input included;
+    every entry an int 0 or 1, never a bool."""
+    generic, R = matrix._GENERIC, _residues(M)
+    res = rank_and_rref(M)
+    rk, rref, T, pivots = gauss_jordan_oracle(R)
+    assert res == generic.rref(R) and (res.rank, res.rref, res.transform, res.pivots) == \
+        (rk, rref, T, pivots)
+    assert _bits(res.rref.entries) and _bits(res.transform.entries)
+    got_pivots, rows = rref_rows(M)
+    assert (got_pivots, rows) == generic.rref_rows(R) and all(_bits(row) for row in rows)
+    assert rank(M) == rk
+    N = Matrix(G2, M.cols, 3, tuple(rng.choice((0, 1, -3, 2, 5)) for _ in range(3 * M.cols)))
+    C = M @ N
+    assert C == generic.matmul(R, _residues(N)) == matmul_oracle(M, N) and _bits(C.entries)
+    if not M.is_square:
+        return
+    d = det(M)
+    assert d == generic.det(R) == int(rk == M.rows) and type(d) is int
+    if rk < M.rows:
+        with pytest.raises(MatrixError, match="^matrix is singular$"):
+            inverse(M)
+    else:
+        X = inverse(M)
+        assert X == generic.inverse(R) == T and _bits(X.entries)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (40, 3), (3, 40)], ids=str)
+def test_gf2_kernels_edge_shapes(shape):
+    rng = random.Random(f"gf2-edge:{shape}")
+    for _ in range(5):
+        _assert_gf2_kernels(random_matrix(*shape, G2, rng), rng)
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_gf2_kernels_large_singular(n):
+    rng = random.Random(f"gf2-singular:{n}")
+    for k in (0, 1, n // 2, n - 1):
+        M = matrix_of_rank(G2, n, k, rng)
+        assert rank(M) == k
+        _assert_gf2_kernels(M, rng)
+    _assert_gf2_kernels(random_invertible(n, G2, rng), rng)
+
+
+def test_gf2_kernels_on_unreduced_entries():
+    """Matrix(...) built directly may hold any ints; the kernels read them by
+    parity, so -3 and 5 act as 1 and 2 as 0."""
+    rng = random.Random(36)
+    for _ in range(200):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        M = Matrix(G2, n, m, tuple(rng.choice((0, 1, -3, 2, 5)) for _ in range(n * m)))
+        _assert_gf2_kernels(M, rng)
+        S = Matrix(G2, n, n, tuple(rng.choice((0, 0, -3, 2, 5)) for _ in range(n * n)))
+        _assert_gf2_kernels(S, rng)
+        assert char_poly(S) == charpoly_oracle(_residues(S)) and _bits(char_poly(S).coeffs)
+
+
+def test_gf_char_poly_reads_unreduced_entries():
+    """Over GF(p), p > 2, the Hessenberg loop reduces its input first: an
+    entry p at a pivot position is zero, not a residue without an inverse."""
+    for f in (G3, G7):
+        p = f.p
+        M = Matrix(f, 3, 3, (1, 2, 3, p, -1, 2 * p + 1, 1, p + 2, -p))
+        assert char_poly(M) == charpoly_oracle(Matrix(f, 3, 3, tuple(v % p for v in M.entries)))
+
+
+def test_gf2_kernels_run_on_packed_rows(monkeypatch):
+    """GF(2) reaches the packed elimination through the GF record; GF(3) does not."""
+    calls = []
+    packed = matrix._gf2_eliminate
+    monkeypatch.setattr(matrix, "_gf2_eliminate", lambda *a, **k: calls.append(1) or packed(*a, **k))
+    for f, want in ((G2, 1), (G3, 0)):
+        calls.clear()
+        assert rank(Matrix.identity(f, 3)) == 3
+        assert len(calls) == want
+
+
+def test_gf2_char_poly_matches_cofactor_expansion():
+    rng = random.Random("gf2-charpoly")
+    for n in range(13):
+        for M in (random_matrix(n, n, G2, rng), matrix_of_rank(G2, n, n // 2, rng) if n else None):
+            if M is None:
+                continue
+            cp = char_poly(M)
+            assert cp == charpoly_oracle(M) and _bits(cp.coeffs), n
+
+
+def test_gf2_char_poly_matches_berkowitz_at_32():
+    rng = random.Random("gf2-charpoly-32")
+    for M in (random_matrix(32, 32, G2, rng), matrix_of_rank(G2, 32, 20, rng)):
+        cp = char_poly(M)
+        assert cp == berkowitz_oracle(M) and _bits(cp.coeffs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_span_matches_gauss_jordan_rank(data):

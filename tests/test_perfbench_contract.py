@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import conjlab.cli
 import conjlab.matrix as matrix
 import conjlab.pencil as pencil
@@ -93,6 +95,28 @@ def test_tracer_records_qqt_kernels_and_qq_eigenvalues():
     assert restored
 
 
+def _digest(tasks, results):
+    canon = [task.canon(r) for task, r in zip(tasks, results)]
+    return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload, digest", [
+    ("exact", "b44993befcc15de2a861d6d20b6060115e4ff1dc5eb45aefaf32d6fa1b57b1c7"),
+    ("conjugates", "5586a116a61cf5dddcb545d326b784a2a19662564ef5ad1e1c9ff44b8f71952c"),
+])
+def test_workload_outputs_pinned_at_seed_0(tmp_path, monkeypatch, workload, digest):
+    """Every task of the workload passes its check at seed 0, run in process,
+    and the canonical outputs hash to the digest that
+    `perfbench/run.py --workload W --seed 0` prints."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    tasks = workloads.TASK_LISTS[workload](0, {"workdir": tmp_path, "inprocess": True})
+    results = [task.call() for task in tasks]
+    assert [task.check(r) for task, r in zip(tasks, results)] == [None] * len(tasks)
+    assert _digest(tasks, results) == digest
+
+
 def test_cli_workload_passes_in_process(tmp_path, monkeypatch):
     """Every task of the cli workload passes its check on seeds 0-9, run in
     process, and seed 0's canonical outputs hash to the digest that
@@ -106,7 +130,5 @@ def test_cli_workload_passes_in_process(tmp_path, monkeypatch):
         results = [task.call() for task in tasks]
         assert [task.check(r) for task, r in zip(tasks, results)] == [None] * len(tasks), seed
         if seed == 0:
-            canon = [task.canon(r) for task, r in zip(tasks, results)]
-            blob = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
-            assert hashlib.sha256(blob).hexdigest() == \
+            assert _digest(tasks, results) == \
                 "585e24c3207e119b684ef976d6ba5a8aaec62a44b275e99d4e4aa96dd3acdce3"
