@@ -16,10 +16,9 @@ layout it states once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QQT, FieldError, integral, is_prime
+from .fields import QQT, FieldError, Record, _set, integral, is_prime
 from .matrix import Matrix, MatrixError, det, inverse, random_invertible, random_matrix
 
 
@@ -27,14 +26,14 @@ class ChainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupType:
-    letter: str
-    n: int
+class GroupType(Record):
+    __slots__ = ("letter", "n")
 
-    def __post_init__(self):
-        if self.letter not in "ABCD" or self.n < 1:
-            raise ChainError(f"bad group type {self.letter}{self.n}")
+    def __init__(self, letter, n):
+        if letter not in "ABCD" or n < 1:
+            raise ChainError(f"bad group type {letter}{n}")
+        _set(self, "letter", letter)
+        _set(self, "n", n)
 
     @property
     def ambient(self) -> int:
@@ -197,26 +196,20 @@ def _random_generator(gtype: GroupType, field, rng) -> Matrix:
 # Chains of diagonal embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Signature:
-    l: int
-    r: int
-    z: int
+class Signature(Record):
+    __slots__ = ("l", "r", "z")
 
-    def __post_init__(self):
-        if self.l < 0 or self.r < 0 or self.z < 0 or self.l + self.r < 1:
-            raise ChainError(f"bad signature {(self.l, self.r, self.z)}")
+    def __init__(self, l, r, z):
+        if l < 0 or r < 0 or z < 0 or l + r < 1:
+            raise ChainError(f"bad signature {(l, r, z)}")
+        super().__init__(l, r, z)
 
     def swapped(self) -> "Signature":
         return Signature(self.r, self.l, self.z)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    letter: str
-    n1: int
-    prefix: tuple
-    repeat: tuple
+class ChainSpec(Record):
+    __slots__ = ("letter", "n1", "prefix", "repeat")
 
     @staticmethod
     def make(letter, n1, prefix, repeat) -> "ChainSpec":
@@ -445,10 +438,8 @@ def project_dual(chain: ChainSpec, i: int, M: Matrix) -> Matrix:
 # Truncated inverse-limit points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedPoint:
-    chain: ChainSpec
-    reps: tuple  # representative at levels 1..len(reps)
+class TruncatedPoint(Record):
+    __slots__ = ("chain", "reps")  # reps: the representatives at levels 1..len(reps)
 
     @staticmethod
     def make(chain, reps) -> "TruncatedPoint":
@@ -526,12 +517,8 @@ def trace_invariant(point: TruncatedPoint):
 # Case classification of type A chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseTag:
-    tag: str
-    alpha: object  # int or None for infinity
-    beta: object
-    gamma: object
+class CaseTag(Record):
+    __slots__ = ("tag", "alpha", "beta", "gamma")  # alpha, beta, gamma: an int or None for infinity
 
 
 def _count(chain: ChainSpec, pred):

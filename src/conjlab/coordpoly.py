@@ -14,11 +14,10 @@ variable so printing is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .chains import GroupType, form_matrix
-from .fields import QQ
+from .fields import QQ, Record, _set
 from .matrix import Matrix
 
 
@@ -26,14 +25,13 @@ class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PolyContext:
-    kind: str  # "gl", "B", "C", "D"
-    n: int
+class PolyContext(Record):
+    __slots__ = ("kind", "n")  # kind: "gl", "B", "C" or "D"
 
-    def __post_init__(self):
-        if self.kind not in ("gl", "B", "C", "D") or self.n < 1:
-            raise PolyError(f"bad polynomial context {self.kind!r}, n={self.n}")
+    def __init__(self, kind, n):
+        if kind not in ("gl", "B", "C", "D") or n < 1:
+            raise PolyError(f"bad polynomial context {kind!r}, n={n}")
+        super().__init__(kind, n)
 
     @property
     def ambient(self) -> int:
@@ -97,13 +95,16 @@ def _layout(ctx: PolyContext) -> dict:
     return {name(*pos): places for pos, places in form_layout(J, n, o).items()}
 
 
-@dataclass(frozen=True)
-class CoordPoly:
+class CoordPoly(Record):
     """A linear form: the sum of coeff * var over its terms."""
 
-    context: PolyContext
-    field: object
-    terms: tuple  # ((var, coeff), ...), sorted by var, every coeff nonzero
+    # terms: ((var, coeff), ...), sorted by var, every coeff nonzero
+    __slots__ = ("context", "field", "terms")
+
+    def __init__(self, context, field, terms):
+        _set(self, "context", context)
+        _set(self, "field", field)
+        _set(self, "terms", terms)
 
     @staticmethod
     def _normalize(ctx, field, d: dict) -> "CoordPoly":

@@ -25,16 +25,12 @@ descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import integral
+from .fields import Record, integral
 
 
-@dataclass(frozen=True)
-class ClosedSetDescriptor:
-    field: object
-    k: int
-    exceptional: tuple  # sorted ((lambda, bound), ...) with bound > k
+class ClosedSetDescriptor(Record):
+    # exceptional: sorted ((lambda, bound), ...) with bound > k
+    __slots__ = ("field", "k", "exceptional")
 
     @staticmethod
     def make(field, k: int, entries=()) -> "ClosedSetDescriptor":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +21,57 @@ class FieldError(ValueError):
 
 class UnsupportedFieldOperation(FieldError):
     """Raised when an operation is undefined for the field (e.g. eigenvalues over QQ(t))."""
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """A frozen value: its fields are the ``__slots__`` of its class, in order.
+    Records of one class with equal fields are equal, a record hashes as the
+    tuple of its fields and prints as ``Name(field=value, ...)``, and
+    assigning or deleting a field raises AttributeError.  The constructor
+    takes the fields by position or by name; a class that checks them, has
+    defaults or is built in hot loops writes its own ``__init__`` and sets
+    each field with ``_set``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.pop(name, getattr(self, name)) for name in self.__slots__],
+                          **changes)
+
+    def __eq__(self, other):
+        if self.__class__ is other.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _parser(parse):
@@ -408,12 +458,14 @@ def ipoly_format(a) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(Record):
     """A rational function num/den in ZZ[t], in canonical reduced form."""
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("num", "den")  # tuples of ints
+
+    def __init__(self, num, den):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def make(num, den) -> "RatFunc":
@@ -722,11 +774,13 @@ def field_from_name(name: str):
 # Dense univariate polynomials over a field (characteristic polynomials)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(Record):
     """A univariate polynomial as the tuple of its ascending coefficients,
     elements of the field with the last nonzero.  ``char_poly`` returns one,
     monic."""
 
-    field: object
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        _set(self, "field", field)
+        _set(self, "coeffs", coeffs)

@@ -16,9 +16,7 @@ it certifies irreducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import GF
+from .fields import GF, Record
 from .matrix import Matrix, rank
 
 
@@ -32,10 +30,9 @@ def _norm_edge(e) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    vertices: tuple
-    edges: tuple  # multiset, kept sorted; each edge a sorted pair (loop = equal endpoints)
+class Multigraph(Record):
+    # edges: a multiset, kept sorted; each edge a sorted pair (loop = equal endpoints)
+    __slots__ = ("vertices", "edges")
 
     @staticmethod
     def make(vertices, edges) -> "Multigraph":
@@ -79,30 +76,26 @@ class Multigraph:
         return out
 
 
-@dataclass(frozen=True)
-class RemoveEdge:
-    edge: tuple
+class RemoveEdge(Record):
+    __slots__ = ("edge",)
 
 
-@dataclass(frozen=True)
-class RemoveLoopedVertex:
-    vertex: str
+class RemoveLoopedVertex(Record):
+    __slots__ = ("vertex",)
 
 
-@dataclass(frozen=True)
-class MigrateEdge:
-    edge: tuple  # {v, w}, v != w
-    looped: str  # v, must carry a loop; the edge becomes a loop at the other end
+class MigrateEdge(Record):
+    # edge {v, w}, v != w; looped is v, which must carry a loop: the edge
+    # becomes a loop at the other end
+    __slots__ = ("edge", "looped")
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    steps: tuple
+class ReductionCertificate(Record):
+    __slots__ = ("steps",)
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    component: frozenset  # a connected, loop-free component
+class Obstruction(Record):
+    __slots__ = ("component",)  # a connected, loop-free component, as a frozenset
 
 
 def apply_rule(g: Multigraph, step) -> Multigraph:

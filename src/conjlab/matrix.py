@@ -27,7 +27,6 @@ field.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
@@ -39,6 +38,7 @@ from .fields import (
     QQT,
     FieldError,
     RatFunc,
+    Record,
     UniPoly,
     UnsupportedFieldOperation,
     gfpoly_roots,
@@ -48,6 +48,7 @@ from .fields import (
     ipoly_lcm,
     ipoly_mul,
     qpoly_rational_roots,
+    _set,
 )
 
 
@@ -62,12 +63,14 @@ class PoleAtZero(FieldError):
         super().__init__(f"pole at t=0 in entry ({row},{col})")
 
 
-@dataclass(frozen=True)
-class Matrix:
-    field: object
-    rows: int
-    cols: int
-    entries: tuple
+class Matrix(Record):
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field, rows, cols, entries):
+        _set(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     # -- construction -------------------------------------------------------
 
@@ -228,12 +231,8 @@ class Matrix:
                       tuple(convert(a) for a in self.entries))
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    rank: int
-    rref: Matrix
-    transform: Matrix
-    pivots: tuple
+class RrefResult(Record):
+    __slots__ = ("rank", "rref", "transform", "pivots")
 
 
 def rank_and_rref(M: Matrix) -> RrefResult:
@@ -281,15 +280,14 @@ def inverse(M: Matrix) -> Matrix:
 # check shapes; a kernel gets well-shaped input.
 
 
-@dataclass(frozen=True)
-class _Kernels:
-    matmul: object     # (A, B) -> A @ B
-    rref: object       # M -> RrefResult of the Gauss-Jordan elimination of [M | I]
-    rref_rows: object  # M -> (pivots, nonzero rows of rref M), without [M | I]
-    rank: object       # M -> rank M
-    det: object        # square M -> det M
-    inverse: object    # square M -> M^-1; MatrixError "matrix is singular"
-    char_poly: object  # square M -> det(xI - M)
+class _Kernels(Record):
+    __slots__ = ("matmul",     # (A, B) -> A @ B
+                 "rref",       # M -> RrefResult of the Gauss-Jordan elimination of [M | I]
+                 "rref_rows",  # M -> (pivots, nonzero rows of rref M), without [M | I]
+                 "rank",       # M -> rank M
+                 "det",        # square M -> det M
+                 "inverse",    # square M -> M^-1; MatrixError "matrix is singular"
+                 "char_poly")  # square M -> det(xI - M)
 
 
 def _kernels(field) -> _Kernels:
@@ -956,8 +954,8 @@ def _hessenberg_char_poly(a, p):
 
 _GENERIC = _Kernels(matmul=_generic_matmul, **_elimination_readers(Matrix.to_rows, _eliminate),
                     char_poly=_generic_char_poly)
-_GFP = replace(_GENERIC, matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
-               char_poly=_gf_char_poly)
+_GFP = _GENERIC._replace(matmul=_gf_matmul, **_elimination_readers(_gf_rows, _gf_eliminate),
+                         char_poly=_gf_char_poly)
 _GF2 = _Kernels(matmul=_gf2_matmul, rref=_gf2_rref, rref_rows=_gf2_rref_rows, rank=_gf2_rank,
                 det=_gf2_det, inverse=_gf2_inverse, char_poly=_gf2_char_poly)
 
@@ -973,10 +971,10 @@ def _by_p(name):
 # Over QQ and QQ(t) the transform of singular input is not unique, so rref
 # stays on the generic loop there
 _KERNELS = {
-    GF: _Kernels(**{k.name: _by_p(k.name) for k in fields(_Kernels)}),
-    QQ: replace(_GENERIC, matmul=_qq_matmul, rank=_qq_rank, det=_qq_det, inverse=_qq_inverse,
-                char_poly=_qq_char_poly),
-    QQT: replace(_GENERIC, rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse),
+    GF: _Kernels(*map(_by_p, _Kernels.__slots__)),
+    QQ: _GENERIC._replace(matmul=_qq_matmul, rank=_qq_rank, det=_qq_det, inverse=_qq_inverse,
+                          char_poly=_qq_char_poly),
+    QQT: _GENERIC._replace(rank=_qqt_rank, det=_qqt_det, inverse=_qqt_inverse),
 }
 
 

@@ -13,10 +13,9 @@ returned witness is verified against its postcondition before returning.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .chains import ChainSpec, ChainError, project_dual
-from .fields import GF, QQ, QQT, UnsupportedFieldOperation
+from .fields import GF, QQ, QQT, Record, UnsupportedFieldOperation
 from .matrix import (
     Matrix,
     MatrixError,
@@ -289,12 +288,11 @@ def minor_vanishing_test(P: Matrix, k: int, mode: str = "exhaustive",
 # Orbit-closure classification at a finite level
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitClosure:
-    kind: str  # "dense" or "stratum"
-    lam: object = None
-    rank: int | None = None
-    level: int | None = None
+class OrbitClosure(Record):
+    __slots__ = ("kind", "lam", "rank", "level")  # kind: "dense" or "stratum"
+
+    def __init__(self, kind, lam=None, rank=None, level=None):
+        super().__init__(kind, lam, rank, level)
 
 
 def classify_orbit_closure(P: Matrix) -> OrbitClosure:

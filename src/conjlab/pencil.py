@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
-from .fields import GF, UnsupportedFieldOperation
+from .fields import GF, Record, UnsupportedFieldOperation
 from .matrix import (
     Matrix,
     MatrixError,
@@ -42,9 +41,8 @@ class BudgetExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PencilTuple:
-    matrices: tuple
+class PencilTuple(Record):
+    __slots__ = ("matrices",)
 
     @staticmethod
     def make(matrices) -> "PencilTuple":
@@ -58,10 +56,8 @@ class PencilTuple:
         return PencilTuple(ms)
 
 
-@dataclass(frozen=True)
-class ShiftRankResult:
-    lam: object  # scalar or None when no K-eigenvalue exists
-    rank: int
+class ShiftRankResult(Record):
+    __slots__ = ("lam", "rank")  # lam: a scalar, or None when no K-eigenvalue exists
 
 
 def shift_rank(P: Matrix) -> ShiftRankResult:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -36,20 +35,19 @@ from .chains import (
     random_sym_or_skew,
 )
 from .coordpoly import PolyContext, PolyGrid, form_layout, layout_grid, poly_format, symbolic_matrix
-from .fields import GF, QQ, field_from_name, integral
+from .fields import GF, QQ, Record, field_from_name, integral
 from .graphs import (ReductionCertificate, char2_derivative, char2_gamma, incidence_rank_check,
                      reduce_graph, replay)
 from .matrix import Matrix, inverse, random_matrix, rank, rref_rows
-from .pencil import BudgetExceeded, _refuse_over_budget
+from .pencil import ENUMERATION_BUDGET, BudgetExceeded, _refuse_over_budget
 
 
-@dataclass
-class VerificationReport:
-    lemma: str
-    params: dict
-    verdict: str  # "pass" | "fail" | "statistical-pass"
-    witnesses: list = dc_field(default_factory=list)
-    ms: int = 0
+class VerificationReport(Record):
+    # verdict: "pass", "fail" or "statistical-pass"
+    __slots__ = ("lemma", "params", "verdict", "witnesses", "ms")
+
+    def __init__(self, lemma, params, verdict, witnesses=None, ms=0):
+        super().__init__(lemma, params, verdict, [] if witnesses is None else witnesses, ms)
 
     def to_json(self) -> dict:
         return {
@@ -72,6 +70,14 @@ def _report(lemma, params, verdict, witnesses, t0) -> VerificationReport:
 
 def _rng_for(seed, lemma_id) -> random.Random:
     return random.Random(f"{seed}:{lemma_id}")
+
+
+def _refuse_over_size(what: str, charge: int) -> None:
+    """Refuse, before anything is built, a size whose charge (entries built,
+    or trials times N^3 for N x N products) is above the enumeration budget."""
+    if charge > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{what} = {charge} exceeds the enumeration budget "
+                             f"of {ENUMERATION_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +230,8 @@ def verify_char2(part: str, field, n: int, mode: str = "enumerate",
     if part != "b":
         raise ValueError("part must be 'a' or 'b'")
     lemma = "char2b"
+    _refuse_over_size(f"char2b at n = {n}: the derivative's (n^2 - 1) 2n^2 entries",
+                      (n * n - 1) * 2 * n * n)
     rk = rank(char2_derivative(n))
     gamma = char2_gamma(n)
     res = reduce_graph(gamma)
@@ -542,12 +550,14 @@ def verify_equivariance(chain: ChainSpec, trials: int, field, seed: int = 0) -> 
     if trials < 1:
         raise ValueError("equivariance needs trials >= 1")
     _refuse_over_budget(trials)
+    levels = max(1, len(chain.prefix))
+    N = chain.ambient_at(levels + 1)  # the largest drawn, as no map shrinks n
+    _refuse_over_size(f"{trials} trials at size N = {N}: trials N^3", trials * N ** 3)
     t0 = time.monotonic()
     params = {"chain": chain.letter, "n1": chain.n1,
               "sig": [chain.signature_at(1).l, chain.signature_at(1).r, chain.signature_at(1).z],
               "trials": trials, "seed": seed, "field": field.name}
     rng = _rng_for(seed, f"equivariance-{chain.letter}")
-    levels = max(1, len(chain.prefix))
     wit = []
     for lvl in range(1, levels + 1):
         gt = chain.group_at(lvl)
@@ -657,6 +667,8 @@ def verify_rank_bound_samples(lemma: str, n: int, m: int, trials: int, field,
                          f"the sampled block has rank at most {most}")
     if lemma == "b" and field.characteristic == 2:
         raise ValueError("rankbound-b halves its samples, so it needs characteristic other than 2")
+    N = 3 * (2 * n + 1) if lemma == "b" else 2 * n  # the largest matrix a trial draws
+    _refuse_over_size(f"{trials} trials at size N = {N}: trials N^3", trials * N ** 3)
     rng = _rng_for(seed, f"rankbound-{lemma}")
     if lemma == "b":
         search = lambda: _h_form_exposes(field, n, bound, rng)

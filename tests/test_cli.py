@@ -434,6 +434,19 @@ def test_sampled_trials_over_budget_exit_2(tmp_path, capsys):
         assert "trials exceed the enumeration budget" in err, argv
 
 
+@pytest.mark.parametrize("lemma, n", [("char2b", 300), ("rankbound-sp", 5000), ("rankbound-b", 2000)])
+def test_verify_sizes_over_budget_exit_2(lemma, n):
+    # each ended in a MemoryError traceback with exit 1 under the cap; the
+    # size is charged before anything is built
+    code, out, err, _ = run_capped(f"""
+        import sys
+        from conjlab.cli import main
+        sys.exit(main(["verify", "{lemma}", "--n", "{n}"]))
+    """, timeout=30)
+    assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:"), err
+    assert "enumeration budget" in err
+
+
 def test_verify_commutator_needs_a_finite_field(capsys):
     # an explicit qq or qq_t exits 2, as for char2a, with one line naming the
     # lemma; with no --field the lemma runs over GF(3)

@@ -130,18 +130,27 @@ def test_src_has_no_unread_methods():
     assert not unread
 
 
+def _class_fields(cls):
+    """The annotated names and the ``__slots__`` names of a class body."""
+    for d in cls.body:
+        if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name):
+            yield d.target.id
+        elif (isinstance(d, ast.Assign)
+              and [getattr(t, "id", None) for t in d.targets] == ["__slots__"]):
+            yield from ast.literal_eval(d.value)
+
+
 def test_src_has_no_unread_attributes():
     """Every attribute a class of the package sets on self (``self.x = ...``),
-    and every annotated field of a class body, is read by some attribute load
-    in src/, so no attribute stays that only tests read.  Like the method
-    check it goes by name, so an attribute named like one that src/ reads
-    elsewhere passes it."""
+    and every field of a class body, annotated or named in ``__slots__``, is
+    read by some attribute load in src/, so no attribute stays that only
+    tests read.  Like the method check it goes by name, so an attribute named
+    like one that src/ reads elsewhere passes it."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     read = sum(map(_attribute_loads, trees), collections.Counter())
     unread = set()
     for cls in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-        fields = {d.target.id for d in cls.body
-                  if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name)}
+        fields = set(_class_fields(cls))
         stored = {n.attr for n in ast.walk(cls)
                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
                   and isinstance(n.value, ast.Name) and n.value.id == "self"}
@@ -151,7 +160,9 @@ def test_src_has_no_unread_attributes():
 
 def test_cli_import_loads_every_module():
     """A fresh interpreter that imports conjlab.cli has loaded every module of
-    the package.  The benchmark's tracer relies on it: ``Tracer.install``
+    the package, and neither ``dataclasses`` nor ``inspect``: the value types
+    are records on ``fields.Record``, built without either.  The benchmark's
+    tracer relies on the first part: ``Tracer.install``
     patches only the conjlab modules already loaded, so a module imported
     after it binds a wrapper that ``restore()`` cannot undo, and a traced run
     then reports itself incorrect.  Importing each verb's modules lazily
@@ -160,10 +171,13 @@ def test_cli_import_loads_every_module():
     submodule before patching, has landed as a benchmark change."""
     import conjlab
     want = {f"conjlab.{m.name}" for m in pkgutil.iter_modules(conjlab.__path__)}
-    code = "import sys, conjlab.cli; print(*sorted(m for m in sys.modules if m.startswith('conjlab.')))"
+    code = ("import sys, conjlab.cli; print(*sorted(m for m in sys.modules "
+            "if m.startswith('conjlab.') or m in ('dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert want <= set(out.stdout.split())
+    loaded = set(out.stdout.split())
+    assert want <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_conftest_imports_only_public_conjlab_names():

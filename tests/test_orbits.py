@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from fractions import Fraction
@@ -94,8 +93,8 @@ def test_shape_left_eliminates_p_once(monkeypatch):
             return kernel(M)
         return run
 
-    monkeypatch.setitem(matrix._KERNELS, GF, replace(kernels, rref=counting(kernels.rref),
-                                                      rref_rows=counting(kernels.rref_rows)))
+    monkeypatch.setitem(matrix._KERNELS, GF, kernels._replace(rref=counting(kernels.rref),
+                                                              rref_rows=counting(kernels.rref_rows)))
     P = Matrix.from_rows(G2, [[0, 1, 0, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 1, 1],
                               [0, 1, 0, 0, 1], [0, 1, 0, 1, 1]])
     shape_left(P, 2)

@@ -69,6 +69,27 @@ def test_sampled_verifiers_need_trials():
         verify_rank_bound_samples("sp", 4, 1, trials=0, field=G7)
 
 
+def test_verify_sizes_over_budget_are_refused_before_building(monkeypatch):
+    # char2b charges the (n^2 - 1) x 2n^2 entries of its derivative, n = 26
+    # the largest under 10^6; the sampled verifiers charge trials N^3 for the
+    # largest N x N matrix a trial draws.  Each refuses before any work: the
+    # builders would raise if they were reached.
+    def unreached(*args, **kwargs):
+        raise AssertionError("built past the budget")
+    for name in ("char2_derivative", "random_matrix", "random_group_element", "_h_form_exposes",
+                 "_form_exposes"):
+        monkeypatch.setattr(verify_mod, name, unreached)
+    with pytest.raises(BudgetExceeded, match="1061424"):
+        verify_char2("b", G2, 27)
+    with pytest.raises(BudgetExceeded, match="N = 16"):
+        verify_rank_bound_samples("sp", 8, 1, trials=245, field=G7)  # 245 * 16^3 > 10^6
+    with pytest.raises(BudgetExceeded, match="N = 15"):
+        verify_rank_bound_samples("b", 2, 1, trials=297, field=G7)  # 297 * 15^3 > 10^6
+    ch = ChainSpec.make("A", 2, [(1, 1, 1)], [(1, 1, 1)])  # level 2 has N = 5
+    with pytest.raises(BudgetExceeded, match="N = 5"):
+        verify_equivariance(ch, trials=8001, field=G7)
+
+
 def test_rankbound_b_needs_odd_characteristic():
     # the samples are halved, and 2 has no inverse in characteristic 2
     with pytest.raises(ValueError, match="characteristic"):
