@@ -13,6 +13,7 @@ import functools
 import re
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 class FieldError(ValueError):
@@ -33,15 +34,22 @@ class Record:
     assigning or deleting a field raises AttributeError.  The constructor
     takes the fields by position or by name; a class that checks them, has
     defaults or is built in hot loops writes its own ``__init__`` and sets
-    each field with ``_set``."""
+    each field with ``_set``.  Each class gets ``_values``, a static getter:
+    ``r._values(r)`` is the tuple of r's fields, read in C."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in (*zip(names, args), *kwargs.items()):
+        for name, value in zip(names, args):
             _set(self, name, value)
 
     def __setattr__(self, name, value):
@@ -50,9 +58,6 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
     def _replace(self, **changes):
         """A copy with the named fields changed."""
         return type(self)(*[changes.pop(name, getattr(self, name)) for name in self.__slots__],
@@ -60,14 +65,14 @@ class Record:
 
     def __eq__(self, other):
         if self.__class__ is other.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

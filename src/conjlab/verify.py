@@ -551,7 +551,9 @@ def verify_equivariance(chain: ChainSpec, trials: int, field, seed: int = 0) -> 
         raise ValueError("equivariance needs trials >= 1")
     _refuse_over_budget(trials)
     levels = max(1, len(chain.prefix))
-    N = chain.ambient_at(levels + 1)  # the largest drawn, as no map shrinks n
+    # the largest size drawn is the last level's, as no map shrinks n; the
+    # size walk stops once n is past the budget
+    N = GroupType(chain.letter, chain.n_at(levels + 1, cap=ENUMERATION_BUDGET)).ambient
     _refuse_over_size(f"{trials} trials at size N = {N}: trials N^3", trials * N ** 3)
     t0 = time.monotonic()
     params = {"chain": chain.letter, "n1": chain.n1,

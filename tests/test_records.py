@@ -63,7 +63,7 @@ def test_record_semantics(name):
     cls, (args, want) = RECORDS[name], INSTANCES[name]
     r = cls(*args)
     assert repr(r) == want
-    assert r._values() == args
+    assert r._values(r) == args
     twin = cls(**dict(zip(cls.__slots__, args)))
     assert r == twin and not r != twin and hash(r) == hash(twin) == hash(args)
     assert r != args
@@ -75,7 +75,7 @@ def test_record_semantics(name):
             delattr(r, field)
     with pytest.raises(AttributeError):
         r.unknown = 0
-    assert r._values() == args
+    assert r._values(r) == args
 
 
 def test_records_of_two_classes_with_the_same_fields_differ():
